@@ -1,0 +1,3 @@
+"""The toolchain benchmark: four seeded workloads with end-to-end and
+per-layer metrics.  Run it with ``python3 perfbench/run.py``; see
+``perfbench/README.md``."""
