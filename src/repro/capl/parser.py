@@ -496,9 +496,21 @@ class Parser:
         raise self._error("expected an expression")
 
 
+#: the message of the error raised when nesting exhausts the Python stack
+_TOO_DEEP = "expression nested too deeply"
+
+
 def parse(source: str) -> Program:
-    """Parse CAPL source text into a :class:`Program`."""
-    return Parser(tokenize(source)).parse_program()
+    """Parse CAPL source text into a :class:`Program`.
+
+    Nesting deeper than the interpreter's recursion limit raises a
+    :class:`CaplSyntaxError` at the token the parser had reached.
+    """
+    parser = Parser(tokenize(source))
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser._error(_TOO_DEEP) from None
 
 
 def parse_file(path: str) -> Program:

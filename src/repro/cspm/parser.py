@@ -543,14 +543,29 @@ class Parser:
         return SetLit(tuple(elements))
 
 
+#: the message of the error raised when nesting exhausts the Python stack
+_TOO_DEEP = "expression nested too deeply"
+
+
 def parse(source: str) -> Script:
-    """Parse CSPm source text into a :class:`Script`."""
-    return Parser(tokenize(source)).parse_script()
+    """Parse CSPm source text into a :class:`Script`.
+
+    Nesting deeper than the interpreter's recursion limit raises a
+    :class:`CspmSyntaxError` at the token the parser had reached.
+    """
+    parser = Parser(tokenize(source))
+    try:
+        return parser.parse_script()
+    except RecursionError:
+        raise parser._error(_TOO_DEEP) from None
 
 
 def parse_expression(source: str) -> Expr:
     """Parse a single process/value expression (testing convenience)."""
     parser = Parser(tokenize(source))
-    expr = parser.parse_process()
+    try:
+        expr = parser.parse_process()
+    except RecursionError:
+        raise parser._error(_TOO_DEEP) from None
     parser.expect("EOF")
     return expr

@@ -4,9 +4,10 @@ One :class:`VerificationPipeline` per model-checking session replaces the
 hand-wired compile → normalise → refine sequences that used to live in every
 caller.  The pipeline owns three pieces of shared state:
 
-* an :class:`AlphabetTable` interning events to dense int ids, so every
-  automaton it builds lives in one id space and the product search never
-  hashes an :class:`~repro.csp.events.Event` on the hot path;
+* an :class:`~repro.csp.events.AlphabetTable` interning events to dense
+  int ids, so every automaton it builds lives in one id space and the
+  product search never hashes an :class:`~repro.csp.events.Event` on the
+  hot path;
 * a :class:`CompilationCache` memoising compiled LTSs and normalised
   specifications by structural fingerprint, so checking one specification
   against many implementations compiles the shared side once -- optionally
@@ -21,7 +22,6 @@ caller.  The pipeline owns three pieces of shared state:
   (compress-before-compose, paper Sec. VII-A).
 """
 
-from .alphabet import AlphabetTable, TAU_ID, TICK_ID, shared_table_of
 from .cache import CompilationCache, reachable_bindings, structural_key
 from .diskcache import DISKCACHE_FORMAT_VERSION, DiskCache, key_digest
 from .pipeline import VerificationPipeline, shared_cache
@@ -35,9 +35,6 @@ from .plan import (
 from .product import ProductLTS
 
 __all__ = [
-    "AlphabetTable",
-    "TAU_ID",
-    "TICK_ID",
     "CompilationCache",
     "CompilationPlan",
     "CompiledAutomaton",
@@ -51,6 +48,5 @@ __all__ = [
     "key_digest",
     "reachable_bindings",
     "shared_cache",
-    "shared_table_of",
     "structural_key",
 ]

@@ -7,7 +7,10 @@ builds), a :class:`CompilationCache` (one compile per distinct term), and the
 choice between the on-the-fly product search (default for ``[T=`` / ``[F=``:
 implementation states unfold on demand, the search exits on the first
 violation) and the eager search (full LTS on both sides; always used for
-``[FD=``, which needs the implementation's complete tau graph).
+``[FD=``, which needs the implementation's complete tau graph).  Eager
+compilation of a composition spine over compiled components materialises
+its :class:`~repro.engine.product.ProductLTS`; only components and spines
+with a degraded leaf go through the SOS compiler.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from ..obs.trace import NULL_TRACER, Tracer, ensure_tracer
 from ..passes.base import PassSpec, resolve_passes
 from .cache import CompilationCache, structural_key
 from .plan import CompilationPlan, PreparedTerm, component_provenance
+from .product import ProductLTS
 
 _PROPERTY_CHECKS = {
     "deadlock free": check_deadlock_free,
@@ -86,15 +90,28 @@ class VerificationPipeline:
         obs = self.obs
         if obs.enabled:
             with obs.span("compile") as span:
-                lts = compile_lts(process, self.env, limit, self.table)
+                lts = self._generate(process, limit)
                 span.set_tag("states", lts.state_count)
             metrics = obs.metrics
             metrics.counter("compile.states").inc(lts.state_count)
             metrics.counter("compile.transitions").inc(lts.transition_count)
         else:
-            lts = compile_lts(process, self.env, limit, self.table)
+            lts = self._generate(process, limit)
         self.cache.put_lts(key, lts)
         return lts
+
+    def _generate(self, process: Process, limit: int) -> LTS:
+        """The full state space of *process*, in the pipeline's id space.
+
+        A composition spine over compiled leaves is materialised as its
+        :class:`ProductLTS`; everything else (leaves, spines with a degraded
+        SOS leaf) goes through the SOS compiler.  Both build the same
+        automaton.
+        """
+        product = ProductLTS.for_term(process, self.table, limit)
+        if product is not None:
+            return product.materialise()
+        return compile_lts(process, self.env, limit, self.table)
 
     def normalised(
         self, process: Process, max_states: Optional[int] = None

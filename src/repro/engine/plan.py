@@ -241,13 +241,10 @@ class CompilationPlan:
     ) -> Optional[ProductLTS]:
         """An on-the-fly product over the prepared term's compiled leaves.
 
-        Returns None when the term does not qualify (no compiled
-        components, a degraded SOS leaf, or no composition spine); the
-        caller then uses the generic term-level lazy expansion, which
-        handles every term shape.
+        Returns None when the term does not qualify (no composition spine,
+        or a leaf left in SOS form); the caller then uses the generic
+        term-level lazy expansion, which handles every term shape.
         """
-        if not prepared.compressed:
-            return None
         view = ProductLTS.for_term(
             prepared.term, self.pipeline.table, max_states, por=por
         )

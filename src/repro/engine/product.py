@@ -1,28 +1,45 @@
-"""Lazy on-the-fly composition over compiled component kernels.
+"""Composition spines over compiled component kernels, lazy or materialised.
 
-The compilation plan rebuilds a composed implementation with
+The compilation plan rebuilds a composed term with
 :class:`~repro.csp.process.CompiledProcess` leaves standing in for its
-compressed components.  The generic on-the-fly path then replays those
-leaves through the term-level SOS -- correct, but every expanded state
-allocates a fresh process term per component move and hashes whole terms
-into the state index.
+compressed components.  Replaying those leaves through the term-level SOS is
+correct, but every expanded state allocates a fresh process term per
+component move and hashes whole terms into the state index.
 
-:class:`ProductLTS` specialises exactly that case.  When the prepared term
-is a pure composition spine (generalised parallel / interleave / hiding /
-renaming) over compiled leaves, a product state is just the tuple of
-component kernel states, and a state's successors can be synthesised
+:class:`ProductLTS` is the state-space generator for exactly that case.
+When a term is a pure composition spine (generalised parallel / interleave /
+hiding / renaming) over compiled leaves, a product state is just the tuple
+of component kernel states, and a state's successors are synthesised
 directly from the components' flat CSR spans -- no term objects, no SOS
 dispatch, tuple hashing instead of term hashing.  The synthesis mirrors the
 SOS rules move for move (left non-sync moves first, then right non-sync,
 then synchronised pairs in left-major order; hiding maps to tau in place;
-renaming relabels ids), so exploration order, verdicts, counterexamples and
-explored-state counts are identical to the term-level path it replaces.
+renaming relabels ids), so state numbering, edge order, verdicts,
+counterexamples and explored-state counts are identical to the term-level
+path it replaces.  It serves two uses:
 
-Like :class:`~repro.fdr.refine.LazyImplementation`, expanded edges land in
-two shared flat ``array('q')`` buffers with per-state bounds -- the kernel's
-span protocol -- and states are numbered in discovery order, which coincides
-with the term-level numbering because distinct tuples correspond exactly to
-distinct substituted terms.
+* on the fly (``[T=`` / ``[F=``): the refinement search drives
+  :meth:`ProductLTS.successors_span` and states unfold on demand, like a
+  :class:`~repro.fdr.refine.LazyImplementation`;
+* materialised (eager compilation, hence ``[FD=`` and property checks):
+  :meth:`ProductLTS.materialise` expands every state in id order into the
+  :class:`~repro.csp.kernel.CompactLTS` that ``compile_lts`` would have
+  built from the same term -- same BFS numbering, per-state edge order,
+  event ids and state budget -- whose per-state ``terms`` are rebuilt by
+  :meth:`ProductLTS.term_of` only when a counterexample asks for one.
+
+Moves are synthesised as *deltas*: each spine node returns
+``(event id, ((leaf position, new leaf state), ...))``, naming only the
+leaves the move changes.  A leaf caches its move list per kernel state,
+and so does any other subtree whose leaves span few state combinations
+(a synchronised VMG/ECU pair, say), so most of the synthesis is list
+lookups; the successor tuple is built once per move that survives
+synchronisation.
+
+Events the pipeline's table has not interned yet (renaming targets, events
+of a leaf compiled under another pipeline's table) are numbered when the
+first edge carrying them is emitted, as ``compile_lts`` does, so both paths
+leave the table in the same state.
 
 Partial-order reduction (optional, off by default): when a component's
 current state has only tau moves, those moves are invisible, cannot
@@ -30,17 +47,19 @@ synchronise, and commute with every move of every other component.
 Expanding *only* that component's taus (an ample set) therefore preserves
 trace verdicts while skipping the interleaving blow-up.  The reduction is
 only sound for stuttering-invariant properties, so the pipeline enables it
-solely for trace checks and only when asked (``por=True``); a cycle proviso
-(the ample set must discover at least one new state) guards against a
-reduced cycle postponing a visible move forever.
+solely for on-the-fly trace checks and only when asked (``por=True``); a
+cycle proviso (the ample set must discover at least one new state) guards
+against a reduced cycle postponing a visible move forever.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..csp.events import AlphabetTable, Event, TAU_ID, TICK_ID
+from ..csp.kernel import CompactLTS
 from ..csp.lts import DEFAULT_STATE_LIMIT, StateId, StateSpaceLimitExceeded
 from ..csp.process import (
     CompiledProcess,
@@ -51,132 +70,197 @@ from ..csp.process import (
     Renaming,
 )
 
-#: one synthesised move: (interned event id, successor leaf-state tuple)
-_Move = Tuple[int, Tuple[StateId, ...]]
+#: the leaf positions one move changes, each with its new kernel state
+Delta = Tuple[Tuple[int, StateId], ...]
+#: one synthesised move: (event id, delta)
+_Move = Tuple[int, Delta]
+
+#: the operators a spine is built from
+_SPINE = (GenParallel, Interleave, Hiding, Renaming)
+
+#: ids from here up stand for events the table had not interned when the
+#: spine was built; each is swapped for its table id as its edge is emitted
+_DEFERRED = 1 << 62
+
+#: a subtree whose leaves span at most this many state combinations keeps
+#: its move lists per combination: so small a subtree recurs in many
+#: product states, and its memo stays small
+_MEMO_STATES = 4096
 
 
-def _must_sync(eid: int, sync_ids: Optional[FrozenSet[int]]) -> bool:
-    """The SOS synchronisation test on interned ids: tick always, tau never,
-    a visible event iff it is in the (generalised) sync set."""
-    if eid == TICK_ID:
-        return True
-    if eid == TAU_ID:
-        return False
-    return sync_ids is not None and eid in sync_ids
+class _Ids:
+    """Event ids for building one spine, deferring events new to the table.
+
+    An event the table already knows gets its table id.  Any other event a
+    child can produce gets a placeholder at or above ``_DEFERRED``, so that
+    interning happens in edge-emission order rather than build order.
+    """
+
+    __slots__ = ("table", "deferred", "_placeholders")
+
+    def __init__(self, table: AlphabetTable) -> None:
+        self.table = table
+        #: the events behind the placeholders, in placeholder order
+        self.deferred: List[Event] = []
+        self._placeholders: Dict[Event, int] = {}
+
+    def lookup(self, event: Event) -> Optional[int]:
+        """The id of *event*, or None when no child can produce it."""
+        eid = self.table.id_of(event)
+        return eid if eid is not None else self._placeholders.get(event)
+
+    def intern(self, event: Event) -> int:
+        """The id of *event*, allocating a placeholder on first sight."""
+        eid = self.lookup(event)
+        if eid is None:
+            eid = _DEFERRED + len(self.deferred)
+            self._placeholders[event] = eid
+            self.deferred.append(event)
+        return eid
 
 
 class _Leaf:
     """One compiled component: moves come straight off its kernel spans.
 
-    ``remap`` translates the kernel's event ids into the pipeline table's
-    ids when the component was compiled under a different pipeline (shared
+    ``remap`` translates the kernel's event ids into the pipeline's ids
+    when the component was compiled under a different pipeline (shared
     compressed cache); None means the kernel already lives in the
-    pipeline's id space.
+    pipeline's id space.  Each kernel state's move list is built once.
     """
 
-    __slots__ = ("position", "lts", "remap")
+    __slots__ = ("position", "lts", "remap", "alphabet", "_moves")
 
     def __init__(self, position: int, lts, remap: Optional[Dict[int, int]]) -> None:
         self.position = position
         self.lts = lts
         self.remap = remap
+        _offsets, events, _targets = lts.csr_arrays()
+        #: every id a move of this leaf can carry
+        self.alphabet: FrozenSet[int] = frozenset(
+            set(events) if remap is None else map(remap.__getitem__, set(events))
+        )
+        self._moves: List[Optional[List[_Move]]] = [None] * lts.state_count
 
     def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
-        events, targets, lo, hi = self.lts.successors_span(tup[self.position])
-        k = self.position
-        prefix, suffix = tup[:k], tup[k + 1 :]
-        remap = self.remap
-        if remap is None:
-            return [
-                (events[i], prefix + (targets[i],) + suffix)
+        state = tup[self.position]
+        moves = self._moves[state]
+        if moves is None:
+            events, targets, lo, hi = self.lts.successors_span(state)
+            k = self.position
+            remap = self.remap
+            moves = [
+                (events[i] if remap is None else remap[events[i]], ((k, targets[i]),))
                 for i in range(lo, hi)
             ]
-        return [
-            (remap[events[i]], prefix + (targets[i],) + suffix)
-            for i in range(lo, hi)
-        ]
+            self._moves[state] = moves
+        return moves
 
 
 class _Par:
     """Generalised parallel (interleave = empty sync set).
 
-    ``split`` is the first leaf position of the right subtree: left-subtree
-    moves change only positions below it, right-subtree moves only positions
-    at or above it, so a synchronised pair merges as
-    ``left_tuple[:split] + right_tuple[split:]``.
+    ``sync`` holds every id that must synchronise: the sync set's ids plus
+    tick, never tau.  The subtrees own disjoint leaf positions, so a
+    synchronised pair's delta is the left delta followed by the right one.
+    When neither subtree can carry a sync id (interleaving processes that
+    never terminate), every move passes through unpaired.
     """
 
-    __slots__ = ("left", "right", "split", "sync_ids")
+    __slots__ = ("left", "right", "sync", "alphabet", "independent")
 
-    def __init__(self, left, right, split: int, sync_ids) -> None:
+    def __init__(self, left, right, sync: FrozenSet[int]) -> None:
         self.left = left
         self.right = right
-        self.split = split
-        self.sync_ids = sync_ids
+        self.sync = sync
+        self.alphabet: FrozenSet[int] = left.alphabet | right.alphabet
+        self.independent = not (self.alphabet & sync)
 
     def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
-        left_moves = self.left.moves(tup)
-        right_moves = self.right.moves(tup)
-        sync_ids = self.sync_ids
-        result: List[_Move] = []
-        for eid, new in left_moves:
-            if not _must_sync(eid, sync_ids):
-                result.append((eid, new))
-        for eid, new in right_moves:
-            if not _must_sync(eid, sync_ids):
-                result.append((eid, new))
-        split = self.split
-        for leid, lnew in left_moves:
-            if not _must_sync(leid, sync_ids):
-                continue
-            for reid, rnew in right_moves:
-                if reid == leid:
-                    result.append((leid, lnew[:split] + rnew[split:]))
+        left = self.left.moves(tup)
+        right = self.right.moves(tup)
+        if self.independent:
+            return left + right
+        sync = self.sync
+        result = [move for move in left if move[0] not in sync]
+        result += [move for move in right if move[0] not in sync]
+        for eid, left_delta in left:
+            if eid in sync:
+                for right_eid, right_delta in right:
+                    if right_eid == eid:
+                        result.append((eid, left_delta + right_delta))
         return result
 
 
 class _Hide:
     """Hiding: hidden visible events become tau, order untouched."""
 
-    __slots__ = ("child", "hidden_ids")
+    __slots__ = ("child", "hidden_ids", "alphabet")
 
     def __init__(self, child, hidden_ids: FrozenSet[int]) -> None:
         self.child = child
         self.hidden_ids = hidden_ids
+        self.alphabet: FrozenSet[int] = frozenset(
+            TAU_ID if eid in hidden_ids else eid for eid in child.alphabet
+        )
 
     def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
         hidden = self.hidden_ids
         return [
-            (TAU_ID, new) if eid > TICK_ID and eid in hidden else (eid, new)
-            for eid, new in self.child.moves(tup)
+            (TAU_ID, delta) if eid in hidden else (eid, delta)
+            for eid, delta in self.child.moves(tup)
         ]
 
 
 class _Rename:
     """Renaming: relabel visible ids through a precomputed map."""
 
-    __slots__ = ("child", "id_map")
+    __slots__ = ("child", "id_map", "alphabet")
 
     def __init__(self, child, id_map: Dict[int, int]) -> None:
         self.child = child
         self.id_map = id_map
+        self.alphabet: FrozenSet[int] = frozenset(
+            id_map.get(eid, eid) for eid in child.alphabet
+        )
 
     def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
         id_map = self.id_map
-        return [
-            (id_map.get(eid, eid), new) if eid > TICK_ID else (eid, new)
-            for eid, new in self.child.moves(tup)
-        ]
+        return [(id_map.get(eid, eid), delta) for eid, delta in self.child.moves(tup)]
+
+
+class _Memo:
+    """A small subtree's moves, kept per state of the leaves it spans.
+
+    The subtree owns the leaf positions ``lo`` to ``hi - 1``, so its moves
+    depend on that slice of the product tuple only.
+    """
+
+    __slots__ = ("child", "lo", "hi", "alphabet", "_moves")
+
+    def __init__(self, child, lo: int, hi: int) -> None:
+        self.child = child
+        self.lo = lo
+        self.hi = hi
+        self.alphabet: FrozenSet[int] = child.alphabet
+        self._moves: Dict[Tuple[StateId, ...], List[_Move]] = {}
+
+    def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
+        key = tup[self.lo : self.hi]
+        moves = self._moves.get(key)
+        if moves is None:
+            moves = self._moves[key] = self.child.moves(tup)
+        return moves
 
 
 class ProductLTS:
-    """On-the-fly product of compiled component kernels (span protocol).
+    """The product of compiled component kernels (span protocol).
 
     Drives :class:`~repro.fdr.refine._ProductSearch` exactly like a
     :class:`~repro.fdr.refine.LazyImplementation`: ``initial`` /
     ``successors_span`` / ``is_stable`` / ``table`` / ``term_of``, with
     states numbered in discovery order and a ``max_states`` budget enforced
-    at discovery time.
+    at discovery time -- or expands everything at once through
+    :meth:`materialise`.
     """
 
     #: obs metric this implementation reports its expansion count under
@@ -190,7 +274,12 @@ class ProductLTS:
         table: AlphabetTable,
         max_states: int = DEFAULT_STATE_LIMIT,
         por: bool = False,
+        deferred: Tuple[Event, ...] = (),
     ) -> None:
+        # admitting the initial state counts against the budget, as in
+        # compile_lts
+        if max_states < 1:
+            raise StateSpaceLimitExceeded(max_states)
         self.table = table
         self.max_states = max_states
         self.por = por
@@ -200,9 +289,10 @@ class ProductLTS:
         self._template = template
         self._node = node
         self._kernels = kernels
+        self._deferred = tuple(deferred)
         start = _initial_tuple(template)
         self._tuples: List[Tuple[StateId, ...]] = [start]
-        self._index: Dict[Tuple[StateId, ...], StateId] = {start: 0}
+        self._index: Optional[Dict[Tuple[StateId, ...], StateId]] = {start: 0}
         self._events: array = array("q")
         self._targets: array = array("q")
         self._bounds: List[Optional[Tuple[int, int]]] = [None]
@@ -215,7 +305,7 @@ class ProductLTS:
         max_states: int = DEFAULT_STATE_LIMIT,
         por: bool = False,
     ) -> Optional["ProductLTS"]:
-        """A product view of *term*, or None when it does not qualify.
+        """The product of *term*, or None when it does not qualify.
 
         Qualifying terms are composition spines (parallel / interleave /
         hiding / renaming) whose leaves are all ``CompiledProcess`` handles
@@ -224,13 +314,14 @@ class ProductLTS:
         process (no composition to synthesise) returns None and the caller
         falls back to the term-level path.
         """
-        if not isinstance(term, (GenParallel, Interleave, Hiding, Renaming)):
+        if not isinstance(term, _SPINE):
             return None
         kernels: List = []
-        node = _build(term, kernels, table)
+        ids = _Ids(table)
+        node = _build(term, kernels, ids)
         if node is None:
             return None
-        return cls(term, node, kernels, table, max_states, por)
+        return cls(term, node, kernels, table, max_states, por, tuple(ids.deferred))
 
     # -- the automaton protocol ----------------------------------------------
 
@@ -275,10 +366,40 @@ class ProductLTS:
         """The state's edge range in the shared flat arrays (expands once)."""
         bounds = self._bounds[state]
         if bounds is None:
-            bounds = self._expand(state)
+            start = len(self._events)
+            self._emit(state)
+            bounds = (start, len(self._events))
+            self._bounds.extend([None] * (len(self._tuples) - len(self._bounds)))
+            self._bounds[state] = bounds
         return self._events, self._targets, bounds[0], bounds[1]
 
-    def _expand(self, state: StateId) -> Tuple[int, int]:
+    def materialise(self) -> CompactLTS:
+        """Expand every reachable state, in id order, into a CompactLTS.
+
+        The edge buffers fill state by state, so they are the CSR arrays
+        as they stand.  The state index and the synthesis nodes are
+        dropped afterwards; the automaton's ``terms`` keep the state tuples
+        alive to rebuild the term behind a state on demand.  Call on a
+        product nothing has explored.
+        """
+        events = self._events
+        offsets = array("q", [0])
+        state = 0
+        while state < len(self._tuples):
+            self._emit(state)
+            offsets.append(len(events))
+            state += 1
+        self._index = None
+        self._node = None
+        self._bounds = []
+        lts = CompactLTS.from_csr(
+            self.table, self.initial, offsets, events, self._targets
+        )
+        lts.terms = _SpineTerms(self)
+        return lts
+
+    def _emit(self, state: StateId) -> None:
+        """Append the state's edges to the buffers, numbering new states."""
         tup = self._tuples[state]
         moves = self._ample(tup) if self.por else None
         if moves is None:
@@ -287,20 +408,34 @@ class ProductLTS:
         tuples = self._tuples
         events, targets = self._events, self._targets
         start = len(events)
-        for eid, new_tup in moves:
-            target = index.get(new_tup)
-            if target is None:
-                if len(tuples) >= self.max_states:
-                    raise StateSpaceLimitExceeded(self.max_states)
-                target = len(tuples)
-                index[new_tup] = target
-                tuples.append(new_tup)
-                self._bounds.append(None)
-            events.append(eid)
-            targets.append(target)
-        bounds = (start, len(events))
-        self._bounds[state] = bounds
-        return bounds
+        try:
+            for eid, delta in moves:
+                slots = list(tup)
+                for k, leaf_state in delta:
+                    slots[k] = leaf_state
+                new_tup = tuple(slots)
+                target = index.get(new_tup)
+                if target is None:
+                    if len(tuples) >= self.max_states:
+                        raise StateSpaceLimitExceeded(self.max_states)
+                    target = len(tuples)
+                    index[new_tup] = target
+                    tuples.append(new_tup)
+                events.append(eid)
+                targets.append(target)
+        finally:
+            if self._deferred:
+                self._resolve(start)
+
+    def _resolve(self, start: int) -> None:
+        """Swap the placeholder ids emitted from *start* for table ids."""
+        events = self._events
+        deferred = self._deferred
+        intern = self.table.intern
+        for i in range(start, len(events)):
+            eid = events[i]
+            if eid >= _DEFERRED:
+                events[i] = intern(deferred[eid - _DEFERRED])
 
     def _ample(self, tup: Tuple[StateId, ...]) -> Optional[List[_Move]]:
         """An ample subset of the state's moves, or None for full expansion.
@@ -319,13 +454,12 @@ class ProductLTS:
             if any(events[i] != TAU_ID for i in range(lo, hi)):
                 continue
             prefix, suffix = tup[:k], tup[k + 1 :]
-            ample = [
-                (TAU_ID, prefix + (targets[i],) + suffix)
+            if any(
+                prefix + (targets[i],) + suffix not in self._index
                 for i in range(lo, hi)
-            ]
-            if any(new not in self._index for _, new in ample):
+            ):
                 self.ample_hits += 1
-                return ample
+                return [(TAU_ID, ((k, targets[i]),)) for i in range(lo, hi)]
         return None
 
     # -- convenience views (tests, diagnostics) ------------------------------
@@ -351,6 +485,27 @@ class ProductLTS:
         )
 
 
+class _SpineTerms(Sequence):
+    """The ``terms`` of a materialised product, rebuilt on demand.
+
+    The automaton holds one leaf-state tuple per state instead of one
+    process term; counterexample provenance asks for the few it needs.
+    """
+
+    __slots__ = ("_product",)
+
+    def __init__(self, product: ProductLTS) -> None:
+        self._product = product
+
+    def __len__(self) -> int:
+        return self._product.state_count
+
+    def __getitem__(self, state):
+        if isinstance(state, slice):
+            return [self._product.term_of(s) for s in range(len(self))[state]]
+        return self._product.term_of(state)
+
+
 def _initial_tuple(term: Process) -> Tuple[StateId, ...]:
     """The compiled-leaf states of the template, in leaf order."""
     order: List[StateId] = []
@@ -368,82 +523,93 @@ def _initial_tuple(term: Process) -> Tuple[StateId, ...]:
     return tuple(order)
 
 
-def _translation(lts, table: AlphabetTable) -> Dict[int, int]:
-    """Foreign kernel event ids -> pipeline table ids.
+def _translation(lts, ids: _Ids) -> Dict[int, int]:
+    """Foreign kernel event ids -> pipeline ids.
 
     Tau and tick occupy the same reserved slots in every table; each
     visible event the kernel uses is decoded through its own table and
-    interned into the pipeline's.  Ids are visited in ascending (foreign
-    interning) order so the pipeline-side interning is deterministic.
+    looked up (or deferred) in the pipeline's.
     """
     _offsets, events, _targets = lts.csr_arrays()
     event_of = lts.table.event_of
-    intern = table.intern
     remap = {TAU_ID: TAU_ID, TICK_ID: TICK_ID}
     for eid in sorted(set(events)):
         if eid > TICK_ID:
-            remap[eid] = intern(event_of(eid))
+            remap[eid] = ids.intern(event_of(eid))
     return remap
 
 
-def _build(term: Process, kernels: List, table: AlphabetTable):
+def _subtree(term: Process, kernels: List, ids: _Ids):
+    """Build a child node, memoised when its leaves span few states."""
+    lo = len(kernels)
+    node = _build(term, kernels, ids)
+    if node is None or isinstance(node, _Leaf):
+        return node
+    combinations = 1
+    for lts in kernels[lo:]:
+        combinations *= lts.state_count
+    if combinations > _MEMO_STATES:
+        return node
+    return _Memo(node, lo, len(kernels))
+
+
+def _build(term: Process, kernels: List, ids: _Ids):
     """Compile the spine into move-synthesis nodes (bottom-up, or None).
 
-    Interning happens bottom-up: every event a child can produce is either
-    on a component kernel (interned when the component compiled) or a
-    renaming target (interned here when the ``_Rename`` node is built), so
-    resolving hiding/sync sets with ``id_of`` above it is complete -- an
-    event with no id cannot be produced and is safely ignored.
+    Every event a child can produce is known to *ids* before its parent is
+    built: it is on a component kernel or a renaming target, both
+    registered below.  So resolving hiding and sync sets with
+    ``ids.lookup`` is complete -- an event with no id cannot be produced
+    and is safely ignored.  The root is never memoised: the state index
+    already expands each product state once.
     """
     if isinstance(term, CompiledProcess):
         lts = getattr(term.automaton, "lts", None)
         if lts is None or not hasattr(lts, "successors_span"):
             return None
         remap: Optional[Dict[int, int]] = None
-        if lts.table is not table:
+        if lts.table is not ids.table:
             # a component compiled under another pipeline (shared compressed
             # cache) lives in a foreign id space; translate every edge label
             # it can produce into the pipeline's ids, which is exactly the
             # decode-and-reintern the SOS replay performs per move
-            remap = _translation(lts, table)
+            remap = _translation(lts, ids)
         kernels.append(lts)
         return _Leaf(len(kernels) - 1, lts, remap)
     if isinstance(term, (GenParallel, Interleave)):
-        left = _build(term.left, kernels, table)
+        left = _subtree(term.left, kernels, ids)
         if left is None:
             return None
-        split = len(kernels)
-        right = _build(term.right, kernels, table)
+        right = _subtree(term.right, kernels, ids)
         if right is None:
             return None
+        sync = {TICK_ID}
         if isinstance(term, GenParallel):
-            sync_ids = frozenset(
+            sync.update(
                 eid
-                for eid in (table.id_of(event) for event in term.sync)
-                if eid is not None
+                for eid in map(ids.lookup, term.sync)
+                if eid is not None and eid != TAU_ID
             )
-        else:
-            sync_ids = None
-        return _Par(left, right, split, sync_ids)
+        return _Par(left, right, frozenset(sync))
     if isinstance(term, Hiding):
-        child = _build(term.process, kernels, table)
+        child = _subtree(term.process, kernels, ids)
         if child is None:
             return None
         hidden_ids = frozenset(
             eid
-            for eid in (table.id_of(event) for event in term.hidden)
+            for eid in map(ids.lookup, term.hidden)
             if eid is not None and eid > TICK_ID
         )
         return _Hide(child, hidden_ids)
     if isinstance(term, Renaming):
-        child = _build(term.process, kernels, table)
+        child = _subtree(term.process, kernels, ids)
         if child is None:
             return None
+        # the first pair naming a source wins, as in Renaming.rename_event
         id_map: Dict[int, int] = {}
         for source, target in term.mapping:
-            sid = table.id_of(source)
-            if sid is None:
-                continue
-            id_map.setdefault(sid, table.intern(target))
+            sid = ids.lookup(source)
+            if sid is not None and sid not in id_map:
+                id_map[sid] = ids.intern(target)
         return _Rename(child, id_map)
     return None

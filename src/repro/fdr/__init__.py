@@ -13,7 +13,6 @@ from .counterexample import (
     NondeterminismCounterexample,
     TraceCounterexample,
 )
-from .compress import bisimulation_classes, compression_ratio, minimise
 from .normalise import (
     NormalisedSpec,
     minimal_bitsets,
@@ -54,7 +53,6 @@ __all__ = [
     "RefinementAssertion",
     "Session",
     "TraceCounterexample",
-    "bisimulation_classes",
     "check_deadlock_free",
     "check_deterministic",
     "check_divergence_free",
@@ -63,10 +61,8 @@ __all__ = [
     "check_fd_refinement",
     "check_trace_refinement",
     "check_trace_refinement_from",
-    "compression_ratio",
     "minimal_bitsets",
     "minimal_sets",
-    "minimise",
     "normalise",
     "tau_cycle_states",
 ]

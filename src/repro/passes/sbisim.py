@@ -1,7 +1,7 @@
 """Strong bisimulation minimisation -- FDR's ``sbisim`` as a pass.
 
 Partition refinement in the Kanellakis-Smolka style, with two fixes over
-the naive implementation this migrated from (``repro.fdr.compress``):
+a naive signature-recomputing refinement:
 
 * signatures are hash-consed per sweep -- each distinct move-set
   ``{(event, block)}`` is interned to a small integer once, so block

@@ -13,6 +13,9 @@ On top of the generic combinators (``sampled_from``, ``one_of``, ``lists``,
   event set, exercising every operator of the paper's grammar (Sec. IV-A2)
   plus the extensions (hiding, interleaving, interrupt);
 * :func:`sub_alphabets` -- random synchronisation / hiding sets;
+* :func:`spine_terms` -- random composition spines (parallel, interleave,
+  hiding, renaming) over small closed leaves, the shape the compilation
+  plan decomposes;
 * :func:`capl_programs` -- random reactive CAPL handler programs (the
   Fig.-2-style ECU sources the model extractor translates);
 * :func:`stimuli_for` -- random request sequences for a generated program.
@@ -33,6 +36,7 @@ from ..csp.process import (
     InternalChoice,
     Prefix,
     Process,
+    Renaming,
     SKIP,
     STOP,
     SeqComp,
@@ -181,6 +185,45 @@ def process_terms(
         return Hiding(draw(rng, depth - 1), alphabet_gen(rng))
 
     return Gen(lambda rng: draw(rng, max_depth))
+
+
+#: Events a generated renaming may target: the default events plus two no
+#: generated leaf uses, so renaming can introduce events new to a table.
+RENAME_TARGETS: Tuple[Event, ...] = DEFAULT_EVENTS + (event("d"), event("e"))
+
+
+def spine_terms(events: Sequence[Event] = DEFAULT_EVENTS) -> Gen:
+    """A random composition spine whose root is a spine operator.
+
+    Inner nodes (up to four deep) are generalised parallel, interleaving,
+    hiding and renaming -- the boundaries the compilation plan decomposes
+    along -- and leaves are :func:`process_terms` of depth three.
+    Renamings draw their targets from :data:`RENAME_TARGETS`.
+    """
+    pool = list(events)
+    alphabet_gen = sub_alphabets(pool)
+    leaves = process_terms(pool, 3)
+
+    def draw(rng: random.Random, depth: int, root: bool = False) -> Process:
+        if depth <= 0 or (not root and rng.random() < 0.35):
+            return leaves(rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return GenParallel(
+                draw(rng, depth - 1), draw(rng, depth - 1), alphabet_gen(rng)
+            )
+        if kind == 1:
+            return Interleave(draw(rng, depth - 1), draw(rng, depth - 1))
+        if kind == 2:
+            return Hiding(draw(rng, depth - 1), alphabet_gen(rng))
+        mapping = {
+            source: RENAME_TARGETS[rng.randrange(len(RENAME_TARGETS))]
+            for source in pool
+            if rng.random() < 0.5
+        }
+        return Renaming(draw(rng, depth - 1), mapping)
+
+    return Gen(lambda rng: draw(rng, 4, root=True))
 
 
 def process_pairs(

@@ -19,6 +19,7 @@ normalise   normalisation loses traces, nondeterminism, or determinism
 refinement  engine ``[T=`` verdict differs from the subset definition
 lazy-eager  on-the-fly and eager refinement disagree (verdict or cex)
 kernel      the flat-array kernel diverges from the pre-refactor semantics
+spine       a materialised composition spine differs from compile_lts
 cache       a compilation-cache hit changes a verdict or counterexample
 compression a semantic pass changes a verdict, counterexample or deadlock
 batch       the batch wire format or executor changes a verdict or trace
@@ -40,10 +41,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..csp.events import Alphabet, Channel, Event
 from ..csp.laws import LAW_OPERANDS, LAWS, check_law
-from ..csp.lts import compile_lts, reachable_visible_traces
+from ..csp.lts import (
+    StateSpaceLimitExceeded,
+    compile_lts,
+    reachable_visible_traces,
+)
 from ..csp.process import Process
 from ..csp.traces import denotational_traces
-from ..engine import VerificationPipeline
+from ..engine import CompilationCache, ProductLTS, VerificationPipeline
 from ..fdr.counterexample import FailureCounterexample, TraceCounterexample
 from ..fdr.normalise import NormalisedSpec, normalise
 from . import gen as g
@@ -755,6 +760,97 @@ def check_kernel(value) -> None:
             )
 
 
+# -- oracle: materialised composition spines ----------------------------------------
+
+
+def _spine_input() -> Gen:
+    return g.tuples(g.spine_terms(_EVENTS), g.sampled_from(["T", "FD"]), g.booleans())
+
+
+def check_spine(value) -> None:
+    """Materialising a spine as a ProductLTS builds what ``compile_lts`` builds.
+
+    Two pipelines prepare the same generated composition; one compiles the
+    prepared term through :meth:`VerificationPipeline.compile` (which
+    materialises the product), the other through the SOS compiler.  The CSR
+    arrays, the events behind every id (the two tables must end up
+    identical), the term behind every state, and the budgets at which
+    :class:`StateSpaceLimitExceeded` is raised must all coincide.  With
+    *foreign* set, a third pipeline compresses the components first into a
+    shared cache, so both sides compose leaves from a foreign id space.
+    """
+    term, model, foreign = value
+    shared = CompilationCache() if foreign else None
+    if foreign:
+        VerificationPipeline(cache=shared).plan.prepare(term, model)
+    product_side = VerificationPipeline(cache=shared)
+    sos_side = VerificationPipeline(cache=shared)
+    prepared = product_side.plan.prepare(term, model).term
+    reference_term = sos_side.plan.prepare(term, model).term
+    if ProductLTS.for_term(prepared, product_side.table) is None:
+        raise Discard
+    limit = product_side.max_states
+    materialised = product_side.compile(prepared, limit)
+    reference = compile_lts(reference_term, sos_side.env, limit, sos_side.table)
+    if materialised.csr_arrays() != reference.csr_arrays():
+        raise OracleViolation(
+            "materialising {!r} (model {}) built a different automaton than "
+            "compile_lts: {} vs {} states, {} vs {} edges".format(
+                term,
+                model,
+                materialised.state_count,
+                reference.state_count,
+                materialised.transition_count,
+                reference.transition_count,
+            )
+        )
+    if product_side.table.events() != sos_side.table.events():
+        raise OracleViolation(
+            "materialising {!r} (model {}) interned {} where compile_lts "
+            "interned {}".format(
+                term, model, product_side.table.events(), sos_side.table.events()
+            )
+        )
+    for state in range(reference.state_count):
+        if materialised.terms[state] != reference.terms[state]:
+            raise OracleViolation(
+                "materialising {!r} (model {}): state {} stands for {!r}, "
+                "compile_lts says {!r}".format(
+                    term,
+                    model,
+                    state,
+                    materialised.terms[state],
+                    reference.terms[state],
+                )
+            )
+    states = reference.state_count
+    for budget in sorted({0, 1, states - 1, states}):
+        product_fits = _fits(
+            lambda: VerificationPipeline(table=product_side.table).compile(
+                prepared, budget
+            )
+        )
+        sos_fits = _fits(
+            lambda: compile_lts(reference_term, sos_side.env, budget, sos_side.table)
+        )
+        if product_fits != sos_fits:
+            raise OracleViolation(
+                "{!r} (model {}) at a budget of {} states: the materialised "
+                "product fits {}, compile_lts fits {}".format(
+                    term, model, budget, product_fits, sos_fits
+                )
+            )
+
+
+def _fits(compile_at: Callable[[], object]) -> bool:
+    """Does the compilation finish within its state budget?"""
+    try:
+        compile_at()
+    except StateSpaceLimitExceeded:
+        return False
+    return True
+
+
 # -- the registry -------------------------------------------------------------------
 
 ORACLES: Dict[str, Oracle] = {}
@@ -817,6 +913,15 @@ _register(
         "repro.csp.kernel, repro.csp.lts, repro.fdr.refine",
         _kernel_input(),
         check_kernel,
+    )
+)
+_register(
+    Oracle(
+        "spine",
+        "a materialised composition spine equals the SOS-compiled automaton",
+        "repro.engine.product, repro.engine.pipeline",
+        _spine_input(),
+        check_spine,
     )
 )
 _register(

@@ -193,3 +193,17 @@ class TestEmptyStatement:
     def test_empty_statement_in_handler(self):
         program = parse("on message reqSw { ; }")
         assert program.message_handlers()
+
+
+class TestNestingDepth:
+    DEPTH = 2000
+
+    def test_deep_parentheses_raise_a_located_syntax_error(self):
+        nested = "(" * self.DEPTH + "1" + ")" * self.DEPTH
+        source = "void f() {\n  x = " + nested + ";\n}"
+        with pytest.raises(CaplSyntaxError, match="nested too deeply") as info:
+            parse(source)
+        assert info.value.line == 2
+        assert 7 <= info.value.column <= 7 + self.DEPTH
+        # the interpreter is usable again straight afterwards
+        assert len(parse(ECU_SOURCE).functions) == 1

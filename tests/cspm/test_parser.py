@@ -208,3 +208,23 @@ class TestFullScripts:
             "P = STOP\nassert P [T= P\nassert P :[deadlock free]\nassert P [F= P"
         )
         assert len(script.assertions()) == 3
+
+
+class TestNestingDepth:
+    DEPTH = 2000
+
+    def test_deep_parentheses_raise_a_located_syntax_error(self):
+        source = "P = " + "(" * self.DEPTH + "STOP" + ")" * self.DEPTH
+        with pytest.raises(CspmSyntaxError, match="nested too deeply") as info:
+            parse(source)
+        assert info.value.line == 1
+        assert 5 <= info.value.column <= 5 + self.DEPTH
+        # the interpreter is usable again straight afterwards
+        assert len(parse("P = a -> P\nassert P [T= P").assertions()) == 1
+
+    def test_deep_expression_raises_a_located_syntax_error(self):
+        source = "\n" + "(" * self.DEPTH + "STOP" + ")" * self.DEPTH
+        with pytest.raises(CspmSyntaxError, match="nested too deeply") as info:
+            parse_expression(source)
+        assert info.value.line == 2
+        assert isinstance(parse_expression("a -> STOP"), ast.PrefixExpr)

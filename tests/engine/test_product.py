@@ -10,6 +10,9 @@ pinned here:
 * pipeline verdicts, counterexamples and explored-state counts are
   unchanged whether the product view or the lazy SOS path runs the check,
 * terms the product cannot synthesise fall back cleanly,
+* materialising a spine (eager compilation) builds exactly the automaton
+  ``compile_lts`` builds -- arrays, event ids, budget and the terms behind
+  counterexamples,
 * the optional partial-order reduction preserves trace verdicts while
   exploring no more (and on interleavings strictly fewer) states.
 """
@@ -32,7 +35,14 @@ from repro.csp import (
     prefix,
     ref,
 )
-from repro.engine import ProductLTS, VerificationPipeline
+from repro.csp.lts import compile_lts
+from repro.engine import (
+    CompilationCache,
+    ProductLTS,
+    VerificationPipeline,
+    component_provenance,
+)
+from repro.fdr import check_deadlock_free
 
 A, B, C, D = event("a"), event("b"), event("c"), event("d")
 
@@ -171,6 +181,101 @@ class TestLazyParity:
                     product_run.counterexample.describe()
                     == eager_run.counterexample.describe()
                 )
+
+
+def _assert_same_automaton(pipeline, term, reference_pipeline, reference_term):
+    """``pipeline.compile`` equals ``compile_lts``, tables included."""
+    materialised = pipeline.compile(term)
+    reference = compile_lts(
+        reference_term,
+        reference_pipeline.env,
+        reference_pipeline.max_states,
+        reference_pipeline.table,
+    )
+    assert materialised.csr_arrays() == reference.csr_arrays()
+    assert pipeline.table.events() == reference_pipeline.table.events()
+    assert list(materialised.terms) == list(reference.terms)
+    return materialised
+
+
+class TestMaterialise:
+    def _twins(self, env, name, model="FD", cache=None):
+        """Two pipelines that prepared the same term independently."""
+        sides = []
+        for _ in range(2):
+            pipeline = VerificationPipeline(env, cache=cache)
+            sides.append((pipeline, pipeline.plan.prepare(ref(name), model).term))
+        return sides
+
+    def test_spine_compiles_to_the_sos_automaton(self):
+        (pipeline, term), (sos, sos_term) = self._twins(_composed_env(), "SYS")
+        assert ProductLTS.for_term(term, pipeline.table) is not None
+        lts = _assert_same_automaton(pipeline, term, sos, sos_term)
+        assert lts.state_count == 2
+
+    def test_renaming_targets_new_to_the_table(self):
+        env = Environment()
+        env.bind("P", prefix(B, prefix(A, ref("P"))))
+        env.bind("SYS", GenParallel(ref("P"), ref("P"), Alphabet([A, B])))
+        # c and d appear nowhere but as renaming targets, so they are interned
+        # when their first edge is emitted: c (from b) before d (from a),
+        # although the renaming lists a first
+        env.bind("WRAPPED", Renaming(ref("SYS"), {A: D, B: C}))
+        (pipeline, term), (sos, sos_term) = self._twins(env, "WRAPPED")
+        assert pipeline.table.id_of(C) is None and pipeline.table.id_of(D) is None
+        _assert_same_automaton(pipeline, term, sos, sos_term)
+        assert pipeline.table.events()[-2:] == (C, D)
+
+    def test_leaf_compiled_under_another_table(self):
+        env = _composed_env()
+        env.bind("WRAPPED", Hiding(ref("SYS"), Alphabet([B])))
+        shared = CompilationCache()
+        donor = VerificationPipeline(env, cache=shared)
+        donor.plan.prepare(ref("WRAPPED"), "FD")
+        (pipeline, term), (sos, sos_term) = self._twins(
+            env, "WRAPPED", cache=shared
+        )
+        leaf = term.process.left
+        assert leaf.automaton.lts.table is not pipeline.table
+        _assert_same_automaton(pipeline, term, sos, sos_term)
+        # the hidden b never reaches an edge, so neither side interns it
+        assert pipeline.table.id_of(B) is None
+
+    def test_state_budget_trips_identically(self):
+        (pipeline, term), (sos, sos_term) = self._twins(_composed_env(), "SYS")
+        states = compile_lts(sos_term, sos.env, 100, sos.table).state_count
+        for budget in (0, 1, states - 1, states):
+            fresh = VerificationPipeline(pipeline.env, table=pipeline.table)
+            try:
+                fresh.compile(term, budget)
+                product_fits = True
+            except StateSpaceLimitExceeded:
+                product_fits = False
+            try:
+                compile_lts(sos_term, sos.env, budget, sos.table)
+                sos_fits = True
+            except StateSpaceLimitExceeded:
+                sos_fits = False
+            assert product_fits == sos_fits == (budget >= states)
+
+    def test_failing_deadlock_check_keeps_term_and_provenance(self):
+        env = Environment()
+        env.bind("P", prefix(A, prefix(B, ref("P"))))
+        env.bind("Q", prefix(A, prefix(C, ref("Q"))))
+        env.bind("SYS", GenParallel(ref("P"), ref("Q"), Alphabet([A, B, C])))
+        pipeline = VerificationPipeline(env)
+        result = pipeline.property_check(ref("SYS"), "deadlock free")
+        assert not result.passed
+        sos = VerificationPipeline(env)
+        prepared = sos.plan.prepare(ref("SYS"), "FD").term
+        expected = check_deadlock_free(
+            compile_lts(prepared, env, sos.max_states, sos.table)
+        ).counterexample
+        violation = result.counterexample
+        assert violation.describe() == expected.describe()
+        assert violation.impl_term == expected.impl_term
+        assert violation.provenance == component_provenance(expected.impl_term)
+        assert [entry.label for entry in violation.provenance] == ["P", "Q"]
 
 
 def _tau_branching_env(components):

@@ -22,6 +22,7 @@ EXPECTED_ORACLES = {
     "refinement",
     "lazy-eager",
     "kernel",
+    "spine",
     "cache",
     "compression",
     "batch",
