@@ -5,11 +5,9 @@ section 4) and, besides timing the underlying operation with
 pytest-benchmark, writes the regenerated artefact out so the reproduction
 can be inspected and diffed against the paper.
 
-Machine-readable ``BENCH_*.json`` files are canonical at the repository
-root -- that is where CI gates and cross-PR trend tooling read them -- and
-every write is mirrored into ``benchmarks/out/`` so a bench run still
-leaves a complete artefact directory.  Text tables stay in
-``benchmarks/out/`` only.
+Machine-readable ``BENCH_*.json`` files live only at the repository root
+-- that is where CI gates and cross-PR trend tooling read them.  Text
+tables live in ``benchmarks/out/``.
 """
 
 import json
@@ -27,11 +25,9 @@ def bench_json_path(name):
 
 
 def write_bench_json(name, payload):
-    """Write one BENCH_*.json: canonical at the repo root, mirror in out/."""
+    """Write one BENCH_*.json at the repo root."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     bench_json_path(name).write_text(text, encoding="utf-8")
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "{}.json".format(name)).write_text(text, encoding="utf-8")
 
 
 def merge_bench_json(name, section, payload):
@@ -70,7 +66,7 @@ def artifact():
 
 @pytest.fixture
 def json_artifact():
-    """Write machine-readable benchmark data (canonical at the repo root)."""
+    """Write machine-readable benchmark data (at the repo root)."""
 
     def write(name: str, payload) -> None:
         write_bench_json(name, payload)

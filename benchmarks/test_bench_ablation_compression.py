@@ -15,7 +15,7 @@ pipeline vs. ``passes="none"`` -- on two families:
   product states.
 
 Besides the text table, the sweep writes
-``benchmarks/out/BENCH_compression.json``: per-pass state counts, wall
+``BENCH_compression.json`` at the repo root: per-pass state counts, wall
 times and explored-state counts for both paths, consumed by the CI
 verdict-agreement gate.
 """

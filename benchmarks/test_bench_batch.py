@@ -6,7 +6,7 @@ This bench runs one realistic batch (the five requirement checks plus a
 fleet of interleaved-component refinements and message-space property
 checks, all through the public spec/manifest path) three ways: inline,
 ``--jobs 1`` (one worker at a time, pooled overhead included) and
-``--jobs 4``, and emits ``benchmarks/out/BENCH_batch.json`` with the wall
+``--jobs 4``, and emits ``BENCH_batch.json`` at the repo root with the wall
 times and the parallel speedup.
 
 Correctness is gated unconditionally -- every run of the batch must

@@ -9,8 +9,7 @@ both halves:
   of the refinement search, the latter both against a fully materialised
   implementation LTS and against the lazy on-the-fly product, all on the
   8-component interleaving of the scalability sweep (paper Sec. VII-A).
-  The numbers land in ``BENCH_kernel.json`` at the repo root (mirrored in
-  ``benchmarks/out/``).
+  The numbers land in ``BENCH_kernel.json`` at the repo root.
 * **Divergence gate** -- a fixed matrix of composition shapes checked in
   both models through the kernel path and through the frozen pre-refactor
   reference semantics (``repro.quickcheck.reference``); any verdict, trace

@@ -7,8 +7,7 @@ and the cache leverage (logical queries answered per actual simulator
 run).  The fingerprints are asserted against the manifest, so the bench
 cannot silently speed up by learning the wrong automaton.
 
-The numbers land in ``BENCH_learn.json`` at the repo root (mirrored in
-``benchmarks/out/``).  With ``REPRO_LEARN_GATE=1`` (set in CI, where a
+The numbers land in ``BENCH_learn.json`` at the repo root.  With ``REPRO_LEARN_GATE=1`` (set in CI, where a
 committed baseline exists), a >10% drop in corpus-wide membership-query
 or simulator-run throughput against the previous ``BENCH_learn.json``
 fails the run.

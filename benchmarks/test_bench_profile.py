@@ -5,7 +5,7 @@ Each representative check (the paper's SP02 assertion, the Table III
 requirements, the 32-message scalability point) runs under an enabled
 :class:`repro.obs.Tracer` and its :class:`~repro.obs.Profile` -- exclusive
 time per pipeline stage (parse/plan/compile/compress/normalise/refine) --
-lands in ``benchmarks/out/BENCH_profile.json``.
+lands in ``BENCH_profile.json`` at the repo root.
 
 Two gates ride along: stage sums must reconcile with each check's
 end-to-end time to within 10% (CI reads this from the JSON), and the

@@ -17,8 +17,7 @@ The memoised run must beat not only its own cold run but the warm-daemon
 figure in ``BENCH_server.json`` -- memoisation has to be worth more than
 warm workers alone, or it is not paying for its disk.
 
-The numbers land in ``BENCH_resultcache.json`` at the repo root (mirrored
-in ``benchmarks/out/``).  With ``REPRO_RESULTCACHE_GATE=1`` (set in CI,
+The numbers land in ``BENCH_resultcache.json`` at the repo root.  With ``REPRO_RESULTCACHE_GATE=1`` (set in CI,
 where a committed baseline exists), a >10% drop in either replay's
 checks/sec against the previous ``BENCH_resultcache.json`` fails the run.
 """

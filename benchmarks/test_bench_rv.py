@@ -16,8 +16,7 @@ replays through every execution mode the runtime offers:
 All four mode outputs must be byte-identical per log (the rv canonical
 surface), and the memoised replay must not be slower than the cold one.
 
-The numbers land in ``BENCH_rv.json`` at the repo root (mirrored in
-``benchmarks/out/``).  With ``REPRO_RV_GATE=1`` (set in CI, where a
+The numbers land in ``BENCH_rv.json`` at the repo root.  With ``REPRO_RV_GATE=1`` (set in CI, where a
 committed baseline exists), a >10% drop in any mode's traces/sec against
 the previous ``BENCH_rv.json`` fails the run.
 """

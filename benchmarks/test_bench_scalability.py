@@ -11,8 +11,7 @@ individually and composing models.
 All sweeps run through :class:`repro.engine.VerificationPipeline`, so the
 timings reflect the production path (interned alphabets + on-the-fly
 refinement).  Besides the text tables, the sweeps accumulate into
-``BENCH_scalability.json`` at the repo root (mirrored in
-``benchmarks/out/``) for machine consumption.
+``BENCH_scalability.json`` at the repo root for machine consumption.
 """
 
 import time

@@ -15,8 +15,7 @@ frontend (the transport CI's smoke job uses):
   produce exactly one execution; the hit rate is read back from the
   ``server.dedup_hits`` / ``server.requests`` counters.
 
-The numbers land in ``BENCH_server.json`` at the repo root (mirrored in
-``benchmarks/out/``).  With ``REPRO_SERVER_GATE=1`` (set in CI, where a
+The numbers land in ``BENCH_server.json`` at the repo root.  With ``REPRO_SERVER_GATE=1`` (set in CI, where a
 committed baseline exists), a >10% drop in either replay's checks/sec
 against the previous ``BENCH_server.json`` fails the run.
 """

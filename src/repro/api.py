@@ -348,8 +348,8 @@ def verify_requirements(
     """Discharge several Table III requirements as one batch.
 
     *req_ids* defaults to every requirement (``R01``..``R05``).  With
-    ``jobs > 1`` the checks run in isolated worker processes (crash and
-    timeout containment per job); *cache_dir* names a shared on-disk
+    ``jobs > 1`` the checks run on a pool of warm worker processes (crash
+    and timeout containment per job); *cache_dir* names a shared on-disk
     compilation cache so workers and later sessions reuse each other's
     compiled session systems, and *result_cache_dir* a verdict store that
     answers already-discharged requirements without re-verifying.  Returns

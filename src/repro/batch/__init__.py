@@ -2,11 +2,13 @@
 
 The paper's workflow checks one assertion at a time in FDR; real audits
 discharge dozens (every Table III requirement, every extracted ECU model
-against every specification).  This package fans a list of
-:class:`CheckSpec` values over isolated worker processes:
+against every specification).  This package runs a list of
+:class:`CheckSpec` values on a pool of persistent worker processes -- the
+``cspserve`` daemon's scheduler, :class:`~repro.server.core.VerificationServer`,
+run in-process:
 
-* **Crash isolation** -- each job gets its own worker, so a crashing,
-  looping, or exiting check fails *its* job (``ERROR``/``TIMEOUT``) while
+* **Crash isolation** -- a crashing, looping, or exiting check fails *its*
+  job (``ERROR``/``TIMEOUT``); its worker is killed and respawned while
   the rest of the batch completes.
 * **Determinism** -- results come back in input order and each job runs in
   a fresh pipeline; a parallel run's canonical results are byte-identical

@@ -1,26 +1,22 @@
-"""The batch executor: fan a spec list over worker processes.
+"""The batch executor: run a spec list inline or on a warm worker pool.
 
-Each job runs in its **own** :mod:`multiprocessing` worker process with a
-dedicated pipe -- not in a shared pool -- because the failure modes the
-batch must survive are exactly the ones that kill pools: a worker that
-segfaults (or ``os._exit``\\ s) takes down only its own job, and a job past
-its deadline is terminated without poisoning the processes running its
-siblings.  At most *jobs* workers run concurrently; the scheduler launches
-from a pending queue as slots free up, multiplexing completions with
-:func:`multiprocessing.connection.wait`.
+``jobs >= 1`` runs the batch on an in-process
+:class:`~repro.server.core.VerificationServer` -- the same scheduler the
+``cspserve`` daemon uses, with *jobs* persistent warm workers.  Every spec
+is submitted at once (the queue is sized to the batch, so submission never
+blocks) and the tickets are collected in input order.  A worker that
+crashes or overruns its deadline is killed and respawned by the server, so
+a broken job fails alone and its siblings keep going; identical specs
+coalesce onto one execution, and the server's result cache answers
+memoised specs at submit time without a worker.  ``jobs <= 0`` (or
+``inline=True``) runs everything sequentially in this process.
 
 Determinism: results are keyed by the spec's position in the input list and
-reported in that order regardless of completion order, and each worker
-verifies its spec in a fresh pipeline (own environment, alphabet table,
-in-memory cache), so nothing about scheduling can leak into a verdict.
-Execution itself lives in :mod:`repro.exec` -- this module only schedules:
-:func:`~repro.exec.runtime.execute_spec` is the sequential reference the
-pool is held to, and two caches accelerate workers without coupling them.
-The LTS disk cache (:mod:`repro.engine.diskcache`) makes a warm compile
-reproduce the cold compile's automaton exactly; the result cache
-(:mod:`repro.exec.resultcache`) memoises whole verdicts -- the parent
-probes it before forking (a hit never costs a process) and workers
-promote fresh outcomes write-through.
+reported in that order regardless of completion order, and every execution
+builds a fresh pipeline (own environment, alphabet table, in-memory cache),
+so nothing about scheduling can leak into a verdict.  Execution itself
+lives in :mod:`repro.exec` -- :func:`~repro.exec.runtime.execute_spec` is
+the sequential reference both paths are held to.
 
 Verdict taxonomy per job:
 
@@ -28,15 +24,13 @@ Verdict taxonomy per job:
 ``PASS``   the check ran and held
 ``FAIL``   the check ran and produced a counterexample
 ``ERROR``  the check raised, or its worker died (crash, nonzero exit)
-``TIMEOUT`` the job exceeded its deadline and was terminated
+``TIMEOUT`` the job exceeded its deadline and its worker was killed
 ``CANCELLED`` the batch was cancelled (or hit its batch deadline) first
 ========== ==============================================================
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
@@ -44,17 +38,13 @@ from typing import Dict, List, Optional, Sequence
 # the execution core moved to repro.exec; re-exported because this module
 # defined it first and every mode's callers import it from here
 from ..exec.runtime import execute_cached, execute_spec, open_result_cache
-from ..exec.workers import failure_result, oneshot_worker_main
-from ..obs.profile import Profile, merge_profiles, profile_of
+from ..exec.workers import failure_result
+from ..obs.profile import Profile, merge_profiles
 from ..obs.trace import Tracer, ensure_tracer
-from .spec import (
-    CANCELLED,
-    CheckSpec,
-    ERROR,
-    JobResult,
-    PASS,
-    TIMEOUT,
-)
+from .spec import CANCELLED, CheckSpec, ERROR, JobResult, PASS
+
+#: how often a pooled batch re-checks its cancel event (seconds)
+_POLL = 0.1
 
 
 class BatchReport:
@@ -75,9 +65,9 @@ class BatchReport:
         #: per-job profiles merged by summation (aggregate compute; may
         #: exceed wall_ms under parallelism -- the gap is the speedup)
         self.profile = profile
-        #: the parent-side :meth:`~repro.exec.resultcache.ResultCache.stats`
+        #: this process's :meth:`~repro.exec.resultcache.ResultCache.stats`
         #: snapshot (None when memoisation was off); pooled workers keep
-        #: their own write-through counters, so parent numbers cover probes
+        #: their own write-through counters, so pooled numbers cover probes
         self.result_cache_stats = result_cache_stats
 
     @property
@@ -107,19 +97,6 @@ class BatchReport:
         return "BatchReport({})".format(self.summary())
 
 
-class _Running:
-    """One in-flight worker: its process, pipe end, and deadline."""
-
-    __slots__ = ("index", "spec", "process", "conn", "deadline")
-
-    def __init__(self, index, spec, process, conn, deadline):
-        self.index = index
-        self.spec = spec
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-
-
 def run_batch(
     specs: Sequence[CheckSpec],
     *,
@@ -131,54 +108,45 @@ def run_batch(
     obs: Optional[Tracer] = None,
     cancel: Optional[threading.Event] = None,
     inline: bool = False,
-    profile: bool = False,
 ) -> BatchReport:
     """Verify every spec; return results in input order.
 
-    *jobs* bounds concurrent worker processes.  *timeout* is per job (wall
-    seconds); *batch_timeout* bounds the whole run -- jobs still pending
-    when it expires come back ``CANCELLED``, jobs already running are
-    terminated to ``CANCELLED`` too.  *cancel* is an external kill switch
-    checked between scheduler steps.  ``inline=True`` (or ``jobs <= 0``)
-    runs everything sequentially in this process -- no forks, same results.
-    *result_cache_dir* enables verdict memoisation: the parent answers
-    memoised specs without forking and workers promote fresh ``PASS`` /
-    ``FAIL`` outcomes write-through; canonical result bytes are identical
-    either way.
+    *jobs* is the number of warm worker processes.  *timeout* is per job
+    (wall seconds); *batch_timeout* bounds the whole run -- jobs not
+    finished when it expires come back ``CANCELLED``, and running ones have
+    their workers killed.  *cancel* is an external kill switch with the
+    same effect.  ``inline=True`` (or ``jobs <= 0``) runs everything
+    sequentially in this process -- no workers, same results.
+    *result_cache_dir* enables verdict memoisation: memoised specs answer
+    without executing and fresh ``PASS``/``FAIL`` outcomes are promoted
+    write-through; canonical result bytes are identical either way.  With
+    a real tracer in *obs*, every job also carries its profile and the
+    report merges them.
     """
     tracer = ensure_tracer(obs)
-    want_profile = profile or tracer.enabled
     started = time.perf_counter()
     batch_deadline = (
         None if batch_timeout is None else started + batch_timeout
     )
-    result_cache = open_result_cache(result_cache_dir)
-    with tracer.span("batch", jobs=jobs, specs=len(specs)) as root:
+    with tracer.span("batch", jobs=jobs, specs=len(specs)):
         if inline or jobs <= 0:
+            result_cache = open_result_cache(result_cache_dir)
             results = _run_inline(
-                specs,
-                cache_dir,
-                want_profile,
-                cancel,
-                batch_deadline,
-                result_cache,
-                tracer,
+                specs, cache_dir, cancel, batch_deadline, result_cache, tracer
             )
         else:
-            results = _run_pooled(
+            results, result_cache = _run_pooled(
                 specs,
                 jobs,
                 timeout,
                 batch_deadline,
                 cache_dir,
-                want_profile,
-                cancel,
-                result_cache,
                 result_cache_dir,
-                tracer,
+                obs,
+                cancel,
             )
-        metrics = tracer.metrics
         if tracer.enabled:
+            metrics = tracer.metrics
             metrics.counter("batch.jobs").inc(len(results))
             for result in results:
                 metrics.counter(
@@ -186,13 +154,14 @@ def run_batch(
                 ).inc()
     wall_ms = (time.perf_counter() - started) * 1000.0
     merged = None
-    if want_profile:
-        member_profiles = [
-            Profile.from_dict(result.profile)
-            for result in results
-            if result.profile is not None
-        ]
-        merged = merge_profiles(member_profiles)
+    if tracer.enabled:
+        merged = merge_profiles(
+            [
+                Profile.from_dict(result.profile)
+                for result in results
+                if result.profile is not None
+            ]
+        )
     return BatchReport(
         results,
         wall_ms=wall_ms,
@@ -212,10 +181,17 @@ def _cancelled_result(index: int, spec: CheckSpec) -> JobResult:
     )
 
 
+def _stopped(
+    cancel: Optional[threading.Event], batch_deadline: Optional[float]
+) -> bool:
+    if cancel is not None and cancel.is_set():
+        return True
+    return batch_deadline is not None and time.perf_counter() >= batch_deadline
+
+
 def _run_inline(
     specs: Sequence[CheckSpec],
     cache_dir: Optional[str],
-    want_profile: bool,
     cancel: Optional[threading.Event],
     batch_deadline: Optional[float],
     result_cache,
@@ -224,10 +200,7 @@ def _run_inline(
     metrics = tracer.metrics if tracer.enabled else None
     results: List[JobResult] = []
     for index, spec in enumerate(specs):
-        expired = (
-            batch_deadline is not None and time.perf_counter() >= batch_deadline
-        )
-        if (cancel is not None and cancel.is_set()) or expired:
+        if _stopped(cancel, batch_deadline):
             results.append(_cancelled_result(index, spec))
             continue
         results.append(
@@ -235,7 +208,7 @@ def _run_inline(
                 spec,
                 index,
                 cache_dir=cache_dir,
-                profile=want_profile,
+                profile=tracer.enabled,
                 result_cache=result_cache,
                 metrics=metrics,
             )
@@ -249,135 +222,59 @@ def _run_pooled(
     timeout: Optional[float],
     batch_deadline: Optional[float],
     cache_dir: Optional[str],
-    want_profile: bool,
-    cancel: Optional[threading.Event],
-    result_cache,
     result_cache_dir: Optional[str],
-    tracer: Tracer,
-) -> List[JobResult]:
-    context = multiprocessing.get_context()
-    metrics = tracer.metrics if tracer.enabled else None
-    results: Dict[int, JobResult] = {}
-    pending = list(enumerate(specs))
-    pending.reverse()  # pop() from the tail = input order
-    running: List[_Running] = []
+    obs: Optional[Tracer],
+    cancel: Optional[threading.Event],
+):
+    """Run the batch on an in-process server; return results and its cache."""
+    # deferred: the server package builds on repro.batch.spec
+    from ..server.core import VerificationServer
+    from ..server.protocol import Rejection
 
-    def launch(index: int, spec: CheckSpec) -> bool:
-        """Start a worker for this spec; False when a cache hit answered it."""
-        if result_cache is not None:
-            hit = result_cache.get(spec.to_doc(), index)
-            if hit is not None:
-                if metrics is not None:
-                    metrics.counter("result_cache.hits").inc()
-                results[index] = hit
-                return False
-            if metrics is not None:
-                metrics.counter("result_cache.misses").inc()
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=oneshot_worker_main,
-            args=(
-                child_conn,
-                spec.to_doc(),
-                index,
-                cache_dir,
-                want_profile,
-                result_cache_dir,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # parent keeps only the read end
-        deadline = (
-            None if timeout is None else time.perf_counter() + timeout
-        )
-        running.append(_Running(index, spec, process, parent_conn, deadline))
-        return True
-
-    def reap(slot: _Running, verdict: str, error: str) -> None:
-        if slot.process.is_alive():
-            slot.process.terminate()
-        slot.process.join()
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
-        running.remove(slot)
-        results[slot.index] = JobResult(
-            slot.index,
-            slot.spec.check_id,
-            verdict,
-            name=slot.spec.name,
-            error=error,
-        )
-
-    try:
-        while pending or running:
-            now = time.perf_counter()
-            batch_expired = batch_deadline is not None and now >= batch_deadline
-            cancelled = (cancel is not None and cancel.is_set()) or batch_expired
-            if cancelled:
-                for slot in list(running):
-                    reap(slot, CANCELLED, "batch cancelled")
-                while pending:
-                    index, spec = pending.pop()
-                    results[index] = _cancelled_result(index, spec)
-                break
-
-            while pending and len(running) < jobs:
-                index, spec = pending.pop()
-                launch(index, spec)
-
-            # wake on the earliest event: a completion, a per-job deadline,
-            # the batch deadline, or a periodic cancellation poll
-            wait_until = now + 0.1
-            for slot in running:
-                if slot.deadline is not None:
-                    wait_until = min(wait_until, slot.deadline)
-            if batch_deadline is not None:
-                wait_until = min(wait_until, batch_deadline)
-            ready = multiprocessing.connection.wait(
-                [slot.conn for slot in running],
-                timeout=max(0.0, wait_until - time.perf_counter()),
-            )
-
-            for slot in list(running):
-                if slot.conn in ready:
-                    try:
-                        doc = slot.conn.recv()
-                    except (EOFError, OSError):
-                        # pipe closed with no payload: the worker died
-                        # before reporting (crash, os._exit, signal)
-                        slot.process.join()
-                        reap(
-                            slot,
-                            ERROR,
-                            "worker exited with code {}".format(
-                                slot.process.exitcode
-                            ),
-                        )
-                        continue
-                    slot.process.join()
-                    try:
-                        slot.conn.close()
-                    except OSError:
-                        pass
-                    running.remove(slot)
-                    results[slot.index] = JobResult.from_doc(doc)
-                elif (
-                    slot.deadline is not None
-                    and time.perf_counter() >= slot.deadline
-                ):
-                    reap(
-                        slot,
-                        TIMEOUT,
-                        "job exceeded {:.1f}s timeout".format(timeout),
+    server = VerificationServer(
+        workers=jobs,
+        queue_limit=max(len(specs), 1),
+        cache_dir=cache_dir,
+        result_cache_dir=result_cache_dir,
+        max_request_bytes=None,
+        obs=obs,
+    )
+    with server:
+        tickets = []
+        for index, spec in enumerate(specs):
+            try:
+                tickets.append(
+                    server.submit(spec.to_doc(), timeout=timeout, index=index)
+                )
+            except Rejection as rejection:
+                # the queue is sized to the batch, so only an undecodable
+                # spec is refused; it fails alone, like a check that raised
+                tickets.append(
+                    failure_result(
+                        ERROR,
+                        rejection.message,
+                        index=index,
+                        check_id=spec.check_id,
+                        name=spec.name,
                     )
-    except BaseException:
-        # interrupted (e.g. KeyboardInterrupt): never strand workers
-        for slot in running:
-            if slot.process.is_alive():
-                slot.process.terminate()
-            slot.process.join()
-        raise
-    return [results[index] for index in range(len(specs))]
+                )
+        for ticket in tickets:
+            if isinstance(ticket, JobResult):
+                continue
+            while not ticket.done and not _stopped(cancel, batch_deadline):
+                wait = _POLL
+                if batch_deadline is not None:
+                    wait = min(wait, max(0.0, batch_deadline - time.perf_counter()))
+                ticket.wait(wait)
+            if not ticket.done:
+                # resolves every unfinished ticket CANCELLED and kills the
+                # workers that were running them
+                server.close(drain=False)
+                break
+    results = []
+    for index, (spec, ticket) in enumerate(zip(specs, tickets)):
+        result = ticket if isinstance(ticket, JobResult) else ticket.result()
+        if result.verdict == CANCELLED:
+            result = _cancelled_result(index, spec)
+        results.append(result)
+    return results, server.result_cache

@@ -312,7 +312,8 @@ class CheckSpec:
                 trace_lines = [entry.get("line") for entry in entries]
                 if all(line is None for line in trace_lines):
                     trace_lines = None
-        except (CorpusEncodingError, KeyError, TypeError) as error:
+        except (CorpusEncodingError, KeyError, TypeError, RecursionError) as error:
+            # RecursionError: a term nested deeper than the decoder recurses
             raise ManifestError(
                 "undecodable check entry {!r}: {}".format(doc.get("id"), error)
             ) from None
@@ -526,7 +527,8 @@ def load_manifest(source: Union[str, IO[str]]) -> List[CheckSpec]:
                 doc = json.load(handle)
         else:
             doc = json.load(source)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
+        # RecursionError: nesting deeper than the JSON decoder recurses
         raise ManifestError("manifest is not valid JSON: {}".format(error)) from None
     return parse_manifest(doc)
 

@@ -5,7 +5,8 @@ inline :mod:`repro.api` pipeline, the :mod:`repro.batch` process pool and
 the :mod:`repro.server` daemon -- each carried their own copy of the
 submit → execute → cache → result plumbing, and a *completed* check was
 thrown away the moment its requester was answered.  ``repro.exec`` is the
-one layer all three now route through:
+one layer every mode now routes through (pooled batches and the daemon
+share one scheduler, :class:`~repro.server.core.VerificationServer`):
 
 * :mod:`repro.exec.keys` computes every structural identity in the system
   -- the server's id-stripped dedup key, the LTS disk-cache digest and the
@@ -20,10 +21,10 @@ one layer all three now route through:
   the sequential reference semantics every mode is held to, and
   :func:`execute_cached` is the memoised flavour layered on a
   :class:`ResultCache`.
-* :mod:`repro.exec.workers` owns the process boundary: the one-shot batch
-  worker, the server's persistent warm worker, and the shared
-  failure-verdict constructors (worker death → ``ERROR``, deadline →
-  ``TIMEOUT``, cancellation → ``CANCELLED``).
+* :mod:`repro.exec.workers` owns the process boundary: the persistent
+  warm worker the server pool runs, and the failure-verdict constructor
+  (worker death → ``ERROR``, deadline → ``TIMEOUT``, cancellation →
+  ``CANCELLED``).
 
 Soundness before availability, exactly like the LTS
 :class:`~repro.engine.diskcache.DiskCache`: cache keys include the result
@@ -56,7 +57,6 @@ _LAZY = {
     "open_result_cache": "runtime",
     "resolve_result_cache_dir": "runtime",
     "failure_result": "workers",
-    "oneshot_worker_main": "workers",
     "persistent_worker_main": "workers",
 }
 
@@ -85,7 +85,6 @@ __all__ = [
     "execute_spec",
     "failure_result",
     "lts_key_digest",
-    "oneshot_worker_main",
     "open_result_cache",
     "persistent_worker_main",
     "resolve_result_cache_dir",

@@ -2,10 +2,10 @@
 
 :func:`execute_spec` is the **sequential reference semantics**.  It used to
 live in :mod:`repro.batch.executor`; it moved here because it was never
-batch-specific -- the server's warm workers, the batch pool's one-shot
-workers and the inline path all call exactly this function, and the
-conformance corpus holds all of them to its byte-identical canonical
-output.
+batch-specific -- the warm workers of the one execution pool (pooled
+batches and the daemon) and the inline path all call exactly this
+function, and the conformance corpus holds all of them to its
+byte-identical canonical output.
 
 :func:`execute_cached` layers verdict memoisation on top: probe a
 :class:`~repro.exec.resultcache.ResultCache` before executing, promote the
@@ -41,10 +41,11 @@ def execute_spec(
 ) -> JobResult:
     """Run one spec to completion in this process.
 
-    The sequential reference semantics: every other mode -- the batch
-    pool, the server's warm workers, the memoised flavour below -- must
-    produce byte-identical :meth:`~repro.batch.spec.JobResult.canonical`
-    documents to this function for every spec.  Each call builds a fresh
+    The sequential reference semantics: every other mode -- the warm
+    worker pool of pooled batches and the daemon, the memoised flavour
+    below -- must produce byte-identical
+    :meth:`~repro.batch.spec.JobResult.canonical` documents to this
+    function for every spec.  Each call builds a fresh
     pipeline -- fresh environment, alphabet table, and in-memory cache
     (optionally layered over the shared disk store) -- so specs cannot
     interfere.
@@ -177,7 +178,7 @@ def execute_cached(
     near zero and ``worker_pid`` this process -- both outside the canonical
     surface), and a fresh execution is promoted write-through so the next
     identical request in any mode hits.  *spec_doc* lets callers that
-    already hold the wire document (the server, the pool parent) skip
+    already hold the wire document (the server's workers) skip
     re-encoding; it must round-trip to *spec*.
     """
     if result_cache is None:

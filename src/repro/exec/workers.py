@@ -1,27 +1,24 @@
-"""The process boundary: worker entry points and failure verdicts.
+"""The process boundary: the worker entry point and failure verdicts.
 
-Two worker shapes exist in the system and both live here:
+:func:`persistent_worker_main` is the one worker shape in the system: the
+warm worker of :class:`~repro.server.core.VerificationServer`, which both
+the ``cspserve`` daemon and pooled ``cspbatch`` runs schedule onto.  It
+loops over ``(spec JSON text, profile?)`` requests on a duplex pipe, so the
+interpreter, the imported toolchain and both cache directories stay hot
+across requests; ``None`` is the shutdown sentinel.  A worker that crashes
+or overruns its deadline is killed and respawned by the server.
 
-:func:`oneshot_worker_main`
-    The batch pool's unit of crash isolation -- one process, one spec, one
-    result document, exit.  A worker that segfaults or ``os._exit``\\ s takes
-    down only its own job.
-:func:`persistent_worker_main`
-    The server's warm worker -- a loop over ``(spec document, profile?)``
-    requests on a duplex pipe, so the interpreter, the imported toolchain
-    and both cache directories stay hot across requests.  ``None`` is the
-    shutdown sentinel.
+It is a top-level function (not a closure) so it works under the
+``spawn`` start method as well as ``fork``, and it receives the spec as
+the canonical JSON text of a ``cspbatch`` manifest entry
+(:func:`~repro.exec.keys.spec_material`) -- so workers never unpickle
+code, and a deeply nested spec crosses the pipe as one flat string.
 
-Both are top-level functions (not closures) so they work under the
-``spawn`` start method as well as ``fork``, and both speak JSON spec
-documents across the pipe -- the same schema as the ``cspbatch`` manifest
--- so workers never unpickle code.
-
-Both take an optional result-cache directory and run requests through
-:func:`~repro.exec.runtime.execute_cached`: the parent probes the store
-before dispatching (a hit never costs a fork or a queue slot), and the
-worker probes again around execution -- catching entries another worker
-promoted meanwhile -- then writes its own verdict through.
+With a result-cache directory it runs requests through
+:func:`~repro.exec.runtime.execute_cached`: the server probes the store at
+submit (a hit never costs a queue slot or a worker), and the worker probes
+again around execution -- catching entries another worker promoted
+meanwhile -- then writes its own verdict through.
 
 :func:`failure_result` builds the verdicts that exist *because* there is a
 process boundary: worker death -> ``ERROR``, deadline -> ``TIMEOUT``,
@@ -32,8 +29,9 @@ environment, not the check.
 
 from __future__ import annotations
 
-import traceback
-from typing import Any, Dict, Optional
+import json
+import signal
+from typing import Optional
 
 from ..batch.spec import CheckSpec, ERROR, JobResult, ManifestError
 from .runtime import execute_cached, open_result_cache
@@ -51,53 +49,15 @@ def failure_result(
     return JobResult(index, check_id, verdict, name=name, error=error)
 
 
-def oneshot_worker_main(
-    conn,
-    spec_doc: Dict[str, Any],
-    index: int,
-    cache_dir: Optional[str],
-    want_profile: bool,
-    result_cache_dir: Optional[str] = None,
-) -> None:
-    """Entry point of one batch worker process: run one spec, send one doc."""
-    try:
-        spec = CheckSpec.from_doc(spec_doc)
-        result = execute_cached(
-            spec,
-            index,
-            cache_dir=cache_dir,
-            profile=want_profile,
-            result_cache=open_result_cache(result_cache_dir),
-            spec_doc=spec_doc,
-        )
-        conn.send(result.to_doc())
-    except BaseException:
-        # last-resort: report rather than die silently (a swallowed worker
-        # death would surface as a generic exit-code ERROR upstream)
-        try:
-            conn.send(
-                failure_result(
-                    ERROR,
-                    traceback.format_exc(limit=3),
-                    index=index,
-                    check_id=spec_doc.get("id"),
-                ).to_doc()
-            )
-        except OSError:
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
 def persistent_worker_main(
     conn,
     cache_dir: Optional[str],
     result_cache_dir: Optional[str] = None,
 ) -> None:
-    """One warm server worker: loop over (spec document, profile?) requests."""
+    """One warm worker: loop over (spec JSON text, profile?) requests."""
+    # a terminal Ctrl-C reaches the whole process group; interruption is the
+    # parent's to handle, and it kills or shuts down its workers itself
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     result_cache = open_result_cache(result_cache_dir)
     try:
         while True:
@@ -107,9 +67,14 @@ def persistent_worker_main(
                 break
             if message is None:
                 break
-            spec_doc, want_profile = message
+            material, want_profile = message
             try:
+                spec_doc = json.loads(material)
                 spec = CheckSpec.from_doc(spec_doc)
+            except (ManifestError, RecursionError) as error:
+                # unlabelled: the server stamps each requester's labels
+                result = failure_result(ERROR, "undecodable spec: {}".format(error))
+            else:
                 result = execute_cached(
                     spec,
                     0,
@@ -117,13 +82,6 @@ def persistent_worker_main(
                     profile=want_profile,
                     result_cache=result_cache,
                     spec_doc=spec_doc,
-                )
-            except ManifestError as error:
-                result = failure_result(
-                    ERROR,
-                    "undecodable spec: {}".format(error),
-                    check_id=spec_doc.get("id"),
-                    name=spec_doc.get("name"),
                 )
             try:
                 conn.send(result.to_doc())

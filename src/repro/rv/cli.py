@@ -164,7 +164,8 @@ def load_rv_manifest(source) -> Dict[str, Any]:
                 doc = json.load(handle)
         else:
             doc = json.load(source)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
+        # RecursionError: nesting deeper than the JSON decoder recurses
         raise ManifestError(
             "rv manifest is not valid JSON: {}".format(error)
         ) from None
@@ -190,18 +191,24 @@ def load_rv_manifest(source) -> Dict[str, Any]:
 
 def _resolve_spec(doc: Dict[str, Any]) -> Tuple[Any, Dict[str, Any]]:
     """The manifest's specification as ``(term, bindings)``."""
-    from ..quickcheck.serialise import decode_process
+    from ..quickcheck.serialise import CorpusEncodingError, decode_process
 
     spec = doc["spec"]
     if isinstance(spec, str):
         return builtin_spec(spec)
-    term = decode_process(spec)
     env_docs = doc.get("env", {})
     if not isinstance(env_docs, dict):
         raise ManifestError("rv manifest 'env' must be an object")
-    bindings = {
-        name: decode_process(body) for name, body in env_docs.items()
-    }
+    try:
+        term = decode_process(spec)
+        bindings = {
+            name: decode_process(body) for name, body in env_docs.items()
+        }
+    except (CorpusEncodingError, KeyError, TypeError, RecursionError) as error:
+        # the same failures CheckSpec.from_doc turns into a ManifestError
+        raise ManifestError(
+            "undecodable rv manifest spec: {}".format(error)
+        ) from None
     return term, bindings
 
 
@@ -388,7 +395,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         specs = specs_from_manifest(doc, base_dir)
     except OSError as error:
         parser.exit(EXIT_USAGE, "csprv: cannot read input: {}\n".format(error))
-    except (ManifestError, ValueError) as error:
+    except ManifestError as error:
+        parser.exit(EXIT_USAGE, "csprv: bad manifest: {}\n".format(error))
+    except ValueError as error:
         # LogParseError and UnknownFrameError are ValueErrors: a log the
         # fleet cannot even ingest is an unusable input, not a verdict
         parser.exit(EXIT_USAGE, "csprv: {}\n".format(error))

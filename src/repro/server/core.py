@@ -1,15 +1,20 @@
 """The verification server core: a job queue over persistent warm workers.
 
-Where :mod:`repro.batch` forks one process per job and lets it die, the
-server keeps a fixed pool of **warm** worker processes alive across
-requests: the interpreter, the imported toolchain and the shared
+This is the one execution pool in the system: the ``cspserve`` daemon runs
+it behind its stdio and HTTP frontends, and ``cspbatch --jobs N`` (every
+pooled :func:`~repro.batch.executor.run_batch`) runs it in-process.  A
+fixed pool of **warm** worker processes stays alive across requests: the
+interpreter, the imported toolchain and the shared
 :class:`~repro.engine.diskcache.DiskCache` directory all persist, so only
 the first request for a given model pays compilation and nobody pays
 import cost twice.  Everything a worker is asked to do is still a
 :class:`~repro.batch.spec.CheckSpec` document run through
 :func:`~repro.exec.runtime.execute_spec` -- the sequential reference
-semantics -- so a daemon-served verdict is byte-identical (canonically) to
-an inline ``cspbatch`` run of the same spec.
+semantics -- so a pooled or daemon-served verdict is byte-identical
+(canonically) to an inline ``cspbatch`` run of the same spec.  The
+document crosses the pipe as its canonical JSON text
+(:func:`~repro.exec.keys.spec_material`), never as a pickled tree, so no
+nesting depth the decoder accepted can break the hand-off.
 
 Scheduling properties, in order of importance:
 
@@ -46,7 +51,6 @@ supplied tracer's so ``--trace-out`` exports them with the spans.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import multiprocessing.connection
 import socket
@@ -56,6 +60,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from ..batch.spec import CANCELLED, CheckSpec, ERROR, JobResult, ManifestError, TIMEOUT
+from ..exec.keys import spec_material
 from ..exec.runtime import open_result_cache
 from ..exec.workers import failure_result, persistent_worker_main
 from ..obs.metrics import Metrics
@@ -72,7 +77,6 @@ from .protocol import (
     Rejection,
     rejection_response,
     result_response,
-    strip_label,
     structural_key,
 )
 
@@ -131,11 +135,13 @@ class Ticket:
 class _Execution:
     """One deduplicated unit of work and everyone waiting on it."""
 
-    __slots__ = ("key", "doc", "timeout", "tickets")
+    __slots__ = ("key", "material", "timeout", "tickets")
 
-    def __init__(self, key: str, doc: Dict[str, Any], timeout: Optional[float]) -> None:
+    def __init__(self, key: str, material: str, timeout: Optional[float]) -> None:
         self.key = key
-        self.doc = doc
+        #: the label-stripped spec as canonical JSON text: what the worker
+        #: decodes (a string pickles flat, however deep the spec nests)
+        self.material = material
         self.timeout = timeout
         self.tickets: List[Ticket] = []
 
@@ -205,7 +211,7 @@ class VerificationServer:
         result_cache_dir: Optional[str] = None,
         default_timeout: Optional[float] = None,
         max_timeout: Optional[float] = None,
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
+        max_request_bytes: Optional[int] = DEFAULT_MAX_REQUEST_BYTES,
         obs: Optional[Tracer] = None,
     ) -> None:
         if workers < 1:
@@ -224,6 +230,7 @@ class VerificationServer:
         self.result_cache = open_result_cache(result_cache_dir)
         self.default_timeout = default_timeout
         self.max_timeout = max_timeout
+        #: cap on one spec's canonical encoding; None means no cap
         self.max_request_bytes = max_request_bytes
         self.tracer = ensure_tracer(obs)
         #: live counts survive even when tracing is off; with a real tracer
@@ -327,17 +334,29 @@ class VerificationServer:
         instead -- the call waits for queue and quota capacity, and only a
         draining server still rejects.
         """
-        encoded = json.dumps(spec_doc, sort_keys=True, separators=(",", ":"))
-        if len(encoded.encode("utf-8")) > self.max_request_bytes:
-            raise self._reject(
-                OVERSIZE,
-                "spec of {} bytes exceeds the {} byte cap".format(
-                    len(encoded), self.max_request_bytes
-                ),
-            )
         try:
             spec = CheckSpec.from_doc(spec_doc)
-        except ManifestError as error:
+            material = spec_material(spec_doc)
+            size = len(material.encode("utf-8"))
+            if self.max_request_bytes is not None and size > self.max_request_bytes:
+                raise self._reject(
+                    OVERSIZE,
+                    "spec of {} bytes exceeds the {} byte cap".format(
+                        size, self.max_request_bytes
+                    ),
+                )
+            key = structural_key(spec_doc)
+            # probe the persisted-verdict tier before the lock (disk I/O): a
+            # memoised check answers without a queue slot, a worker, or a
+            # charge against the tenant's quota
+            memoised = (
+                None
+                if self.result_cache is None
+                else self.result_cache.get(spec_doc, index)
+            )
+        except (ManifestError, RecursionError) as error:
+            # RecursionError: near the recursion limit a spec can decode yet
+            # be too deep to re-encode a few frames further down
             raise self._reject(BAD_REQUEST, "undecodable spec: {}".format(error))
         effective = timeout if timeout is not None else self.default_timeout
         if self.max_timeout is not None:
@@ -346,17 +365,7 @@ class VerificationServer:
                 if effective is None
                 else min(effective, self.max_timeout)
             )
-        stripped = strip_label(spec_doc)
-        key = structural_key(spec_doc)
         ticket = Ticket(request_id, spec_doc.get("id"), spec.name, index, tenant)
-        # probe the persisted-verdict tier before the lock (disk I/O): a
-        # memoised check answers without a queue slot, a worker, or a
-        # charge against the tenant's quota
-        memoised = (
-            None
-            if self.result_cache is None
-            else self.result_cache.get(spec_doc, index)
-        )
         with self._cond:
             if memoised is not None:
                 if self._state != "running":
@@ -403,7 +412,7 @@ class VerificationServer:
                         "queue full ({} pending)".format(len(self._pending)),
                         locked=True,
                     )
-                execution = _Execution(key, stripped, effective)
+                execution = _Execution(key, material, effective)
                 execution.tickets.append(ticket)
                 self._inflight[key] = execution
                 self._pending.append(execution)
@@ -514,7 +523,7 @@ class VerificationServer:
                 continue
             execution = self._pending.popleft()
             try:
-                worker.conn.send((execution.doc, self.tracer.enabled))
+                worker.conn.send((execution.material, self.tracer.enabled))
             except (BrokenPipeError, OSError):
                 # the worker died idle; respawn and retry on a later pass
                 self._respawn_locked(worker)
@@ -538,11 +547,7 @@ class VerificationServer:
             exitcode = worker.process.exitcode
             self._finish_locked(
                 worker,
-                self._failure_doc(
-                    worker.execution,
-                    ERROR,
-                    "worker exited with code {}".format(exitcode),
-                ),
+                _failure_doc(ERROR, "worker exited with code {}".format(exitcode)),
             )
             self._respawn_locked(worker)
             return
@@ -553,20 +558,12 @@ class VerificationServer:
         timeout = execution.timeout if execution is not None else None
         self._finish_locked(
             worker,
-            self._failure_doc(
-                execution,
-                TIMEOUT,
-                "request exceeded {:.1f}s timeout".format(timeout or 0.0),
+            _failure_doc(
+                TIMEOUT, "request exceeded {:.1f}s timeout".format(timeout or 0.0)
             ),
         )
         worker.kill()
         self._respawn_locked(worker)
-
-    def _failure_doc(
-        self, execution: Optional[_Execution], verdict: str, error: str
-    ) -> Dict[str, Any]:
-        name = execution.doc.get("name") if execution is not None else None
-        return failure_result(verdict, error, name=name).to_doc()
 
     def _finish_locked(self, worker: _Worker, result_doc: Dict[str, Any]) -> None:
         execution = worker.execution
@@ -618,7 +615,7 @@ class VerificationServer:
             )
 
     def _cancel_everything_locked(self) -> None:
-        cancelled = self._failure_doc(None, CANCELLED, "server closed")
+        cancelled = _failure_doc(CANCELLED, "server closed")
         while self._pending:
             execution = self._pending.popleft()
             self._resolve_locked(execution, dict(cancelled))
@@ -627,9 +624,7 @@ class VerificationServer:
                 execution = worker.execution
                 worker.execution = None
                 worker.deadline = None
-                doc = dict(cancelled)
-                doc["name"] = execution.doc.get("name")
-                self._resolve_locked(execution, doc)
+                self._resolve_locked(execution, dict(cancelled))
                 worker.kill()
         self.metrics.gauge("server.queue_depth").set(0)
 
@@ -643,3 +638,8 @@ class VerificationServer:
                 worker.shutdown()
             else:
                 worker.kill()
+
+
+def _failure_doc(verdict: str, error: str) -> Dict[str, Any]:
+    # unlabelled: _resolve_locked stamps each ticket's id, index and name
+    return failure_result(verdict, error).to_doc()

@@ -93,7 +93,7 @@ class _Handler(BaseHTTPRequestHandler):
             headers,
         )
 
-    def _read_body(self, cap: int) -> Dict[str, Any]:
+    def _read_body(self, cap: Optional[int]) -> Dict[str, Any]:
         length = self.headers.get("Content-Length")
         if length is None:
             raise ProtocolError("Content-Length is required")
@@ -103,7 +103,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ProtocolError("unreadable Content-Length")
         if size < 0:
             raise ProtocolError("unreadable Content-Length")
-        if size > cap:
+        if cap is not None and size > cap:
             raise Rejection(
                 OVERSIZE,
                 "request body of {} bytes exceeds the {} byte cap".format(size, cap),
@@ -111,7 +111,8 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(size)
         try:
             doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as error:
+        except (UnicodeDecodeError, ValueError, RecursionError) as error:
+            # RecursionError: nesting deeper than the JSON decoder recurses
             raise ProtocolError("request body is not valid JSON: {}".format(error))
         if not isinstance(doc, dict):
             raise ProtocolError("request body must be a JSON object")
@@ -131,16 +132,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         request_id: Optional[str] = None
+        limit = self.core.max_request_bytes  # None: the core caps nothing
         try:
             if self.path == "/check":
-                body = self._read_body(self.core.max_request_bytes + _ENVELOPE_SLACK)
+                body = self._read_body(
+                    None if limit is None else limit + _ENVELOPE_SLACK
+                )
                 body.setdefault("op", "check")
                 request = parse_request(body)
                 request_id = request.get("id")
                 self._handle_check(request)
             elif self.path == "/batch":
                 body = self._read_body(
-                    self.core.max_request_bytes * _BATCH_BODY_FACTOR
+                    None if limit is None else limit * _BATCH_BODY_FACTOR
                 )
                 request_id = body.get("id")
                 self._handle_batch(request_id, body)

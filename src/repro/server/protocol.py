@@ -126,10 +126,10 @@ def parse_request(doc: Any) -> Dict[str, Any]:
     return doc
 
 
-def parse_request_line(line: str, max_bytes: int) -> Dict[str, Any]:
+def parse_request_line(line: str, max_bytes: Optional[int]) -> Dict[str, Any]:
     """Parse one stdio-JSONL request line, enforcing the size cap first."""
     encoded = line.encode("utf-8", errors="replace")
-    if len(encoded) > max_bytes:
+    if max_bytes is not None and len(encoded) > max_bytes:
         raise Rejection(
             OVERSIZE,
             "request of {} bytes exceeds the {} byte cap".format(
@@ -138,7 +138,8 @@ def parse_request_line(line: str, max_bytes: int) -> Dict[str, Any]:
         )
     try:
         doc = json.loads(line)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
+        # RecursionError: nesting deeper than the JSON decoder recurses
         raise ProtocolError("request is not valid JSON: {}".format(error))
     return parse_request(doc)
 

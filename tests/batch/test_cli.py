@@ -111,6 +111,18 @@ def test_bad_manifest_exits_2(tmp_path, capsys):
     assert "bad manifest" in capsys.readouterr().err
 
 
+def test_nesting_bomb_manifest_exits_2(tmp_path, capsys, nested_term_json):
+    path = tmp_path / "bomb.json"
+    path.write_text(
+        '{"format": 1, "checks": [{"kind": "property", '
+        '"property": "deadlock free", "term": ' + nested_term_json(3000) + "}]}"
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(path), "--jobs", "2"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "bad manifest" in capsys.readouterr().err
+
+
 def test_negative_jobs_exits_2(tmp_path, capsys):
     path = write_manifest(tmp_path, passing_specs())
     with pytest.raises(SystemExit) as excinfo:

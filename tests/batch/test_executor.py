@@ -1,11 +1,14 @@
 """The batch executor: sequential reference, pooled runs, determinism."""
 
+import os
+
 import pytest
 
 from repro import api
 from repro.batch import CheckSpec, execute_spec, requirement_specs, run_batch
 from repro.csp.events import Event
 from repro.csp.process import Prefix, ProcessRef, Stop
+from repro.obs.trace import Tracer
 
 A, B, C = Event("a"), Event("b"), Event("c")
 
@@ -130,17 +133,59 @@ class TestRunBatchPooled:
         assert all(r.verdict == "PASS" for r in report.results)
 
     def test_workers_really_are_separate_processes(self):
-        import os
-
-        specs = [CheckSpec.selftest("sleep:0.05", check_id=str(i)) for i in range(2)]
+        # different ops: identical specs would coalesce onto one execution
+        specs = [
+            CheckSpec.selftest("sleep:0.05", check_id="0"),
+            CheckSpec.selftest("sleep:0.06", check_id="1"),
+        ]
         report = run_batch(specs, jobs=2, timeout=30)
         pids = {r.worker_pid for r in report.results}
         assert os.getpid() not in pids
         assert len(pids) == 2
 
+    def test_identical_specs_share_one_execution(self):
+        tracer = Tracer()
+        specs = [
+            CheckSpec.selftest("sleep:0.3", check_id=check_id)
+            for check_id in ("a", "b", "c")
+        ]
+        report = run_batch(specs, jobs=2, timeout=30, obs=tracer)
+        assert tracer.metrics.counter("server.executions").value == 1
+        assert tracer.metrics.counter("server.dedup_hits").value == 2
+        assert len({r.worker_pid for r in report.results}) == 1
+        assert [(r.check_id, r.index, r.verdict) for r in report.results] == [
+            ("a", 0, "PASS"),
+            ("b", 1, "PASS"),
+            ("c", 2, "PASS"),
+        ]
+
+    def test_spec_too_deep_to_pickle_fails_alone(self, deep_property_spec):
+        specs = [
+            deep_property_spec(700),
+            CheckSpec.selftest("pass", check_id="after"),
+        ]
+        report = run_batch(specs, jobs=2, timeout=60)
+        assert [(r.check_id, r.verdict) for r in report.results] == [
+            ("deep", "ERROR"),
+            ("after", "PASS"),
+        ]
+
+    def test_spec_the_pool_cannot_decode_fails_alone(self):
+        # an empty selftest op survives to_doc but not from_doc
+        specs = [
+            CheckSpec.selftest("", check_id="empty"),
+            CheckSpec.selftest("pass", check_id="after"),
+        ]
+        report = run_batch(specs, jobs=1, timeout=30)
+        assert [(r.check_id, r.verdict) for r in report.results] == [
+            ("empty", "ERROR"),
+            ("after", "PASS"),
+        ]
+        assert "undecodable spec" in report.results[0].error
+
     def test_profiles_merge_across_workers(self):
         specs = mixed_specs()[:3]
-        report = run_batch(specs, jobs=2, timeout=120, profile=True)
+        report = run_batch(specs, jobs=2, timeout=120, obs=Tracer())
         assert report.profile is not None
         assert report.profile.total_ms > 0.0
         # merged total is aggregate compute, bounded below by any member

@@ -88,6 +88,11 @@ class TestCheckSpecRoundTrip:
         with pytest.raises(ManifestError, match="JSON object"):
             CheckSpec.from_doc(["kind", "refinement"])
 
+    def test_nesting_bomb_entry_rejected(self, nested_term_doc):
+        doc = {"kind": "property", "property": "deadlock free", "term": nested_term_doc(3000)}
+        with pytest.raises(ManifestError, match="undecodable"):
+            CheckSpec.from_doc(doc)
+
 
 class TestJobResult:
     def test_doc_round_trip(self):
@@ -138,6 +143,12 @@ class TestManifest:
         buffer.seek(0)
         loaded = load_manifest(buffer)
         assert len(loaded) == 4
+
+    def test_nesting_bomb_rejected(self, tmp_path, nested_term_json):
+        path = tmp_path / "bomb.json"
+        path.write_text('{"format": 1, "checks": [' + nested_term_json(3000) + "]}")
+        with pytest.raises(ManifestError, match="not valid JSON"):
+            load_manifest(str(path))
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

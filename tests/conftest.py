@@ -72,3 +72,51 @@ def env():
 def msgs_alphabet(msgs_channels):
     send, rec = msgs_channels
     return Alphabet.from_channels(send, rec)
+
+
+_PREFIX_HEAD = '{"op": "prefix", "event": {"channel": "a", "fields": []}, "next": '
+
+
+@pytest.fixture
+def nested_term_json():
+    """JSON text of ``a -> a -> ... -> STOP`` nested *depth* prefixes deep.
+
+    The corpus encoding of a process term, for nesting-bomb tests.  Built
+    as text because ``json.dumps`` recurses and cannot encode a bomb.
+    """
+    return lambda depth: _PREFIX_HEAD * depth + '{"op": "stop"}' + "}" * depth
+
+
+@pytest.fixture
+def nested_term_doc():
+    """The same encoding as :func:`nested_term_json`, as a decoded document.
+
+    Built by iteration, so it reaches depths ``json.loads`` would refuse.
+    """
+
+    def doc(depth):
+        term = {"op": "stop"}
+        for _ in range(depth):
+            term = {"op": "prefix", "event": {"channel": "a", "fields": []}, "next": term}
+        return term
+
+    return doc
+
+
+@pytest.fixture
+def deep_property_spec():
+    """A ``deadlock free`` check on a term *depth* prefixes deep.
+
+    Deep enough (700) to exhaust the recursion limit when pickled as a
+    nested document, shallow enough to encode and decode.
+    """
+    from repro.batch import CheckSpec
+    from repro.csp.process import Prefix, Stop
+
+    def build(depth, check_id="deep"):
+        term = Stop()
+        for _ in range(depth):
+            term = Prefix(event("a"), term)
+        return CheckSpec.property_check(term, "deadlock free", check_id=check_id)
+
+    return build

@@ -153,6 +153,18 @@ class TestBadInputs:
             main([str(path)])
         assert error.value.code == EXIT_USAGE
 
+    def test_nesting_bomb_is_a_bad_manifest(self, tmp_path, capsys, nested_term_json):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"format": 1, "dbc": "builtin:ota", "logs": [], "spec": '
+            + nested_term_json(3000)
+            + "}"
+        )
+        with pytest.raises(SystemExit) as error:
+            main([str(path)])
+        assert error.value.code == EXIT_USAGE
+        assert "bad manifest" in capsys.readouterr().err
+
     def test_unknown_builtin_spec_and_dbc(self, tmp_path):
         for spec, dbc in (("no-such-spec", "builtin:ota"), ("ota-session", "builtin:nope")):
             path = tmp_path / "m.json"
@@ -172,6 +184,11 @@ class TestManifestHelpers:
         path.write_text('{"format": 1, "dbc": "builtin:ota", "spec": "ota-session"}')
         with pytest.raises(ManifestError):
             load_rv_manifest(str(path))
+
+    def test_nesting_bomb_spec_is_a_manifest_error(self, nested_term_doc):
+        doc = {"format": 1, "dbc": "builtin:ota", "logs": [], "spec": nested_term_doc(3000)}
+        with pytest.raises(ManifestError, match="undecodable"):
+            specs_from_manifest(doc)
 
     def test_specs_resolve_relative_to_base_dir(self, fleet_dir):
         doc = load_rv_manifest(manifest_of(fleet_dir))

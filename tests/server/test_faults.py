@@ -88,6 +88,33 @@ def test_malformed_spec_rejects_without_harm(make_server):
     assert server.submit(selftest("pass", "ok")).result(timeout=60).verdict == "PASS"
 
 
+def test_deep_spec_does_not_stall_the_scheduler(make_server, deep_property_spec):
+    # a 700-deep document is too deep to pickle; it crosses as JSON text
+    server = make_server(workers=1)
+    deep = server.submit(deep_property_spec(700).to_doc()).result(timeout=60)
+    assert deep.verdict == "ERROR"
+    assert server.submit(selftest("pass", "after")).result(timeout=60).verdict == "PASS"
+
+
+def test_every_nesting_depth_gets_a_typed_answer(make_server, tmp_path, nested_term_doc):
+    # near the recursion limit a spec can decode yet fail to re-encode a
+    # few frames further down (the key, the result-cache probe); admission
+    # must turn that into a rejection too, never an exception
+    server = make_server(
+        workers=1, queue_limit=200, result_cache_dir=str(tmp_path / "rc")
+    )
+    codes = set()
+    for depth in range(900, 1050):
+        doc = {"kind": "property", "property": "deadlock free", "term": nested_term_doc(depth)}
+        try:
+            server.submit(doc)
+            codes.add("admitted")
+        except Rejection as rejection:
+            codes.add(rejection.code)
+    assert codes == {"admitted", BAD_REQUEST}
+    server.close(drain=False)
+
+
 def test_oversize_spec_rejects_without_harm(make_server):
     server = make_server(workers=1, max_request_bytes=150)
     with pytest.raises(Rejection) as excinfo:

@@ -109,6 +109,23 @@ class TestRejections:
         assert status == 400
         assert json.loads(raw)["code"] == "bad_request"
 
+    def test_nesting_bomb_is_400_and_the_daemon_lives_on(
+        self, http_server, nested_term_json
+    ):
+        _, client = http_server(workers=1)
+        bomb = (
+            '{"spec": {"kind": "property", "property": "deadlock free", '
+            '"term": ' + nested_term_json(3000) + "}}"
+        )
+        status, _, raw = raw_request(
+            client, "POST", "/check", body=bomb.encode("utf-8")
+        )
+        assert status == 400
+        assert json.loads(raw)["code"] == "bad_request"
+        status, _, raw = raw_request(client, "GET", "/healthz")
+        assert status == 200
+        assert json.loads(raw)["status"] == "ok"
+
     def test_bad_spec_is_400_via_the_client(self, http_server):
         _, client = http_server(workers=1)
         with pytest.raises(Rejection) as excinfo:

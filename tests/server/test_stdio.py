@@ -90,6 +90,21 @@ def test_malformed_line_rejects_and_serving_continues(make_server):
     assert docs[1]["id"] == "after"
 
 
+def test_nesting_bomb_line_rejects_and_serving_continues(make_server, nested_term_json):
+    # ~177 KB, under the size cap: the JSON decoder's recursion limit trips
+    bomb = (
+        '{"op": "check", "id": "bomb", "spec": {"kind": "property", '
+        '"property": "deadlock free", "term": ' + nested_term_json(3000) + "}}"
+    )
+    served, docs = run(
+        make_server, [bomb, line_of({"op": "ping", "id": "after"})], workers=1
+    )
+    assert served == 2
+    assert docs[0]["code"] == "bad_request"
+    assert docs[1]["id"] == "after"
+    assert docs[1]["pong"] is True
+
+
 def test_unknown_op_rejects_in_place(make_server):
     served, docs = run(make_server, [line_of({"op": "explode"})], workers=1)
     assert docs[0]["status"] == "rejected"
