@@ -131,11 +131,16 @@ def run_batch(
     with tracer.span("batch", jobs=jobs, specs=len(specs)):
         if inline or jobs <= 0:
             result_cache = open_result_cache(result_cache_dir)
-            results = _run_inline(
-                specs, cache_dir, cancel, batch_deadline, result_cache, tracer
-            )
+            try:
+                results = _run_inline(
+                    specs, cache_dir, cancel, batch_deadline, result_cache, tracer
+                )
+                cache_stats = None if result_cache is None else result_cache.stats()
+            finally:
+                if result_cache is not None:
+                    result_cache.close()
         else:
-            results, result_cache = _run_pooled(
+            results, cache_stats = _run_pooled(
                 specs,
                 jobs,
                 timeout,
@@ -167,7 +172,7 @@ def run_batch(
         wall_ms=wall_ms,
         jobs=max(jobs, 1),
         profile=merged,
-        result_cache_stats=None if result_cache is None else result_cache.stats(),
+        result_cache_stats=cache_stats,
     )
 
 
@@ -226,7 +231,7 @@ def _run_pooled(
     obs: Optional[Tracer],
     cancel: Optional[threading.Event],
 ):
-    """Run the batch on an in-process server; return results and its cache."""
+    """Run the batch on an in-process server; return results and cache stats."""
     # deferred: the server package builds on repro.batch.spec
     from ..server.core import VerificationServer
     from ..server.protocol import Rejection
@@ -271,10 +276,13 @@ def _run_pooled(
                 # workers that were running them
                 server.close(drain=False)
                 break
+        cache_stats = (
+            None if server.result_cache is None else server.result_cache.stats()
+        )
     results = []
     for index, (spec, ticket) in enumerate(zip(specs, tickets)):
         result = ticket if isinstance(ticket, JobResult) else ticket.result()
         if result.verdict == CANCELLED:
             result = _cancelled_result(index, spec)
         results.append(result)
-    return results, server.result_cache
+    return results, cache_stats

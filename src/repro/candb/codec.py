@@ -9,36 +9,38 @@ factor/offset scaling; symbolic labels resolve through the value table.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from functools import lru_cache
+from typing import Dict, Mapping, Tuple, Union
 
 from .model import Message, Signal
 
 SignalValue = Union[int, float, str]
 
 
-def _little_endian_positions(signal: Signal):
-    """Absolute bit positions, LSB of the signal first."""
-    return [signal.start_bit + i for i in range(signal.length)]
+@lru_cache(maxsize=1024)
+def _layout(start_bit: int, length: int, byte_order: str) -> Tuple[int, int]:
+    """``(span, mask)`` of one bit-field, computed once per layout.
+
+    Read the payload as one integer in the signal's byte order and the
+    field is contiguous in it.  *span* counts the payload bits from where
+    that reading starts through the field: from bit 0 for Intel, from the
+    top bit of byte 0 for Motorola (whose start bit is the field's most
+    significant).  The field fits an n-byte payload iff ``span <= 8 * n``.
+    """
+    if byte_order == "little":
+        span = start_bit + length
+    else:
+        byte, bit = divmod(start_bit, 8)
+        span = byte * 8 + (7 - bit) + length
+    return span, (1 << length) - 1
 
 
-def _big_endian_positions(signal: Signal):
-    """Absolute bit positions, MSB of the signal first (Motorola order)."""
-    positions = []
-    position = signal.start_bit
-    for _ in range(signal.length):
-        positions.append(position)
-        if position % 8 == 0:
-            position += 15
-        else:
-            position -= 1
-    return positions
-
-
-def _signal_positions(signal: Signal):
+def _shift(signal: Signal, span: int, size: int) -> int:
+    """Where the field's least significant bit sits in the payload integer
+    (negative when a Motorola field runs past the end of the payload)."""
     if signal.byte_order == "little":
-        # little-endian lists LSB first; we want MSB first for uniformity
-        return list(reversed(_little_endian_positions(signal)))
-    return _big_endian_positions(signal)
+        return signal.start_bit
+    return 8 * size - span
 
 
 def encode_raw(signal: Signal, raw: int, data: bytearray) -> None:
@@ -50,33 +52,31 @@ def encode_raw(signal: Signal, raw: int, data: bytearray) -> None:
                 raw, low, high, signal.name
             )
         )
-    if raw < 0:
-        raw += 1 << signal.length
-    positions = _signal_positions(signal)
-    for index, position in enumerate(positions):
-        bit = (raw >> (signal.length - 1 - index)) & 1
-        byte_index, bit_index = divmod(position, 8)
-        if byte_index >= len(data):
-            raise ValueError(
-                "signal {!r} does not fit in a {}-byte payload".format(
-                    signal.name, len(data)
-                )
+    size = len(data)
+    span, mask = _layout(signal.start_bit, signal.length, signal.byte_order)
+    if span > 8 * size:
+        raise ValueError(
+            "signal {!r} does not fit in a {}-byte payload".format(
+                signal.name, size
             )
-        if bit:
-            data[byte_index] |= 1 << bit_index
-        else:
-            data[byte_index] &= ~(1 << bit_index)
+        )
+    shift = _shift(signal, span, size)
+    order = signal.byte_order
+    payload = int.from_bytes(data, order) & ~(mask << shift)
+    data[:] = (payload | (raw & mask) << shift).to_bytes(size, order)
 
 
 def decode_raw(signal: Signal, data: bytes) -> int:
-    """Extract the raw integer of *signal* from a payload."""
-    raw = 0
-    for position in _signal_positions(signal):
-        byte_index, bit_index = divmod(position, 8)
-        bit = (data[byte_index] >> bit_index) & 1 if byte_index < len(data) else 0
-        raw = (raw << 1) | bit
-    if signal.signed and raw >= 1 << (signal.length - 1):
-        raw -= 1 << signal.length
+    """Extract the raw integer of *signal* from a payload.
+
+    Bits past the end of a short payload read as zero.
+    """
+    span, mask = _layout(signal.start_bit, signal.length, signal.byte_order)
+    shift = _shift(signal, span, len(data))
+    payload = int.from_bytes(data, signal.byte_order)
+    raw = (payload >> shift if shift >= 0 else payload << -shift) & mask
+    if signal.signed and raw >> (signal.length - 1):
+        raw -= mask + 1
     return raw
 
 

@@ -47,6 +47,15 @@ def _number(text: str) -> float:
     return float(text)
 
 
+def _integer(text: str, line_number: int) -> int:
+    """A decimal literal, or a located error past Python's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        message = "integer literal of {} digits is too long".format(len(text))
+        raise DbcParseError(message, line_number) from None
+
+
 def parse_dbc(source: str) -> Database:
     """Parse .dbc text into a :class:`Database`."""
     database = Database()
@@ -71,9 +80,9 @@ def parse_dbc(source: str) -> Database:
         message = _MESSAGE_RE.match(line)
         if message:
             current_message = Message(
-                can_id=int(message.group("id")),
+                can_id=_integer(message.group("id"), line_number),
                 name=message.group("name"),
-                dlc=int(message.group("dlc")),
+                dlc=_integer(message.group("dlc"), line_number),
                 sender=message.group("sender"),
             )
             try:
@@ -91,12 +100,14 @@ def parse_dbc(source: str) -> Database:
                 for receiver in signal.group("receivers").replace(",", " ").split()
                 if receiver.strip()
             ]
+            start_bit = _integer(signal.group("start"), line_number)
+            length = _integer(signal.group("length"), line_number)
             try:
                 current_message.add_signal(
                     Signal(
                         name=signal.group("name"),
-                        start_bit=int(signal.group("start")),
-                        length=int(signal.group("length")),
+                        start_bit=start_bit,
+                        length=length,
                         byte_order="little" if signal.group("order") == "1" else "big",
                         signed=signal.group("sign") == "-",
                         factor=_number(signal.group("factor")),
@@ -113,19 +124,20 @@ def parse_dbc(source: str) -> Database:
 
         value_table = _VALUE_RE.match(line)
         if value_table:
-            can_id = int(value_table.group("id"))
+            can_id = _integer(value_table.group("id"), line_number)
             try:
                 message_def = database.message_by_id(can_id)
                 signal_def = message_def.signal(value_table.group("signal"))
             except KeyError as error:
                 raise DbcParseError(str(error), line_number) from None
             for pair in _VALUE_PAIR_RE.finditer(value_table.group("pairs")):
-                signal_def.value_table[int(pair.group("raw"))] = pair.group("label")
+                raw = _integer(pair.group("raw"), line_number)
+                signal_def.value_table[raw] = pair.group("label")
             continue
 
         message_comment = _COMMENT_MSG_RE.match(line)
         if message_comment:
-            can_id = int(message_comment.group("id"))
+            can_id = _integer(message_comment.group("id"), line_number)
             try:
                 database.message_by_id(can_id).comment = message_comment.group("text")
             except KeyError:
@@ -134,7 +146,7 @@ def parse_dbc(source: str) -> Database:
 
         signal_comment = _COMMENT_SIG_RE.match(line)
         if signal_comment:
-            can_id = int(signal_comment.group("id"))
+            can_id = _integer(signal_comment.group("id"), line_number)
             try:
                 message_def = database.message_by_id(can_id)
                 message_def.signal(signal_comment.group("signal")).comment = (

@@ -104,6 +104,20 @@ class Parser:
             token.column,
         )
 
+    def _number(self):
+        """A NUMBER token's value; a literal Python cannot read is located."""
+        token = self.expect("NUMBER")
+        try:
+            return parse_number(token.text)
+        except ValueError:
+            if token.text.isdigit():
+                message = "integer literal of {} digits is too long".format(
+                    len(token.text)
+                )
+            else:
+                message = "invalid numeric literal {!r}".format(token.text)
+            raise CaplSyntaxError(message, token.line, token.column) from None
+
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         token = self.current
         return token.kind == kind and (text is None or token.text == text)
@@ -173,7 +187,7 @@ class Parser:
             if self.accept("STAR"):
                 selector = "*"
             elif self.at("NUMBER"):
-                selector = parse_number(self.expect("NUMBER").text)
+                selector = self._number()
             else:
                 selector = self.expect("IDENT").text
             return EventProcedure("message", selector, self._parse_block())
@@ -232,7 +246,7 @@ class Parser:
         message_type: Optional[Union[str, int]] = None
         if type_name == "message":
             if self.at("NUMBER"):
-                message_type = parse_number(self.expect("NUMBER").text)
+                message_type = self._number()
             elif self.accept("STAR"):
                 message_type = "*"
             else:
@@ -242,7 +256,7 @@ class Parser:
             name = self.expect("IDENT").text
             sizes: List[int] = []
             while self.accept("LBRACKET"):
-                sizes.append(parse_number(self.expect("NUMBER").text))
+                sizes.append(self._number())
                 self.expect("RBRACKET")
             initializer: Optional[Expr] = None
             if self.accept("ASSIGN"):
@@ -477,7 +491,7 @@ class Parser:
 
     def _parse_primary(self) -> Expr:
         if self.at("NUMBER"):
-            value = parse_number(self.expect("NUMBER").text)
+            value = self._number()
             if isinstance(value, float):
                 return FloatLiteral(value)
             return IntLiteral(value)

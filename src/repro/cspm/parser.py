@@ -77,6 +77,18 @@ class Parser:
             token.column,
         )
 
+    def _number(self) -> Number:
+        """A NUMBER token as a literal; past Python's digit limit, a located error."""
+        token = self.expect("NUMBER")
+        try:
+            return Number(int(token.text))
+        except ValueError:
+            raise CspmSyntaxError(
+                "integer literal of {} digits is too long".format(len(token.text)),
+                token.line,
+                token.column,
+            ) from None
+
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         token = self.current
         return token.kind == kind and (text is None or token.text == text)
@@ -347,7 +359,7 @@ class Parser:
         if self.at("IDENT"):
             return Name(self.expect("IDENT").text)
         if self.at("NUMBER"):
-            return Number(int(self.expect("NUMBER").text))
+            return self._number()
         if self.accept("KEYWORD", "true"):
             return BoolLit(True)
         if self.accept("KEYWORD", "false"):
@@ -423,7 +435,7 @@ class Parser:
         if self.accept("MINUS"):
             return UnaryOp("-", self._parse_value_atom())
         if self.at("NUMBER"):
-            return Number(int(self.expect("NUMBER").text))
+            return self._number()
         if self.accept("KEYWORD", "true"):
             return BoolLit(True)
         if self.accept("KEYWORD", "false"):

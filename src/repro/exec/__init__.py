@@ -13,10 +13,11 @@ share one scheduler, :class:`~repro.server.core.VerificationServer`):
   result-cache digest all come from one module, versioned together.
 * :mod:`repro.exec.resultcache` persists a completed check's canonical
   :class:`~repro.batch.spec.JobResult` bytes content-addressed by that
-  key, so a later identical request in *any* mode answers without
-  re-verifying.  The server's in-flight dedup table is the first tier of
-  the same cache (same key, lifetime = one execution); the disk store is
-  the second (lifetime = until invalidated).
+  key, one sqlite row per verdict, so a later identical request in *any*
+  mode answers without re-verifying.  The server's in-flight dedup table
+  is the first tier of the same cache (same key, lifetime = one
+  execution); the disk store is the second (lifetime = until
+  invalidated).
 * :mod:`repro.exec.runtime` owns spec execution: :func:`execute_spec` is
   the sequential reference semantics every mode is held to, and
   :func:`execute_cached` is the memoised flavour layered on a

@@ -29,8 +29,13 @@ They now all call here.  Two identity layers:
     :data:`ENGINE_SEMANTICS_VERSION` (the verdict semantics).  Bumping
     either version changes every digest, so a whole generation of entries
     becomes unreachable -- invalidation by construction, no sweep needed
-    for correctness (readers still validate the stored material, so a
-    colliding or hand-edited file degrades to a miss, never to data).
+    for correctness (readers still compare the stored text, so a
+    colliding or hand-edited row degrades to a miss, never to data).
+
+Both derive from one canonical text per spec, :func:`spec_material`.  A
+caller encodes a spec once and hands the text on: the server hashes it
+into the dedup key, ships it to a worker as the spec itself, and the
+result cache stores it as the key material it compares on read.
 
 The LTS digest (:func:`lts_key_digest`) keeps its historical shape --
 ``repr`` of ``(format version, compilation cache key, passes)`` -- so
@@ -51,8 +56,9 @@ from typing import Any, Dict, Tuple
 #: semantics change does not invalidate compiled automata).
 ENGINE_SEMANTICS_VERSION = 1
 
-#: bump when the result-cache entry layout changes
-RESULT_FORMAT_VERSION = 1
+#: bump when the result-cache entry layout changes (2: one sqlite row per
+#: verdict, keyed by the canonical spec text)
+RESULT_FORMAT_VERSION = 2
 
 #: bump when the ``.ltsb`` entry layout changes; readers ignore other
 #: versions (moved here from :mod:`repro.engine.diskcache`, which
@@ -69,8 +75,17 @@ def strip_label(spec_doc: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def spec_material(spec_doc: Dict[str, Any]) -> str:
-    """The canonical encoding the structural key digests."""
+    """The one canonical text of a spec: label-stripped, sorted-key JSON.
+
+    Everything else in this section derives from this text, so callers
+    compute it once per request and pass it on.
+    """
     return json.dumps(strip_label(spec_doc), sort_keys=True, separators=(",", ":"))
+
+
+def material_key(material: str) -> str:
+    """SHA-256 of a spec's canonical text: the structural key."""
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 def structural_key(spec_doc: Dict[str, Any]) -> str:
@@ -80,20 +95,15 @@ def structural_key(spec_doc: Dict[str, Any]) -> str:
     server coalesces in-flight requests on it, and the result cache
     answers completed ones from it.
     """
-    return hashlib.sha256(spec_material(spec_doc).encode("utf-8")).hexdigest()
+    return material_key(spec_material(spec_doc))
 
 
-def result_key_material(spec_doc: Dict[str, Any]) -> str:
-    """The full stored-and-compared key material of one result entry."""
-    return json.dumps(
-        [RESULT_FORMAT_VERSION, ENGINE_SEMANTICS_VERSION, spec_material(spec_doc)],
-        separators=(",", ":"),
+def result_key_digest(material: str) -> str:
+    """The content address of the persisted verdict for one canonical text."""
+    versioned = "{}:{}:{}".format(
+        RESULT_FORMAT_VERSION, ENGINE_SEMANTICS_VERSION, material_key(material)
     )
-
-
-def result_key_digest(spec_doc: Dict[str, Any]) -> str:
-    """The content address of the persisted verdict for *spec_doc*."""
-    return hashlib.sha256(result_key_material(spec_doc).encode("utf-8")).hexdigest()
+    return hashlib.sha256(versioned.encode("ascii")).hexdigest()
 
 
 # -- the compiled-LTS identity (engine disk cache) ----------------------------

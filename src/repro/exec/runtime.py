@@ -29,6 +29,7 @@ from typing import Any, Dict, Optional
 from ..batch.spec import CheckSpec, ERROR, FAIL, JobResult, PASS
 from ..obs.metrics import Metrics
 from ..obs.trace import Tracer
+from .keys import spec_material
 from .resultcache import ResultCache
 
 
@@ -169,6 +170,7 @@ def execute_cached(
     result_cache: Optional[ResultCache] = None,
     metrics: Optional[Metrics] = None,
     spec_doc: Optional[Dict[str, Any]] = None,
+    material: Optional[str] = None,
 ) -> JobResult:
     """:func:`execute_spec` with a :class:`ResultCache` probe around it.
 
@@ -177,9 +179,11 @@ def execute_cached(
     immediately (relabelled to this requester's id/index, ``duration_ms``
     near zero and ``worker_pid`` this process -- both outside the canonical
     surface), and a fresh execution is promoted write-through so the next
-    identical request in any mode hits.  *spec_doc* lets callers that
-    already hold the wire document (the server's workers) skip
-    re-encoding; it must round-trip to *spec*.
+    identical request in any mode hits.  The spec is encoded once: the
+    probe and the write-through share its canonical text.  Callers that
+    already hold the wire document and its text (the server's workers)
+    pass *spec_doc* and *material* to skip even that; both must
+    round-trip to *spec*.
     """
     if result_cache is None:
         return execute_spec(
@@ -187,7 +191,9 @@ def execute_cached(
         )
     started = time.perf_counter()
     doc = spec_doc if spec_doc is not None else spec.to_doc()
-    hit = result_cache.get(doc, index)
+    if material is None:
+        material = spec_material(doc)
+    hit = result_cache.get(doc, index, material=material)
     if hit is not None:
         if metrics is not None:
             metrics.counter("result_cache.hits").inc()
@@ -198,7 +204,7 @@ def execute_cached(
         metrics.counter("result_cache.misses").inc()
         metrics.counter("exec.executions").inc()
     result = execute_spec(spec, index, cache_dir=cache_dir, profile=profile)
-    if result_cache.put(doc, result) and metrics is not None:
+    if result_cache.put(doc, result, material=material) and metrics is not None:
         metrics.counter("result_cache.writes").inc()
     return result
 

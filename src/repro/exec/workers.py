@@ -18,7 +18,9 @@ With a result-cache directory it runs requests through
 :func:`~repro.exec.runtime.execute_cached`: the server probes the store at
 submit (a hit never costs a queue slot or a worker), and the worker probes
 again around execution -- catching entries another worker promoted
-meanwhile -- then writes its own verdict through.
+meanwhile -- then writes its own verdict through its own connection.  The
+text it received is the spec's canonical text, so the worker keys both
+store calls on it without encoding the spec again.
 
 :func:`failure_result` builds the verdicts that exist *because* there is a
 process boundary: worker death -> ``ERROR``, deadline -> ``TIMEOUT``,
@@ -82,12 +84,15 @@ def persistent_worker_main(
                     profile=want_profile,
                     result_cache=result_cache,
                     spec_doc=spec_doc,
+                    material=material,
                 )
             try:
                 conn.send(result.to_doc())
             except (BrokenPipeError, OSError):
                 break
     finally:
+        if result_cache is not None:
+            result_cache.close()
         try:
             conn.close()
         except OSError:

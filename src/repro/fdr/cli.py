@@ -159,11 +159,17 @@ def _result_of_stored(stored) -> "CheckResult":
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
     tracer = tracer_from_args(args)
     with tracer.span("run", tool="cspcheck", script=args.script):
         with tracer.span("parse", script=args.script):
-            model = load_file(args.script)
+            try:
+                model = load_file(args.script)
+            except OSError as error:
+                parser.exit(
+                    EXIT_USAGE, "cspcheck: cannot read input: {}\n".format(error)
+                )
         if not model.assertions:
             sys.stderr.write("warning: script declares no assertions\n")
             return EXIT_OK

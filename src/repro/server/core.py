@@ -60,7 +60,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from ..batch.spec import CANCELLED, CheckSpec, ERROR, JobResult, ManifestError, TIMEOUT
-from ..exec.keys import spec_material
+from ..exec.keys import material_key, spec_material
 from ..exec.runtime import open_result_cache
 from ..exec.workers import failure_result, persistent_worker_main
 from ..obs.metrics import Metrics
@@ -77,7 +77,6 @@ from .protocol import (
     Rejection,
     rejection_response,
     result_response,
-    structural_key,
 )
 
 #: how long the scheduler sleeps with nothing to watch (seconds)
@@ -258,10 +257,7 @@ class VerificationServer:
             if self._state != "new":
                 raise RuntimeError("server already started")
             # fork the pool before the scheduler thread exists: clean children
-            self._pool = [
-                _Worker(self._context, self.cache_dir, self.result_cache_dir)
-                for _ in range(self.workers)
-            ]
+            self._pool = [self._spawn() for _ in range(self.workers)]
             self._state = "running"
         self._thread = threading.Thread(
             target=self._scheduler, name="cspserve-scheduler", daemon=True
@@ -293,7 +289,7 @@ class VerificationServer:
         with self._cond:
             if self._state in ("new", "closed"):
                 self._state = "closed"
-                self._close_wake()
+                self._release()
                 return
             self._state = "draining" if drain else "closed"
             self._cond.notify_all()
@@ -307,11 +303,13 @@ class VerificationServer:
                     self._cond.notify_all()
                 self._wake()
                 self._thread.join()
-        self._close_wake()
+        self._release()
 
-    def _close_wake(self) -> None:
+    def _release(self) -> None:
         self._wake_r.close()
         self._wake_w.close()
+        if self.result_cache is not None:
+            self.result_cache.close()
 
     # -- submission ----------------------------------------------------------
 
@@ -336,6 +334,8 @@ class VerificationServer:
         """
         try:
             spec = CheckSpec.from_doc(spec_doc)
+            # one encoding per request: the size cap, the dedup key, the
+            # result-cache row and the worker's hand-off all use this text
             material = spec_material(spec_doc)
             size = len(material.encode("utf-8"))
             if self.max_request_bytes is not None and size > self.max_request_bytes:
@@ -345,14 +345,14 @@ class VerificationServer:
                         size, self.max_request_bytes
                     ),
                 )
-            key = structural_key(spec_doc)
+            key = material_key(material)
             # probe the persisted-verdict tier before the lock (disk I/O): a
             # memoised check answers without a queue slot, a worker, or a
             # charge against the tenant's quota
             memoised = (
                 None
                 if self.result_cache is None
-                else self.result_cache.get(spec_doc, index)
+                else self.result_cache.get(spec_doc, index, material=material)
             )
         except (ManifestError, RecursionError) as error:
             # RecursionError: near the recursion limit a spec can decode yet
@@ -610,9 +610,15 @@ class VerificationServer:
             pass
         self.metrics.counter("server.worker_restarts").inc()
         if self._state != "closed":
-            self._pool.append(
-                _Worker(self._context, self.cache_dir, self.result_cache_dir)
-            )
+            self._pool.append(self._spawn())
+
+    def _spawn(self) -> _Worker:
+        if self.result_cache is None:
+            return _Worker(self._context, self.cache_dir, self.result_cache_dir)
+        # a child forked while this process holds a sqlite connection would
+        # inherit its lock state; the worker opens a connection of its own
+        with self.result_cache.released():
+            return _Worker(self._context, self.cache_dir, self.result_cache_dir)
 
     def _cancel_everything_locked(self) -> None:
         cancelled = _failure_doc(CANCELLED, "server closed")

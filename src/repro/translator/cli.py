@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from ..cli_common import (
     EXIT_OK,
+    EXIT_USAGE,
     EXIT_VIOLATION,
     add_observability_args,
     finish_observability,
@@ -51,7 +52,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
     config = ExtractorConfig(
         convention=ChannelConvention(args.in_channel, args.out_channel),
         include_timers=not args.no_timers,
@@ -61,7 +63,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status = EXIT_OK
     with tracer.span("run", tool="capl2cspm", capl=args.capl):
         with tracer.span("parse", capl=args.capl):
-            result = extractor.extract_file(args.capl, args.node)
+            try:
+                result = extractor.extract_file(args.capl, args.node)
+            except OSError as error:
+                parser.exit(
+                    EXIT_USAGE, "capl2cspm: cannot read input: {}\n".format(error)
+                )
         if args.output:
             result.write(args.output)
         else:

@@ -177,3 +177,140 @@ def test_property_disjoint_fields_independent(a, b):
     encode_raw(high, b, payload)
     assert decode_raw(low, bytes(payload)) == a
     assert decode_raw(high, bytes(payload)) == b
+
+
+# -- differential test against the bit-by-bit reference -----------------------
+
+
+def _reference_positions(signal):
+    """Absolute bit positions, MSB of the signal first (the original walk)."""
+    if signal.byte_order == "little":
+        return [signal.start_bit + i for i in reversed(range(signal.length))]
+    positions = []
+    position = signal.start_bit
+    for _ in range(signal.length):
+        positions.append(position)
+        position += 15 if position % 8 == 0 else -1
+    return positions
+
+
+def reference_encode_raw(signal, raw, data):
+    """The codec's original bit loop, kept as the differential reference."""
+    low, high = signal.raw_range()
+    if not low <= raw <= high:
+        raise ValueError(
+            "raw value {} out of range {}..{} for signal {!r}".format(
+                raw, low, high, signal.name
+            )
+        )
+    if raw < 0:
+        raw += 1 << signal.length
+    for index, position in enumerate(_reference_positions(signal)):
+        bit = (raw >> (signal.length - 1 - index)) & 1
+        byte_index, bit_index = divmod(position, 8)
+        if byte_index >= len(data):
+            raise ValueError(
+                "signal {!r} does not fit in a {}-byte payload".format(
+                    signal.name, len(data)
+                )
+            )
+        if bit:
+            data[byte_index] |= 1 << bit_index
+        else:
+            data[byte_index] &= ~(1 << bit_index)
+
+
+def reference_decode_raw(signal, data):
+    raw = 0
+    for position in _reference_positions(signal):
+        byte_index, bit_index = divmod(position, 8)
+        bit = (data[byte_index] >> bit_index) & 1 if byte_index < len(data) else 0
+        raw = (raw << 1) | bit
+    if signal.signed and raw >= 1 << (signal.length - 1):
+        raw -= 1 << signal.length
+    return raw
+
+
+def _outcome(encode, signal, raw, data):
+    """The packed payload, or the error text (the payload is then moot)."""
+    try:
+        encode(signal, raw, data)
+    except ValueError as error:
+        return "error: {}".format(error)
+    return bytes(data)
+
+
+def _random_case(rng):
+    dlc = rng.randint(0, 8)
+    order = rng.choice(("little", "big"))
+    if dlc and rng.random() < 0.75:
+        # a field that fits: its first bit in reading order within reach
+        length = rng.randint(1, min(64, 8 * dlc))
+        first = rng.randint(0, 8 * dlc - length)
+        if order == "little":
+            start = first
+        else:
+            # Motorola start bits count the first bit from the top of its byte
+            start = first - first % 8 + 7 - first % 8
+    else:
+        # anywhere up to two bytes past the payload: mostly does not fit
+        length = rng.randint(1, 64)
+        start = rng.randrange(8 * dlc + 16)
+    signal = Signal("s", start, length, order, rng.random() < 0.5)
+    low, high = signal.raw_range()
+    # mostly in range, some just outside it
+    raw = rng.choice(
+        (rng.randint(low, high), rng.randint(low, high), low, high, low - 1, high + 1)
+    )
+    payload = bytes(rng.randrange(256) for _ in range(dlc))
+    return signal, raw, payload
+
+
+def test_codec_matches_the_bit_loop_reference():
+    import random
+
+    rng = random.Random(20190624)
+    outcomes = {"packed": 0, "out of range": 0, "does not fit": 0}
+    for _ in range(20_000):
+        signal, raw, payload = _random_case(rng)
+        expected = _outcome(reference_encode_raw, signal, raw, bytearray(payload))
+        assert _outcome(encode_raw, signal, raw, bytearray(payload)) == expected, (
+            signal,
+            raw,
+            payload,
+        )
+        if isinstance(expected, bytes):
+            outcomes["packed"] += 1
+        elif "out of range" in expected:
+            outcomes["out of range"] += 1
+        else:
+            outcomes["does not fit"] += 1
+        # decoding never fails: bits past a short payload read as zero
+        assert decode_raw(signal, payload) == reference_decode_raw(signal, payload)
+    # the sample exercises both error paths as well as the packing
+    assert min(outcomes.values()) > 1_000, outcomes
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("signed", [False, True])
+def test_every_length_round_trips_in_an_eight_byte_payload(order, signed):
+    for length in range(1, 65):
+        start = 0 if order == "little" else 7
+        signal = Signal("s", start, length, order, signed)
+        low, high = signal.raw_range()
+        for raw in (low, high, (low + high) // 2):
+            data = bytearray(b"\xa5" * 8)
+            expected = bytearray(data)
+            reference_encode_raw(signal, raw, expected)
+            encode_raw(signal, raw, data)
+            assert data == expected
+            assert decode_raw(signal, bytes(data)) == raw
+
+
+def test_a_failed_encode_leaves_the_payload_untouched():
+    data = bytearray(b"\x12\x34")
+    with pytest.raises(ValueError, match="does not fit in a 2-byte payload"):
+        encode_raw(big(7, 24), 1, data)
+    with pytest.raises(ValueError, match="out of range"):
+        encode_raw(little(0, 4), 16, data)
+    assert data == bytearray(b"\x12\x34")

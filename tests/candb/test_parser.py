@@ -112,6 +112,13 @@ class TestErrors:
         with pytest.raises(DbcParseError):
             parse_dbc('VAL_ 9 X 0 "a";')
 
+    def test_oversized_message_id_is_located(self):
+        # past Python's int-conversion digit limit, not a bare ValueError
+        bad = "VERSION \"\"\nBO_ " + "1" * 5000 + " m: 8 N\n"
+        with pytest.raises(DbcParseError, match="5000 digits is too long") as info:
+            parse_dbc(bad)
+        assert info.value.line_number == 2
+
 
 class TestShippedDatabase:
     def test_ota_dbc_parses(self):

@@ -182,6 +182,12 @@ class TestRealSources:
         with pytest.raises(CaplSyntaxError, match="line"):
             parse("on message { }")
 
+    def test_oversized_initialiser_literal_is_located(self):
+        source = "variables {\n  int x = " + "1" * 5000 + ";\n}\n"
+        with pytest.raises(CaplSyntaxError, match="5000 digits is too long") as info:
+            parse(source)
+        assert (info.value.line, info.value.column) == (2, 11)
+
 
 class TestEmptyStatement:
     def test_bare_semicolon_is_empty_statement(self):

@@ -8,10 +8,8 @@ executor, and a live daemon.  A warm replay must also actually memoise:
 the non-selftest cases answer as hits without re-verifying.
 """
 
-import os
-
 from repro.batch import run_batch
-from repro.exec.resultcache import RESULT_SUFFIX, cacheable
+from repro.exec.resultcache import ResultCache, cacheable
 from repro.server import VerificationServer
 from repro.server.client import ServerClient
 from repro.server.http import HttpFrontend
@@ -84,27 +82,16 @@ def test_memoised_daemon_replay_is_byte_identical(tmp_path):
     with VerificationServer(workers=2, result_cache_dir=cache_dir) as server:
         with HttpFrontend(server) as frontend:
             cold = ServerClient(frontend.url).run_manifest(docs)
-        entries = sorted(
-            name
-            for name in os.listdir(cache_dir)
-            if name.endswith(RESULT_SUFFIX)
-        )
-        assert len(entries) == _eligible(specs, expectations)
+        entries = len(ResultCache(cache_dir))
+        assert entries == _eligible(specs, expectations)
     # a *restarted* daemon on the same store: verdicts survive the process
     with VerificationServer(workers=2, result_cache_dir=cache_dir) as server:
         with HttpFrontend(server) as frontend:
             warm = ServerClient(frontend.url).run_manifest(docs)
         snapshot = server.stats()
-        assert snapshot["result_cache"]["result_hits"] == len(entries)
-        assert snapshot["metrics"].get("server.result_hits") == len(entries)
-    assert (
-        sorted(
-            name
-            for name in os.listdir(cache_dir)
-            if name.endswith(RESULT_SUFFIX)
-        )
-        == entries
-    )
+        assert snapshot["result_cache"]["result_hits"] == entries
+        assert snapshot["metrics"].get("server.result_hits") == entries
+    assert len(ResultCache(cache_dir)) == entries
     _assert_golden(cold, expectations)
     _assert_golden(warm, expectations)
 

@@ -68,6 +68,11 @@ class TestDeclarations:
         with pytest.raises(CspmSyntaxError):
             parse("assert P :[sparkly clean]")
 
+    def test_oversized_integer_literal_is_located(self):
+        with pytest.raises(CspmSyntaxError, match="5000 digits is too long") as info:
+            parse("channel c : {0..1}\nP = " + "1" * 5000 + "\n")
+        assert (info.value.line, info.value.column) == (2, 5)
+
 
 class TestProcessExpressions:
     def test_prefix_output(self):

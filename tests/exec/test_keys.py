@@ -8,7 +8,6 @@ review as a fixture diff, not as a mystery cold run.
 """
 
 import hashlib
-import json
 
 from repro.batch.spec import CheckSpec
 from repro.csp import Event, Prefix, STOP
@@ -17,8 +16,8 @@ from repro.exec.keys import (
     ENGINE_SEMANTICS_VERSION,
     RESULT_FORMAT_VERSION,
     lts_key_digest,
+    material_key,
     result_key_digest,
-    result_key_material,
     spec_material,
     strip_label,
     structural_key,
@@ -43,9 +42,9 @@ STRUCTURAL_FIXTURES = {
     "req": "a25a4b18f7a8d3553c9ec16941ec8177c5b7944cee12535f72f7720dbaa8b2d2",
 }
 RESULT_FIXTURES = {
-    "ref": "0272a3ea2d2c0ad19bdd75f61fddf5671e1ad0a0ab5c2b6b4c70c708ae0b1a2c",
-    "prop": "e663921e455eb8eaf16b75f8c7a4f5bb56ca8acc08c5082e901a0270ad096006",
-    "req": "1d23b2ba0aeccc9eb3e8931df131e9e8b52aac6e57972b7fe66cd20ce2f4d33b",
+    "ref": "23a488a687ecef773f853bd1852777189fad6439ea2ad14b585993d5f209aaa6",
+    "prop": "0f12b5f872a487caf52fdc212b54b10bd2f564000e1b60045a1aac866dcce780",
+    "req": "d0561fd0e781bdc47a93d31d5800a22bed7d468c3295a1d11ea03b339f38b779",
 }
 
 
@@ -53,7 +52,7 @@ def test_versions_are_the_pinned_generation():
     # bumping any of these is deliberate cache invalidation; the fixture
     # digests below must be regenerated in the same commit
     assert ENGINE_SEMANTICS_VERSION == 1
-    assert RESULT_FORMAT_VERSION == 1
+    assert RESULT_FORMAT_VERSION == 2
     assert DISKCACHE_FORMAT_VERSION == 2
 
 
@@ -64,7 +63,8 @@ def test_structural_key_fixtures_are_stable():
 
 def test_result_key_fixtures_are_stable():
     for label, spec in _fixture_specs().items():
-        assert result_key_digest(spec.to_doc()) == RESULT_FIXTURES[label]
+        material = spec_material(spec.to_doc())
+        assert result_key_digest(material) == RESULT_FIXTURES[label]
 
 
 def test_lts_key_fixture_is_stable():
@@ -96,7 +96,7 @@ def test_id_label_does_not_participate():
     labelled = CheckSpec.refinement(term, term, "T", check_id="mine").to_doc()
     assert "id" not in strip_label(labelled)
     assert structural_key(anon) == structural_key(labelled)
-    assert result_key_digest(anon) == result_key_digest(labelled)
+    assert spec_material(anon) == spec_material(labelled)
 
 
 def test_name_does_participate():
@@ -118,24 +118,27 @@ def test_pass_config_and_budget_participate():
         term, "deadlock free", max_states=7
     ).to_doc()
     keys = {
-        result_key_digest(base),
-        result_key_digest(other_passes),
-        result_key_digest(other_budget),
+        result_key_digest(spec_material(base)),
+        result_key_digest(spec_material(other_passes)),
+        result_key_digest(spec_material(other_budget)),
     }
     assert len(keys) == 3
 
 
 def test_result_material_wraps_versions_around_the_spec():
+    # the stored key material is the canonical text itself (the versions
+    # are their own columns); the digest wraps the versions around the
+    # structural key of that one text
     doc = _fixture_specs()["ref"].to_doc()
-    material = result_key_material(doc)
-    assert material.startswith(
-        "[{},{},".format(RESULT_FORMAT_VERSION, ENGINE_SEMANTICS_VERSION)
+    material = spec_material(doc)
+    assert material_key(material) == structural_key(doc)
+    versioned = "{}:{}:{}".format(
+        RESULT_FORMAT_VERSION, ENGINE_SEMANTICS_VERSION, structural_key(doc)
     )
-    assert json.loads(material) == [
-        RESULT_FORMAT_VERSION,
-        ENGINE_SEMANTICS_VERSION,
-        spec_material(doc),
-    ]
+    assert (
+        result_key_digest(material)
+        == hashlib.sha256(versioned.encode("ascii")).hexdigest()
+    )
 
 
 def test_delegating_modules_share_this_implementation():

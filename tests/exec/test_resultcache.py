@@ -1,18 +1,26 @@
 """The verdict store (:mod:`repro.exec.resultcache`): round trips, and
 every way an entry is *refused* -- version skew, corruption, truncation,
 key mismatch, non-deterministic verdicts.  The refusal paths are the
-soundness surface: a defective entry must degrade to a counted miss, never
-to data."""
+soundness surface: a defective row must degrade to a counted miss, never
+to data.  Rows are edited through a second sqlite connection, the way a
+hand edit or a foreign writer would reach them."""
 
 import json
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.batch.spec import CheckSpec, JobResult
 from repro.csp import Event, Prefix, STOP
-from repro.exec.keys import result_key_digest
-from repro.exec.resultcache import RESULT_SUFFIX, ResultCache, cacheable
+from repro.exec.keys import (
+    ENGINE_SEMANTICS_VERSION,
+    RESULT_FORMAT_VERSION,
+    result_key_digest,
+    spec_material,
+)
+from repro.exec.resultcache import STORE_NAME, ResultCache, cacheable
 
 
 def _spec(name="fixture"):
@@ -33,7 +41,44 @@ def _pass_result(index=0, check_id=None):
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(str(tmp_path / "results"))
+    store = ResultCache(str(tmp_path / "results"))
+    yield store
+    store.close()
+
+
+def _digest(doc):
+    return result_key_digest(spec_material(doc))
+
+
+def _sql(cache, statement, *params):
+    """Run one statement on the store through a connection of its own."""
+    with closing(sqlite3.connect(cache.path, isolation_level=None)) as db:
+        return db.execute(statement, params).fetchall()
+
+
+def _row(cache, doc):
+    """The stored (format, engine, key, result) columns of *doc*, or None."""
+    rows = _sql(
+        cache,
+        "SELECT format, engine, key, result FROM results WHERE digest = ?",
+        _digest(doc),
+    )
+    return rows[0] if rows else None
+
+
+def _set(cache, doc, column, value):
+    _sql(
+        cache,
+        "UPDATE results SET {} = ? WHERE digest = ?".format(column),
+        value,
+        _digest(doc),
+    )
+
+
+def _edit_result(cache, doc, edit):
+    stored = json.loads(_row(cache, doc)[3])
+    edit(stored)
+    _set(cache, doc, "result", json.dumps(stored))
 
 
 def test_round_trip_is_canonically_identical(cache):
@@ -103,92 +148,83 @@ def test_selftest_specs_are_never_stored(cache):
 def test_format_version_skew_is_swept_as_stale(cache):
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())
-    path = cache.path_of(doc)
-    with open(path, encoding="utf-8") as handle:
-        entry = json.load(handle)
-    entry["format"] = entry["format"] + 1
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+    _set(cache, doc, "format", _row(cache, doc)[0] + 1)
     assert cache.get(doc) is None
     assert cache.stale == 1
     assert cache.quarantined == 0
-    assert not os.path.exists(path), "a stale entry is removed, not retried"
+    assert _row(cache, doc) is None, "a stale row is deleted, not retried"
     assert cache.stats()["result_stale"] == 1
 
 
 def test_engine_version_skew_is_swept_as_stale(cache):
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())
-    path = cache.path_of(doc)
-    with open(path, encoding="utf-8") as handle:
-        entry = json.load(handle)
-    entry["engine"] = 999
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+    _set(cache, doc, "engine", 999)
     assert cache.get(doc) is None
     assert cache.stale == 1
-    assert not os.path.exists(path)
+    assert _row(cache, doc) is None
 
 
 def test_version_bump_changes_the_digest_itself(cache, monkeypatch):
     # the primary invalidation is by construction: a bumped version makes a
-    # *different path*, so old entries are simply unreachable
+    # *different digest*, so old rows are simply unreachable
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())
-    old_path = cache.path_of(doc)
+    old_digest = _digest(doc)
     import repro.exec.keys as keys
 
     monkeypatch.setattr(keys, "ENGINE_SEMANTICS_VERSION", 2)
-    assert cache.path_of(doc) != old_path
+    assert _digest(doc) != old_digest
     assert cache.get(doc) is None
-    assert os.path.exists(old_path), "old-generation entries are untouched"
+    assert _sql(
+        cache, "SELECT COUNT(*) FROM results WHERE digest = ?", old_digest
+    ) == [(1,)], "old-generation rows are untouched"
 
 
 def test_truncated_entry_quarantines(cache):
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())
-    path = cache.path_of(doc)
-    with open(path, "r+b") as handle:
-        handle.truncate(10)
+    _set(cache, doc, "result", _row(cache, doc)[3][:10])
     assert cache.get(doc) is None
     assert cache.quarantined == 1
-    assert not os.path.exists(path)
+    assert _row(cache, doc) is None
     assert cache.stats()["result_quarantined"] == 1
 
 
 def test_garbage_entry_quarantines(cache):
     doc = _spec().to_doc()
-    path = os.path.join(
-        cache.directory, result_key_digest(doc) + RESULT_SUFFIX
+    assert len(cache) == 0  # creates the empty store
+    _sql(
+        cache,
+        "INSERT INTO results VALUES (?, ?, ?, ?, ?)",
+        _digest(doc),
+        RESULT_FORMAT_VERSION,
+        ENGINE_SEMANTICS_VERSION,
+        spec_material(doc),
+        "not json at all {{{",
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("not json at all {{{")
     assert cache.get(doc) is None
     assert cache.quarantined == 1
-    assert not os.path.exists(path)
+    assert _row(cache, doc) is None
 
 
 def test_stored_key_mismatch_quarantines(cache):
-    # a collision or a copied-over file: the digest matches but the stored
-    # material does not -- refuse it rather than answer the wrong check
+    # a collision or a copied-over row: the digest matches but the stored
+    # text does not -- refuse it rather than answer the wrong check
     term = Prefix(Event("a"), STOP)
     doc = CheckSpec.refinement(term, term, "T", name="one").to_doc()
     other = CheckSpec.refinement(term, term, "T", name="two").to_doc()
     cache.put(other, JobResult(0, None, "PASS", name="two"))
-    os.replace(cache.path_of(other), cache.path_of(doc))
+    _set(cache, other, "digest", _digest(doc))
     assert cache.get(doc) is None
     assert cache.quarantined == 1
+    assert _row(cache, doc) is None
 
 
 def test_stored_uncacheable_verdict_quarantines(cache):
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())
-    path = cache.path_of(doc)
-    with open(path, encoding="utf-8") as handle:
-        entry = json.load(handle)
-    entry["result"]["verdict"] = "ERROR"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+    _edit_result(cache, doc, lambda stored: stored.update(verdict="ERROR"))
     assert cache.get(doc) is None
     assert cache.quarantined == 1
 
@@ -196,12 +232,7 @@ def test_stored_uncacheable_verdict_quarantines(cache):
 def test_missing_result_fields_quarantine(cache):
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())
-    path = cache.path_of(doc)
-    with open(path, encoding="utf-8") as handle:
-        entry = json.load(handle)
-    del entry["result"]["states_explored"]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+    _edit_result(cache, doc, lambda stored: stored.pop("states_explored"))
     assert cache.get(doc) is None
     assert cache.quarantined == 1
 
@@ -209,8 +240,7 @@ def test_missing_result_fields_quarantine(cache):
 def test_quarantine_does_not_poison_future_writes(cache):
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())
-    with open(cache.path_of(doc), "w", encoding="utf-8") as handle:
-        handle.write("garbage")
+    _set(cache, doc, "result", "garbage")
     assert cache.get(doc) is None
     assert cache.put(doc, _pass_result())
     assert cache.get(doc) is not None
@@ -222,9 +252,89 @@ def test_entries_have_no_id_on_disk(cache):
         Prefix(Event("a"), STOP), Prefix(Event("a"), STOP), "T", check_id="x"
     ).to_doc()
     cache.put(doc, _pass_result(check_id="x"))
-    with open(cache.path_of(doc), encoding="utf-8") as handle:
-        entry = json.load(handle)
-    assert "id" not in entry["result"]
+    assert "id" not in json.loads(_row(cache, doc)[3])
+
+
+def test_a_row_stores_the_canonical_text_as_its_key(cache):
+    doc = _spec().to_doc()
+    cache.put(doc, _pass_result())
+    stored_format, stored_engine, key, _result = _row(cache, doc)
+    assert (stored_format, stored_engine) == (
+        RESULT_FORMAT_VERSION,
+        ENGINE_SEMANTICS_VERSION,
+    )
+    assert key == spec_material(doc)
+
+
+def test_a_non_database_store_file_is_moved_aside(tmp_path):
+    directory = tmp_path / "results"
+    directory.mkdir()
+    (directory / STORE_NAME).write_bytes(b"not a database " * 64)
+    cache = ResultCache(str(directory))
+    doc = _spec().to_doc()
+    assert cache.get(doc) is None
+    assert cache.quarantined == 1
+    assert cache.put(doc, _pass_result())
+    assert cache.get(doc) is not None
+    cache.close()
+    aside = directory / (STORE_NAME + ".quarantined")
+    assert aside.read_bytes() == b"not a database " * 64
+
+
+def test_a_forked_child_writes_through_its_own_connection(cache):
+    parent_doc = _spec("parent").to_doc()
+    child_doc = _spec("child").to_doc()
+    assert cache.put(parent_doc, _pass_result())  # opens the parent's connection
+    parent_connection = cache._conn
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through its exit code
+        ok = cache.put(child_doc, _pass_result()) and cache.get(parent_doc)
+        ok = ok and cache._conn is not parent_connection
+        cache.close()
+        os._exit(0 if ok else 1)
+    _pid, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    # the child neither used nor closed the parent's connection
+    assert cache.get(child_doc) is not None
+    assert cache.put(parent_doc, _pass_result())
+    assert len(cache) == 2
+
+
+def test_clear_from_another_instance_reaches_open_connections(cache):
+    doc = _spec().to_doc()
+    cache.put(doc, _pass_result())
+    assert cache.get(doc) is not None
+    ResultCache(cache.directory).clear()
+    assert cache.get(doc) is None
+    assert len(cache) == 0
+
+
+def test_a_locked_store_leaves_the_verdict_unwritten(cache, monkeypatch):
+    import repro.exec.resultcache as resultcache
+
+    doc = _spec().to_doc()
+    cache.put(doc, _pass_result())
+    monkeypatch.setattr(resultcache, "_BUSY_TIMEOUT_S", 0.0)
+    writer = ResultCache(cache.directory)
+    with closing(sqlite3.connect(cache.path, isolation_level=None)) as db:
+        db.execute("BEGIN EXCLUSIVE")
+        assert not writer.put(_spec("other").to_doc(), _pass_result())
+        assert writer.writes == 0
+        # WAL readers never wait on the writer
+        assert writer.get(doc) is not None
+        db.execute("ROLLBACK")
+    assert writer.put(_spec("other").to_doc(), _pass_result())
+    writer.close()
+
+
+def test_a_failing_store_is_a_miss_never_an_error(cache):
+    doc = _spec().to_doc()
+    cache.put(doc, _pass_result())
+    _sql(cache, "DROP TABLE results")
+    assert cache.get(doc) is None
+    assert not cache.put(doc, _pass_result())
+    assert len(cache) == 0
+    assert cache.misses == 1
 
 
 def test_clear_empties_the_store(cache):
@@ -244,3 +354,63 @@ def test_stats_names_are_the_wire_contract(cache):
         "result_stale",
         "result_writes",
     ]
+
+
+def _hammer(directory, worker, rounds):
+    """One process's share of the stress test: write its own specs, read all."""
+    cache = ResultCache(directory)
+    written = 0
+    for step in range(rounds):
+        doc = _spec("w{}-{}".format(worker, step)).to_doc()
+        written += cache.put(doc, _pass_result())
+        cache.get(_spec("w{}-{}".format((worker + 1) % 4, step)).to_doc())
+    cache.close()
+    if written != rounds:
+        raise SystemExit(1)
+
+
+def test_concurrent_writers_lose_no_verdict(tmp_path):
+    # more writers than cores, in processes and in threads of one process
+    import multiprocessing
+    import sys
+    import threading
+
+    directory = str(tmp_path / "results")
+    rounds = 40
+    context = multiprocessing.get_context("spawn")
+    processes = [
+        context.Process(target=_hammer, args=(directory, worker, rounds))
+        for worker in range(4)
+    ]
+    for process in processes:
+        process.start()
+    shared = ResultCache(directory)
+    failures = []
+
+    def thread_writer(worker):
+        for step in range(rounds):
+            doc = _spec("t{}-{}".format(worker, step)).to_doc()
+            if not shared.put(doc, _pass_result()) or shared.get(doc) is None:
+                failures.append(doc["name"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=thread_writer, args=(worker,))
+            for worker in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for process in processes:
+        process.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [process.exitcode for process in processes] == [0] * 4
+    assert failures == []
+    assert (shared.writes, shared.hits) == (4 * rounds, 4 * rounds)
+    assert len(shared) == 8 * rounds
+    shared.close()

@@ -1,10 +1,13 @@
 """The execution core (:mod:`repro.exec.runtime`): memoisation must be
 invisible in the canonical bytes, visible only in the counters."""
 
+import json
+
 import pytest
 
 from repro.batch.spec import CheckSpec
 from repro.csp import Event, Prefix, STOP
+from repro.exec.keys import spec_material, strip_label
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import (
     execute_cached,
@@ -27,7 +30,9 @@ def _failing_property():
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(str(tmp_path / "results"))
+    store = ResultCache(str(tmp_path / "results"))
+    yield store
+    store.close()
 
 
 def test_without_a_cache_execute_cached_is_execute_spec():
@@ -105,6 +110,43 @@ def test_caller_supplied_doc_is_honoured(cache):
     doc = spec.to_doc()
     execute_cached(spec, result_cache=cache, spec_doc=doc)
     assert cache.get(doc) is not None
+
+
+def _count_spec_encodings(monkeypatch, spec):
+    """Record every ``json.dumps`` of *spec*'s label-stripped document."""
+    canonical = strip_label(spec.to_doc())
+    encodings = []
+    dumps = json.dumps
+
+    def counting(obj, *args, **kwargs):
+        if obj == canonical:
+            encodings.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    return encodings
+
+
+def test_a_cold_execution_encodes_the_spec_once(cache, monkeypatch):
+    # the probe, the digest, the stored key and the write-through all
+    # share one canonical text
+    spec = _refinement("once")
+    encodings = _count_spec_encodings(monkeypatch, spec)
+    execute_cached(spec, result_cache=cache)
+    assert cache.writes == 1
+    assert len(encodings) == 1
+
+
+def test_a_supplied_text_is_not_encoded_again(cache, monkeypatch):
+    # the worker path: the text it received is the spec's canonical text
+    spec = _refinement("worker")
+    doc = strip_label(spec.to_doc())
+    material = spec_material(doc)
+    encodings = _count_spec_encodings(monkeypatch, spec)
+    execute_cached(spec, result_cache=cache, spec_doc=doc, material=material)
+    assert cache.writes == 1
+    assert encodings == []
+    assert cache.get(doc, material=material) is not None
 
 
 def test_open_result_cache_maps_none_to_none(tmp_path):

@@ -43,6 +43,17 @@ class TestCspcheck:
         assert cspcheck_main([str(path)]) == 0
         assert "no assertions" in capsys.readouterr().err
 
+    def test_unreadable_input_exits_two(self, tmp_path, capsys):
+        # 1 means "a check failed"; a script that cannot be read is a usage error
+        missing = tmp_path / "missing.csp"
+        with pytest.raises(SystemExit) as info:
+            cspcheck_main([str(missing)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cspcheck: cannot read input: ")
+        assert "missing.csp" in captured.err
+        assert captured.out == ""
+
     def test_stats_go_to_stderr_not_stdout(self, passing_script, capsys):
         """stdout carries only verdict lines -- diagnostics go to stderr.
 

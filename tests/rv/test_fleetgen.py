@@ -1,5 +1,6 @@
 """The synthetic fleet generator: determinism, faults, round-trips."""
 
+import hashlib
 import json
 import pathlib
 
@@ -123,3 +124,16 @@ class TestWriteFleet:
         assert len(manifest["logs"]) == 5
         for name in manifest["logs"]:
             assert load_log_from_text((directory / name).read_text())
+
+    def test_seeded_fleet_bytes_are_pinned(self, tmp_path):
+        # every payload goes through the CANdb codec, so this pins its
+        # packing too: a codec change must leave the written fleet alone
+        directory = tmp_path / "fleet"
+        write_fleet(str(directory), 40, seed=7, fault_rate=0.25)
+        digest = hashlib.sha256()
+        for path in sorted(directory.iterdir()):
+            digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+        assert (
+            digest.hexdigest()
+            == "5ec7fec36a2bbb4944d17650ee04cc4ce713af06a50bd46c731d7c733a373cdc"
+        )

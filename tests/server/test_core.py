@@ -6,6 +6,7 @@ import pytest
 
 from repro.batch import CheckSpec, execute_spec
 from repro.csp.events import Event
+from repro.exec.resultcache import ResultCache
 from repro.csp.process import Prefix, Stop
 from repro.server import VerificationServer
 from repro.server.protocol import (
@@ -262,3 +263,29 @@ class TestLifecycle:
             assert outcome["code"] == DRAINING
         finally:
             thread.join(timeout=1)
+
+
+class TestResultCacheStore:
+    def test_clear_from_a_second_instance_empties_a_live_store(
+        self, make_server, tmp_path
+    ):
+        # the server and both workers hold the store open; a clear through
+        # an unrelated instance must reach all of their connections
+        directory = str(tmp_path / "rc")
+        server = make_server(workers=2, result_cache_dir=directory)
+        doc = failing_refinement("memo").to_doc()
+        cold = server.submit(doc).result(timeout=60)
+        # the worker wrote the verdict through its own connection
+        assert len(ResultCache(directory)) == 1
+        assert server.result_cache.writes == 0
+        server.submit(doc).result(timeout=60)
+        assert server.stats()["metrics"]["server.result_hits"] == 1
+        ResultCache(directory).clear()
+        assert len(ResultCache(directory)) == 0
+        again = server.submit(doc).result(timeout=60)
+        metrics = server.stats()["metrics"]
+        assert metrics["server.result_hits"] == 1
+        assert metrics["server.executions"] == 2
+        # executed, not answered by a worker's stale view, and written back
+        assert len(ResultCache(directory)) == 1
+        assert again.canonical_line() == cold.canonical_line()

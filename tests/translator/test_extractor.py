@@ -198,3 +198,13 @@ class TestCli:
             [str(path), "--in-channel", "rx", "--out-channel", "tx"]
         ) == 0
         assert "channel rx, tx : msgs" in capsys.readouterr().out
+
+    def test_unreadable_input_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.can"
+        with pytest.raises(SystemExit) as info:
+            capl2cspm_main([str(missing)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("capl2cspm: cannot read input: ")
+        assert "missing.can" in captured.err
+        assert captured.out == ""
