@@ -73,10 +73,10 @@ class ManifestError(ValueError):
 def reachable_bindings(env, *terms, bindings=None):
     """The named equations reachable from *terms*, bodies included.
 
-    Walks each term (and every body it pulls in) for
-    :class:`~repro.csp.process.ProcessRef` nodes and resolves them against
-    *env*, so the returned ``{name: body}`` mapping makes a spec document
-    self-contained -- the precondition for it to be a sound structural key.
+    Resolves the names each term (and every body it pulls in) mentions,
+    :meth:`~repro.csp.process.Process.refs`, against *env*, so the
+    returned ``{name: body}`` mapping makes a spec document self-contained
+    -- the precondition for it to be a sound structural key.
     This is the one implementation behind every spec-construction path:
     ``cspcheck``'s memoisation documents, batch manifests written from
     evaluated models, and rv trace specs.
@@ -84,18 +84,14 @@ def reachable_bindings(env, *terms, bindings=None):
     Names already present in *bindings* (or unbound in *env*) are left
     alone; the caller decides whether an unresolved reference is an error.
     """
-    from ..csp.process import ProcessRef
-
     collected: Dict[str, Process] = dict(bindings or {})
-    stack = list(terms)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ProcessRef) and node.name not in collected:
-            if node.name in env:
-                body = env.resolve(node.name)
-                collected[node.name] = body
-                stack.append(body)
-        stack.extend(item for item in node._key() if isinstance(item, Process))
+    pending = [name for term in terms for name in term.refs()]
+    while pending:
+        name = pending.pop()
+        if name not in collected and name in env:
+            body = env.resolve(name)
+            collected[name] = body
+            pending.extend(body.refs())
     return collected
 
 

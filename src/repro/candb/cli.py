@@ -16,12 +16,13 @@ from typing import Optional, Sequence
 
 from ..cli_common import (
     EXIT_OK,
+    EXIT_USAGE,
     add_observability_args,
     finish_observability,
     tracer_from_args,
 )
 from .cspm_export import export_database, message_inventory
-from .parser import parse_dbc_file
+from .parser import DbcParseError, parse_dbc_file
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -49,11 +50,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
     tracer = tracer_from_args(args)
     with tracer.span("run", tool="dbc2cspm", dbc=args.dbc):
         with tracer.span("parse", dbc=args.dbc):
-            database = parse_dbc_file(args.dbc)
+            try:
+                database = parse_dbc_file(args.dbc)
+            except (OSError, UnicodeDecodeError) as error:
+                parser.exit(
+                    EXIT_USAGE, "dbc2cspm: cannot read input: {}\n".format(error)
+                )
+            except DbcParseError as error:
+                parser.exit(
+                    EXIT_USAGE, "dbc2cspm: {}: {}\n".format(args.dbc, error)
+                )
         with tracer.span("export"):
             if args.inventory:
                 text = message_inventory(database) + "\n"

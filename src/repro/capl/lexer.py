@@ -194,14 +194,15 @@ def tokenize(source: str) -> List[Token]:
             advance_over(text)
             index = end + 1
             continue
-        if char.isdigit():
+        # ASCII only: str.isdigit() also accepts digits such as '²'
+        if "0" <= char <= "9":
             start = index
             if source.startswith("0x", index) or source.startswith("0X", index):
                 index += 2
                 while index < length and source[index] in "0123456789abcdefABCDEF":
                     index += 1
             else:
-                while index < length and (source[index].isdigit() or source[index] == "."):
+                while index < length and source[index] in "0123456789.":
                     index += 1
             text = source[start:index]
             tokens.append(Token("NUMBER", text, line, column))

@@ -4,7 +4,9 @@
 
 * exit codes -- :data:`EXIT_OK` for success, :data:`EXIT_VIOLATION` when the
   tool ran but found a failing assertion / oracle violation / failed sanity
-  check, :data:`EXIT_USAGE` for bad invocations and unreadable inputs;
+  check, :data:`EXIT_USAGE` for bad invocations and unreadable or
+  malformed inputs (one stderr line: ``<tool>: cannot read input: ...``
+  or ``<tool>: <path>: <located message>``);
 * observability flags -- ``--profile`` (per-stage wall-time table on stderr)
   and ``--trace-out=FILE.jsonl`` (full span/metric trace, schema in
   :mod:`repro.obs.schema`); the tracer is enabled iff one of them is given,
@@ -26,7 +28,8 @@ from .obs.trace import NULL_TRACER, Tracer, export_jsonl
 EXIT_OK = 0
 #: the tool ran and found a violation (failed assertion, oracle breach ...)
 EXIT_VIOLATION = 1
-#: the invocation itself was unusable (bad flag value, unreadable input)
+#: the invocation itself was unusable (bad flag value, unreadable or
+#: malformed input)
 EXIT_USAGE = 2
 
 

@@ -15,7 +15,7 @@ module provides:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 Value = Union[str, int, bool, Tuple["Value", ...]]
 
@@ -124,6 +124,10 @@ class Channel:
                 raise ValueError(
                     "field {} of channel {!r} has an empty domain".format(index, name)
                 )
+        #: one set per field for membership; the tuples keep enumeration order
+        self._members: Tuple[FrozenSet[Value], ...] = tuple(
+            frozenset(domain) for domain in self.field_domains
+        )
 
     @property
     def arity(self) -> int:
@@ -138,8 +142,12 @@ class Channel:
                     self.name, self.arity, len(fields)
                 )
             )
-        for index, (field, domain) in enumerate(zip(fields, self.field_domains)):
-            if field not in domain:
+        for index, (field, members) in enumerate(zip(fields, self._members)):
+            try:
+                known = field in members
+            except TypeError:  # unhashable: compare as before, by equality
+                known = field in self.field_domains[index]
+            if not known:
                 raise ValueError(
                     "value {!r} not in domain of field {} of channel {!r}".format(
                         field, index, self.name

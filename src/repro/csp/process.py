@@ -18,7 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .events import Alphabet, Channel, Event, Value
 
@@ -63,10 +72,15 @@ class _InternedMeta(type):
         return term
 
 
+#: the reference set of every term that mentions no name, shared (an empty
+#: frozenset is a new object each time it is built)
+_NO_REFS: FrozenSet[str] = frozenset()
+
+
 class Process(metaclass=_InternedMeta):
     """Base class for all process terms."""
 
-    __slots__ = ("_hash", "_fingerprint", "__weakref__")
+    __slots__ = ("_hash", "_fingerprint", "_refs", "__weakref__")
 
     # -- combinator sugar ---------------------------------------------------
 
@@ -156,6 +170,49 @@ class Process(metaclass=_InternedMeta):
                 digest.update(_canonical(item).encode("utf-8"))
             object.__setattr__(term, "_fingerprint", digest.hexdigest())
         return self._fingerprint
+
+    def refs(self) -> FrozenSet[str]:
+        """The names of the :class:`ProcessRef` nodes inside this term.
+
+        References are not followed, so the set depends only on the term
+        and is cached on the node, computed bottom-up and iteratively like
+        :meth:`fingerprint`.  When one child's set already holds every name
+        (a prefix always; a choice whose branches name the same equations),
+        the term shares that set object instead of building an equal one.
+        """
+        try:
+            return self._refs
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            term = stack[-1]
+            if getattr(term, "_refs", None) is not None:
+                stack.pop()
+                continue
+            children = [item for item in term._key() if isinstance(item, Process)]
+            pending = [
+                child
+                for child in children
+                if getattr(child, "_refs", None) is None
+            ]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if isinstance(term, ProcessRef):
+                names = frozenset((term.name,))
+            else:
+                names = _NO_REFS
+                for child in children:
+                    if not child._refs <= names:
+                        names = (
+                            child._refs
+                            if names <= child._refs
+                            else names | child._refs
+                        )
+            object.__setattr__(term, "_refs", names)
+        return self._refs
 
 
 class Stop(Process):

@@ -8,7 +8,8 @@ enumerated-channel-set syntax, ``assert`` statements and comments.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple
 
 
 class CspmSyntaxError(SyntaxError):
@@ -106,89 +107,63 @@ _OPERATORS = [
 ]
 
 
+#: every token class, tried in this order at each position.  Whitespace,
+#: closed block comments and ``--`` comments are skipped; a ``{-`` that no
+#: ``-}`` closes is an error at its start.  A name continues with
+#: ``str.isalnum`` characters, ``_`` and ``'`` (``\w`` is ``isalnum`` or
+#: ``_``); it must start with a letter or ``_``, which ``tokenize`` checks,
+#: because ``[^\W\d]`` also admits non-letters such as ``²``.  Operators
+#: go longest first.
+_TOKEN = re.compile(
+    r"(?P<SKIP>[ \t\r\n]+|\{-.*?-\})"
+    r"|(?P<COMMENT>--[^\n]*)"
+    r"|(?P<OPEN_COMMENT>\{-)"
+    r"|(?P<NUMBER>[0-9]+)"
+    r"|(?P<NAME>[^\W\d][\w']*)"
+    r"|(?P<OPERATOR>" + "|".join(re.escape(symbol) for symbol, _ in _OPERATORS)
+    + r")|(?P<BAD>.)",
+    re.DOTALL,
+)
+_OPERATOR_KINDS = dict(_OPERATORS)
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenise CSPm source into a list of tokens ending with EOF.
 
     Raises :class:`CspmSyntaxError` on any character that cannot start a
     token.  Both ``--`` line comments and ``{- -}`` block comments are
-    stripped.
+    stripped; a ``--`` comment that ends the source puts EOF at its start.
+    Integer literals are ASCII ``0-9`` only.
     """
     tokens: List[Token] = []
-    line = 1
-    column = 1
-    index = 0
-    length = len(source)
-
-    def error(message: str) -> CspmSyntaxError:
-        return CspmSyntaxError(message, line, column)
-
-    while index < length:
-        char = source[index]
-        if char == "\n":
-            index += 1
-            line += 1
-            column = 1
-            continue
-        if char in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if source.startswith("--", index):
-            end = source.find("\n", index)
-            if end == -1:
-                break
-            column += end - index
-            index = end
-            continue
-        if source.startswith("{-", index):
-            end = source.find("-}", index + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            skipped = source[index : end + 2]
-            newlines = skipped.count("\n")
+    line, line_start, end = 1, 0, len(source)
+    for match in _TOKEN.finditer(source):
+        kind, text, start = match.lastgroup, match.group(), match.start()
+        if kind == "SKIP":
+            newlines = text.count("\n")
             if newlines:
                 line += newlines
-                column = len(skipped) - skipped.rfind("\n")
+                line_start = start + text.rfind("\n") + 1
+            continue
+        column = start - line_start + 1
+        if kind == "COMMENT":
+            if match.end() == end:
+                end = start
+            continue
+        if kind == "NAME":
+            if not (text[0].isalpha() or text[0] == "_"):
+                kind, text = "BAD", text[0]
+            elif text == "_":
+                kind = "UNDERSCORE"  # the wildcard, not an identifier
             else:
-                column += len(skipped)
-            index = end + 2
-            continue
-        if char.isdigit():
-            start = index
-            while index < length and source[index].isdigit():
-                index += 1
-            text = source[start:index]
-            tokens.append(Token("NUMBER", text, line, column))
-            column += len(text)
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] in "_'"):
-                index += 1
-            text = source[start:index]
-            kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-            # a lone underscore is the wildcard token, not an identifier
-            if text == "_":
-                kind = "UNDERSCORE"
-            tokens.append(Token(kind, text, line, column))
-            column += len(text)
-            continue
-        matched: Optional[Token] = None
-        for symbol, kind in _OPERATORS:
-            if source.startswith(symbol, index):
-                matched = Token(kind, symbol, line, column)
-                break
-        if matched is None:
-            raise error("unexpected character {!r}".format(char))
-        tokens.append(matched)
-        index += len(matched.text)
-        column += len(matched.text)
-    tokens.append(Token("EOF", "", line, column))
+                kind = "KEYWORD" if text in KEYWORDS else "IDENT"
+        elif kind == "OPERATOR":
+            kind = _OPERATOR_KINDS[text]
+        if kind == "BAD":
+            message = "unexpected character {!r}".format(text)
+            raise CspmSyntaxError(message, line, column)
+        if kind == "OPEN_COMMENT":
+            raise CspmSyntaxError("unterminated block comment", line, column)
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens
-
-
-def iter_significant(tokens: List[Token]) -> Iterator[Token]:
-    """All tokens except the trailing EOF (helper for tests/debugging)."""
-    for token in tokens:
-        if token.kind != "EOF":
-            yield token

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from ..csp.events import AlphabetTable
 from ..csp.lts import LTS, StateSpaceLimitExceeded
-from ..csp.process import Environment, Process, ProcessRef
+from ..csp.process import Environment, Process
 from ..fdr.normalise import NormalisedSpec
 from ..obs.trace import NULL_TRACER, Tracer
 from .diskcache import DiskCache
@@ -34,21 +34,22 @@ _UNBOUND = "<unbound>"
 def reachable_bindings(
     process: Process, env: Environment
 ) -> Tuple[Tuple[str, str], ...]:
-    """The named equations reachable from *process*, with body fingerprints."""
+    """The named equations reachable from *process*, with body fingerprints.
+
+    A closure over :meth:`Process.refs`, which each hash-consed term caches:
+    the environment is read afresh on every call, so a rebound name changes
+    the key.
+    """
     seen: Dict[str, Optional[Process]] = {}
-    stack = [process]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, ProcessRef) and term.name not in seen:
-            if term.name in env:
-                body = env.resolve(term.name)
-                seen[term.name] = body
-                stack.append(body)
-            else:
-                seen[term.name] = None
-        stack.extend(
-            item for item in term._key() if isinstance(item, Process)
-        )
+    pending = list(process.refs())
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        body = env.resolve(name) if name in env else None
+        seen[name] = body
+        if body is not None:
+            pending.extend(body.refs())
     return tuple(
         sorted(
             (name, body.fingerprint() if body is not None else _UNBOUND)

@@ -38,7 +38,8 @@ from ..cli_common import (
     result_cache_dir_from_args,
     tracer_from_args,
 )
-from ..cspm.evaluator import load_file
+from ..cspm.evaluator import CspmEvaluationError, load_file
+from ..cspm.lexer import CspmSyntaxError
 from ..engine.pipeline import VerificationPipeline
 
 
@@ -166,9 +167,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with tracer.span("parse", script=args.script):
             try:
                 model = load_file(args.script)
-            except OSError as error:
+            except (OSError, UnicodeDecodeError) as error:
                 parser.exit(
                     EXIT_USAGE, "cspcheck: cannot read input: {}\n".format(error)
+                )
+            except (CspmSyntaxError, CspmEvaluationError) as error:
+                parser.exit(
+                    EXIT_USAGE, "cspcheck: {}: {}\n".format(args.script, error)
                 )
         if not model.assertions:
             sys.stderr.write("warning: script declares no assertions\n")
@@ -197,9 +202,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if stored is not None:
                     results.append(_result_of_stored(stored))
                     continue
-            result = model.check_assertion(
-                decl, int(args.max_states), pipeline
-            )
+            try:
+                result = model.check_assertion(
+                    decl, int(args.max_states), pipeline
+                )
+            except CspmEvaluationError as error:
+                # an assertion side is evaluated only when it is checked
+                parser.exit(
+                    EXIT_USAGE, "cspcheck: {}: {}\n".format(args.script, error)
+                )
             results.append(result)
             if doc is not None:
                 from ..batch.spec import JobResult

@@ -21,6 +21,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..capl import CaplSyntaxError
 from ..cli_common import (
     EXIT_OK,
     EXIT_USAGE,
@@ -158,7 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.exit(EXIT_USAGE, "csplearn: --max-rounds must be >= 1\n")
     try:
         source = _read_source(args.source)
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         parser.exit(
             EXIT_USAGE, "csplearn: cannot read input: {}\n".format(error)
         )
@@ -176,6 +177,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.teacher == "reference"
             else None  # learn() builds the bounded teacher itself
         )
+    except CaplSyntaxError as error:
+        parser.exit(EXIT_USAGE, "csplearn: {}: {}\n".format(args.source, error))
     except (LearnError, OSError, ValueError) as error:
         parser.exit(EXIT_USAGE, "csplearn: {}\n".format(error))
     try:

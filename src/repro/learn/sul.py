@@ -4,9 +4,12 @@ Active learning (Angluin's L*) needs exactly one capability from the
 black box: answer *membership queries* -- "is this word a behaviour of
 yours?" -- from a resettable initial state.  Two systems provide it:
 
-* :class:`CaplSimulatorSUL` -- the real thing.  Each query is one fresh,
-  deterministic simulator run: a :class:`~repro.capl.CaplNode` interprets
-  the CAPL source on a :class:`~repro.canbus.CanBus`, the query word's
+* :class:`CaplSimulatorSUL` -- the real thing.  The CAPL source is parsed
+  once, when the SUL is built.  Each query is one fresh, deterministic
+  simulator run: a fresh :class:`~repro.capl.CaplNode` interprets that
+  one parsed program on a fresh :class:`~repro.canbus.CanBus` (the
+  interpreter only reads the program, so a reset is a new interpreter,
+  not a new parse), the query word's
   ``send.<req>`` symbols become delivered frames, and the node's
   transmissions (read back off the bus log and mapped to CSP events
   through the :mod:`repro.rv.mapping` layer, like any logged traffic)
@@ -121,9 +124,10 @@ class CaplSimulatorSUL:
         self.in_channel = in_channel
         self.out_channel = out_channel
         self.message_specs = dict(message_specs)
-        program = parse(source)
+        #: the parsed source every query's fresh interpreter runs
+        self.program = parse(source)
         inputs = []
-        for handler in program.message_handlers():
+        for handler in self.program.message_handlers():
             selector = handler.selector
             if selector == "*":
                 # a wildcard handler reacts to every known message
@@ -142,7 +146,7 @@ class CaplSimulatorSUL:
                 "the program handles no messages; nothing to learn"
             )
         outputs = []
-        for decl in program.message_declarations():
+        for decl in self.program.message_declarations():
             message_type = decl.message_type
             if isinstance(message_type, int):
                 message_type = self._name_of_id(message_type)
@@ -183,7 +187,7 @@ class CaplSimulatorSUL:
         scheduler = Scheduler()
         bus = CanBus(scheduler)
         try:
-            node = CaplNode(self.node, bus, self.source, self.message_specs)
+            node = CaplNode(self.node, bus, self.program, self.message_specs)
             node.on_start()
             scheduler.run()
         except CaplRuntimeError as failure:

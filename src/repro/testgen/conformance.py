@@ -14,10 +14,11 @@ regression suite, the 'systematic security testing' of the paper's abstract.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..canbus import CanBus, CanFrame, Scheduler
-from ..capl import CaplNode
+from ..capl import CaplNode, parse
+from ..capl.ast_nodes import Program
 from ..capl.interpreter import MessageSpec
 from ..csp.events import Event
 from ..csp.lts import LTS
@@ -70,7 +71,7 @@ def _stimuli_of(test: Trace, in_channel: str) -> List[str]:
 
 
 def run_test(
-    ecu_source: str,
+    ecu_source: Union[str, Program],
     test: Trace,
     message_specs: Mapping[str, MessageSpec],
     spec_lts: LTS,
@@ -82,6 +83,7 @@ def run_test(
     Stimuli are injected one at a time (each followed by a scheduler flush,
     so responses interleave deterministically); the observed exchange is
     rebuilt as a trace and checked for membership in the specification.
+    *ecu_source* is CAPL text or an already parsed :class:`Program`.
     """
     scheduler = Scheduler()
     bus = CanBus(scheduler)
@@ -120,10 +122,10 @@ def run_suite(
     # the harness then walks the compressed product instead of the full one
     prepared = pipeline.plan.prepare(specification, "T")
     spec_lts = pipeline.compile(prepared.term)
+    # every test runs a fresh ECU instance over the one parsed program
+    program = parse(ecu_source)
     verdicts = [
-        run_test(
-            ecu_source, test, message_specs, spec_lts, in_channel, out_channel
-        )
+        run_test(program, test, message_specs, spec_lts, in_channel, out_channel)
         for test in tests
     ]
     return ConformanceReport(tuple(verdicts))

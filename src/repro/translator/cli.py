@@ -17,6 +17,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from ..capl import CaplSyntaxError
 from ..cli_common import (
     EXIT_OK,
     EXIT_USAGE,
@@ -26,7 +27,7 @@ from ..cli_common import (
     tracer_from_args,
 )
 from .extractor import ExtractorConfig, ModelExtractor
-from .rules import ChannelConvention
+from .rules import ChannelConvention, TranslationError
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -65,9 +66,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with tracer.span("parse", capl=args.capl):
             try:
                 result = extractor.extract_file(args.capl, args.node)
-            except OSError as error:
+            except (OSError, UnicodeDecodeError) as error:
                 parser.exit(
                     EXIT_USAGE, "capl2cspm: cannot read input: {}\n".format(error)
+                )
+            except (CaplSyntaxError, TranslationError) as error:
+                parser.exit(
+                    EXIT_USAGE, "capl2cspm: {}: {}\n".format(args.capl, error)
                 )
         if args.output:
             result.write(args.output)

@@ -188,6 +188,12 @@ class TestRealSources:
             parse(source)
         assert (info.value.line, info.value.column) == (2, 11)
 
+    def test_non_ascii_digit_is_not_part_of_a_literal(self):
+        # str.isdigit() accepts '²'; an integer literal is ASCII 0-9 only
+        with pytest.raises(CaplSyntaxError) as info:
+            parse("void f() {\n  int x;\n  x = 1²;\n}\n")
+        assert str(info.value) == "unexpected character '²' (line 3, column 8)"
+
 
 class TestEmptyStatement:
     def test_bare_semicolon_is_empty_statement(self):

@@ -78,8 +78,11 @@ class TestChannel:
 
     def test_out_of_domain_rejected(self):
         send = Channel("send", ["reqSw"])
-        with pytest.raises(ValueError):
-            send("nope")
+        message = "value {!r} not in domain of field 0 of channel 'send'"
+        for value in ("nope", ["reqSw"]):  # an unhashable value too
+            with pytest.raises(ValueError) as raised:
+                send(value)
+            assert str(raised.value) == message.format(value)
 
     def test_zero_arity_channel(self):
         tick_tock = Channel("tock")

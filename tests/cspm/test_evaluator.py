@@ -44,6 +44,17 @@ class TestTypesAndChannels:
         model = load("channel c : {0..2}")
         assert model.channels["c"].field_domains == ((0, 1, 2),)
 
+    def test_wide_domain_input_prefix_builds_every_event(self):
+        # membership is one set lookup per field, so this loads in linear time
+        model = load("channel c : {0..20000}\nP = c?x -> P\n")
+        body, initials = model.env.resolve("P"), []
+        while isinstance(body, ExternalChoice):
+            initials.append(body.left.event)
+            body = body.right
+        initials.append(body.event)
+        assert len(initials) == 20001
+        assert initials == list(model.channels["c"].events())
+
     def test_multi_field_channel(self):
         model = load("datatype m = a | b\nnametype N = {0..1}\nchannel c : m.N")
         assert model.channels["c"].arity == 2

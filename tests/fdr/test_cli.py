@@ -54,6 +54,33 @@ class TestCspcheck:
         assert "missing.csp" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "content,expected",
+        [
+            (
+                b"P = STOP\xff\n",
+                "cannot read input: 'utf-8' codec can't decode byte 0xff in "
+                "position 8: invalid start byte",
+            ),
+            (b"P = (STOP\n", "{path}: expected 'RPAREN' (found '<eof>') (line 2, column 1)"),
+            (b"P = c!1 -> STOP\n", "{path}: prefix on undeclared channel 'c'"),
+            (b"P = STOP\nassert P [T= NOPE\n", "{path}: undefined process 'NOPE'"),
+        ],
+        ids=["non-utf8", "syntax", "undeclared-channel", "undefined-in-assert"],
+    )
+    def test_bad_script_exits_two_with_one_line(
+        self, tmp_path, capsys, content, expected
+    ):
+        path = tmp_path / "bad.csp"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as info:
+            cspcheck_main([str(path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err == "cspcheck: {}\n".format(expected.format(path=path))
+        assert captured.out == ""
+
     def test_stats_go_to_stderr_not_stdout(self, passing_script, capsys):
         """stdout carries only verdict lines -- diagnostics go to stderr.
 

@@ -111,6 +111,33 @@ def test_unreadable_input_is_a_usage_error(tmp_path):
     assert caught.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "content,expected",
+    [
+        (
+            b"on start { \xff }\n",
+            "cannot read input: 'utf-8' codec can't decode byte 0xff in "
+            "position 11: invalid start byte",
+        ),
+        (
+            b"variables { int x = ; }\n",
+            "{path}: expected an expression (found ';') (line 1, column 21)",
+        ),
+    ],
+    ids=["non-utf8", "syntax"],
+)
+def test_bad_source_exits_two_with_one_line(tmp_path, capsys, content, expected):
+    path = tmp_path / "bad.can"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as caught:
+        main([str(path)])
+    assert caught.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err == "csplearn: {}\n".format(expected.format(path=path))
+    assert captured.out == ""
+
+
 def test_unlearnable_program_is_a_usage_error(tmp_path):
     path = tmp_path / "empty.can"
     path.write_text("variables { }\non start { }\n")

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.capl import Parser, parse
 from repro.csp.lts import compile_lts
 from repro.learn import CaplSimulatorSUL, ReferenceTeacher, derive_message_specs, learn
 from repro.ota.capl_sources import ECU_SECURITY_ACCESS_SOURCE
@@ -25,19 +26,26 @@ with open(os.path.join(CORPUS_DIR, "corpus.json"), "r", encoding="utf-8") as fh:
 ENTRIES = MANIFEST["entries"]
 
 
-def _learn_entry(entry):
+def _source(entry):
     path = os.path.join(CORPUS_DIR, entry["file"])
     with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+        return handle.read()
+
+
+def _teacher(entry, source):
+    if entry["teacher"] != "reference":
+        return None  # bounded conformance testing inside learn()
+    model = ModelExtractor().extract(source, entry["node"]).load()
+    reference = compile_lts(
+        model.process(entry["node"]), model.env, max_states=100_000
+    )
+    return ReferenceTeacher(reference)
+
+
+def _learn_entry(entry):
+    source = _source(entry)
     sul = CaplSimulatorSUL(source, derive_message_specs(source), node=entry["node"])
-    if entry["teacher"] == "reference":
-        model = ModelExtractor().extract(source, entry["node"]).load()
-        reference = compile_lts(
-            model.process(entry["node"]), model.env, max_states=100_000
-        )
-        teacher = ReferenceTeacher(reference)
-    else:
-        teacher = None  # bounded conformance testing inside learn()
+    teacher = _teacher(entry, source)
     return learn(sul, teacher=teacher, depth=entry["depth"], max_rounds=64)
 
 
@@ -49,6 +57,31 @@ def test_corpus_entry_learns_to_its_pinned_fingerprint(entry):
     assert result.state_count == entry["states"]
     assert result.transition_count == entry["transitions"]
     assert result.fingerprint() == entry["fingerprint"]
+
+
+@pytest.mark.parametrize(
+    "entry", ENTRIES, ids=[entry["file"] for entry in ENTRIES]
+)
+def test_corpus_learn_parses_its_program_once(entry, monkeypatch):
+    source = _source(entry)
+    specs = derive_message_specs(source)
+    teacher = _teacher(entry, source)
+    parsed = []
+    parse_program = Parser.parse_program
+
+    def counting_parse_program(parser):
+        parsed.append(parser)
+        return parse_program(parser)
+
+    monkeypatch.setattr(Parser, "parse_program", counting_parse_program)
+    sul = CaplSimulatorSUL(source, specs, node=entry["node"])
+    result = learn(sul, teacher=teacher, depth=entry["depth"], max_rounds=64)
+    monkeypatch.undo()
+    assert result.fingerprint() == entry["fingerprint"]
+    assert result.stats.sul_runs > 1
+    assert len(parsed) == 1
+    # every query's interpreter shared the program and left it as parsed
+    assert sul.program == parse(source)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Conformance testing: model-derived suites against CAPL implementations."""
 
+from repro.capl import Parser
 from repro.ota import build_session_system
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.messages import CAN_MESSAGE_SPECS
@@ -37,6 +38,22 @@ class TestGeneratedSuite:
         # response was specified
         assert str(failure.observed[-1]) == "rec.rptUpd"
         assert "FAIL" in failure.describe()
+
+    def test_suite_parses_the_ecu_source_once(self, monkeypatch):
+        session, tests, spec = session_suite()
+        parsed = []
+        parse_program = Parser.parse_program
+
+        def counting_parse_program(parser):
+            parsed.append(parser)
+            return parse_program(parser)
+
+        monkeypatch.setattr(Parser, "parse_program", counting_parse_program)
+        report = run_suite(
+            ECU_FLAWED_SOURCE, tests * 3, spec, CAN_MESSAGE_SPECS, session.env
+        )
+        assert len(report.verdicts) == 3 and len(report.failures) == 3
+        assert len(parsed) == 1
 
     def test_report_summary_counts(self):
         session, tests, spec = session_suite()

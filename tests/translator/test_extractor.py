@@ -208,3 +208,35 @@ class TestCli:
         assert captured.err.startswith("capl2cspm: cannot read input: ")
         assert "missing.can" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "content,expected",
+        [
+            (
+                b"on start { \xff }\n",
+                "cannot read input: 'utf-8' codec can't decode byte 0xff in "
+                "position 11: invalid start byte",
+            ),
+            (
+                b"variables { int x = ; }\n",
+                "{path}: expected an expression (found ';') (line 1, column 21)",
+            ),
+            (
+                b"variables { message 0x1 m; }\non message req { output(1); }\n",
+                "{path}: output() argument must be a message variable",
+            ),
+        ],
+        ids=["non-utf8", "syntax", "untranslatable"],
+    )
+    def test_bad_source_exits_two_with_one_line(
+        self, tmp_path, capsys, content, expected
+    ):
+        path = tmp_path / "bad.can"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as info:
+            capl2cspm_main([str(path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err == "capl2cspm: {}\n".format(expected.format(path=path))
+        assert captured.out == ""
