@@ -149,8 +149,8 @@ def denotational_traces(
     """
     env = env or Environment()
 
-    def bounded(traces: Iterable[Trace]) -> Set[Trace]:
-        return {tr for tr in traces if len(tr) <= max_length}
+    def bounded(traces: Iterable[Trace], budget: int) -> Set[Trace]:
+        return {tr for tr in traces if len(tr) <= budget}
 
     def go(term: Process, budget: int) -> Set[Trace]:
         if budget < 0:
@@ -207,8 +207,10 @@ def denotational_traces(
             # hidden trace of length k may come from an unhidden trace of
             # any length.  We bound the *underlying* exploration by a fixed
             # expansion factor, which is exact when hidden cycles are absent.
+            # cut to this term's own budget, not the caller's max_length: an
+            # enclosing hiding explores this term deeper than that
             inner = go(term.process, budget + _hiding_slack(term, budget))
-            return bounded({hide_trace(tr, term.hidden) for tr in inner})
+            return bounded({hide_trace(tr, term.hidden) for tr in inner}, budget)
         if isinstance(term, Renaming):
             inner = go(term.process, budget)
             return {
@@ -222,7 +224,7 @@ def denotational_traces(
             return go(env.resolve(term.name), budget)
         raise TypeError("unknown process term: {!r}".format(term))
 
-    return bounded(go(process, max_length))
+    return bounded(go(process, max_length), max_length)
 
 
 def _hiding_slack(term: Hiding, budget: int) -> int:

@@ -38,9 +38,11 @@ from ..cli_common import (
     result_cache_dir_from_args,
     tracer_from_args,
 )
+from ..csp.lts import StateSpaceLimitExceeded
 from ..cspm.evaluator import CspmEvaluationError, load_file
 from ..cspm.lexer import CspmSyntaxError
 from ..engine.pipeline import VerificationPipeline
+from .assertions import PropertyAssertion, RefinementAssertion
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -136,6 +138,33 @@ def _assertion_doc(model, decl, max_states: int, passes: str):
     return doc
 
 
+class _ExceededBudget:
+    """An assertion whose check ran out of state budget: not passed."""
+
+    passed = False
+    pass_stats = ()
+
+    def __init__(self, name: str, error: StateSpaceLimitExceeded) -> None:
+        self.name = name
+        self.error = error
+
+    def summary(self) -> str:
+        return "{}: ERROR -- {}: {}".format(
+            self.name, type(self.error).__name__, self.error
+        )
+
+
+def _assertion_label(model, decl) -> str:
+    """The name a check of *decl* reports its result under."""
+    left = model.eval_process(decl.left, {})
+    if decl.kind in ("T", "F", "FD"):
+        right = model.eval_process(decl.right, {})
+        label = RefinementAssertion(left, right, decl.kind).name
+    else:
+        label = PropertyAssertion(left, decl.kind).name
+    return "not ({})".format(label) if decl.negated else label
+
+
 def _result_of_stored(stored) -> "CheckResult":
     """A displayable check result rebuilt from a memoised JobResult.
 
@@ -211,6 +240,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.exit(
                     EXIT_USAGE, "cspcheck: {}: {}\n".format(args.script, error)
                 )
+            except StateSpaceLimitExceeded as error:
+                # reported on the assertion's line, as cspbatch reports it;
+                # never memoised, since a larger budget may decide it
+                label = _assertion_label(model, decl)
+                results.append(_ExceededBudget(label, error))
+                continue
             results.append(result)
             if doc is not None:
                 from ..batch.spec import JobResult

@@ -20,7 +20,7 @@ refinement  engine ``[T=`` verdict differs from the subset definition
 lazy-eager  on-the-fly and eager refinement disagree (verdict or cex)
 kernel      the flat-array kernel diverges from the pre-refactor semantics
 spine       a materialised composition spine differs from compile_lts
-cache       a compilation-cache hit changes a verdict or counterexample
+cache       a compilation-cache or trace-memo hit changes a verdict or cex
 compression a semantic pass changes a verdict, counterexample or deadlock
 batch       the batch wire format or executor changes a verdict or trace
 result_cache a memoised verdict differs from a fresh execution's bytes
@@ -46,11 +46,12 @@ from ..csp.lts import (
     compile_lts,
     reachable_visible_traces,
 )
-from ..csp.process import Process
+from ..csp.process import SKIP, STOP, Prefix, Process
 from ..csp.traces import denotational_traces
 from ..engine import CompilationCache, ProductLTS, VerificationPipeline
 from ..fdr.counterexample import FailureCounterexample, TraceCounterexample
 from ..fdr.normalise import NormalisedSpec, normalise
+from ..rv.check import SPEC_MEMO, check_trace_membership
 from . import gen as g
 from .gen import CaplProgram, Gen
 
@@ -340,6 +341,74 @@ def check_cache(value) -> None:
             if not cached.passed:
                 _genuine_counterexample(spec, impl, cached, "shared-cache")
                 _genuine_counterexample(spec, impl, cold, "cold")
+    _check_trace_memo((p, q, r))
+
+
+#: bounded traces per spec the cache oracle walks through the trace memo
+_MEMO_TRACES = 3
+
+
+def _membership_traces(spec: Process) -> List[Tuple[Event, ...]]:
+    """A few of *spec*'s bounded traces, each with one-event mutations."""
+    members = sorted(_traces(spec), key=lambda trace: (-len(trace), str(trace)))
+    chosen = []
+    for trace in members[:_MEMO_TRACES]:
+        chosen.append(trace)
+        open_ended = not trace or not trace[-1].is_tick()
+        for event in _EVENTS[:2]:
+            if open_ended:
+                chosen.append(trace + (event,))
+            if trace and trace[-1] != event:
+                chosen.append(trace[:-1] + (event,))
+    return chosen
+
+
+def _linear(trace: Tuple[Event, ...]) -> Process:
+    """The process performing exactly *trace* (ending in SKIP after a tick)."""
+    if trace and trace[-1].is_tick():
+        impl, events = SKIP, trace[:-1]
+    else:
+        impl, events = STOP, trace
+    for event in reversed(events):
+        impl = Prefix(event, impl)
+    return impl
+
+
+def _check_trace_memo(specs: Sequence[Process]) -> None:
+    """Trace membership agrees across memo misses, hits and a cleared memo.
+
+    The first round fills the memo (each spec misses once), the second
+    walks every trace again on hits among the other specs' entries, and
+    the last clears the memo before every walk.
+    """
+    jobs = [(spec, trace) for spec in specs for trace in _membership_traces(spec)]
+    SPEC_MEMO.clear()
+    rounds = [[check_trace_membership(spec, trace) for spec, trace in jobs]]
+    rounds.append([check_trace_membership(spec, trace) for spec, trace in jobs])
+    cleared = []
+    for spec, trace in jobs:
+        SPEC_MEMO.clear()
+        cleared.append(check_trace_membership(spec, trace))
+    rounds.append(cleared)
+    for (spec, trace), results in zip(jobs, zip(*rounds)):
+        outcomes = []
+        for result in results:
+            violation = result.counterexample
+            if violation is not None:
+                violation = (violation.position, violation.trace, violation.forbidden)
+            outcomes.append((result.passed, violation))
+        if len(set(outcomes)) != 1:
+            raise OracleViolation(
+                "trace memo changed the membership of {} in {!r}: first walk "
+                "{}, memo hit {}, cleared memo {}".format(trace, spec, *outcomes)
+            )
+        impl = _linear(trace)
+        refines = VerificationPipeline().refinement(spec, impl, "T").passed
+        if refines != results[0].passed:
+            raise OracleViolation(
+                "membership of {} in {!r} is {}, but {!r} [T= {!r} is "
+                "{}".format(trace, spec, results[0].passed, spec, impl, refines)
+            )
 
 
 # -- oracle: compression passes -----------------------------------------------------
@@ -927,8 +996,9 @@ _register(
 _register(
     Oracle(
         "cache",
-        "compilation-cache hits never change a verdict or counterexample",
-        "repro.engine.cache",
+        "compilation-cache and trace-memo hits never change a verdict or "
+        "counterexample",
+        "repro.engine.cache, repro.rv.check",
         g.tuples(_PROCESSES, _PROCESSES, _PROCESSES),
         check_cache,
     )

@@ -160,8 +160,23 @@ def parse_candump_line(text: str, line: int = 1, path: Optional[str] = None) -> 
     )
 
 
+def _bad_field(
+    field: str, value: object, expected: str, line: int, path: Optional[str]
+) -> LogParseError:
+    return LogParseError(
+        "bad {} {!r} (expected {})".format(field, value, expected), line, path
+    )
+
+
 def parse_tracelog_line(text: str, line: int = 1, path: Optional[str] = None) -> LogRecord:
-    """Parse one tracelog-JSONL object into a :class:`LogRecord`."""
+    """Parse one tracelog-JSONL object into a :class:`LogRecord`.
+
+    Field types are those :meth:`repro.canbus.tracelog.TraceEntry.to_doc`
+    writes, checked exactly: ``t`` and ``id`` non-negative integers,
+    ``data`` a list of integer bytes, ``extended`` and ``remote`` JSON
+    booleans, ``sender`` and ``name`` strings (the optional ones may be
+    absent; null counts as absent for ``sender`` and ``name``).
+    """
     try:
         doc = json.loads(text)
     except ValueError as error:
@@ -178,29 +193,43 @@ def parse_tracelog_line(text: str, line: int = 1, path: Optional[str] = None) ->
         raise LogParseError(
             "tracelog line is missing {}".format(error), line, path
         ) from None
-    if not isinstance(time_us, int) or time_us < 0:
+    # exact type tests: a JSON true is a Python int subclass, and would
+    # otherwise pass as timestamp, identifier or payload byte 1
+    if type(time_us) is not int or time_us < 0:
         raise LogParseError(
             "bad timestamp {!r} (expected non-negative microseconds)".format(time_us),
             line,
             path,
         )
-    if not isinstance(can_id, int) or can_id < 0:
+    if type(can_id) is not int or can_id < 0:
         raise LogParseError("bad identifier {!r}".format(can_id), line, path)
     if not (
-        isinstance(data, list)
-        and all(isinstance(b, int) and 0 <= b <= 255 for b in data)
+        type(data) is list
+        and all(type(b) is int and 0 <= b <= 255 for b in data)
     ):
         raise LogParseError(
             "bad payload {!r} (expected a byte list)".format(data), line, path
         )
+    extended = doc.get("extended", False)
+    if type(extended) is not bool:
+        raise _bad_field("extended flag", extended, "true or false", line, path)
+    remote = doc.get("remote", False)
+    if type(remote) is not bool:
+        raise _bad_field("remote flag", remote, "true or false", line, path)
+    sender = doc.get("sender")
+    if sender is not None and type(sender) is not str:
+        raise _bad_field("sender", sender, "a string", line, path)
+    name = doc.get("name")
+    if name is not None and type(name) is not str:
+        raise _bad_field("name", name, "a string", line, path)
     return LogRecord(
         time_us,
         can_id,
         bytes(data),
-        extended=bool(doc.get("extended", False)),
-        remote=bool(doc.get("remote", False)),
-        sender=doc.get("sender"),
-        name=doc.get("name"),
+        extended=extended,
+        remote=remote,
+        sender=sender,
+        name=name,
         line=line,
     )
 

@@ -174,9 +174,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         server.start()
         try:
             if endpoint is None:
+                # raw bytes: each line is decoded by the protocol layer, so
+                # a non-UTF-8 line is a bad_request in every locale
                 served = serve_stdio(
                     server,
-                    sys.stdin,
+                    getattr(sys.stdin, "buffer", sys.stdin),
                     sys.stdout,
                     drain_timeout=args.drain_timeout,
                 )

@@ -26,7 +26,7 @@ would produce byte-identical canonical results coalesce.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 #: bump when the request/response shapes change; responses carry it
 SERVER_PROTOCOL_VERSION = 1
@@ -126,16 +126,28 @@ def parse_request(doc: Any) -> Dict[str, Any]:
     return doc
 
 
-def parse_request_line(line: str, max_bytes: Optional[int]) -> Dict[str, Any]:
-    """Parse one stdio-JSONL request line, enforcing the size cap first."""
-    encoded = line.encode("utf-8", errors="replace")
-    if max_bytes is not None and len(encoded) > max_bytes:
+def parse_request_line(
+    line: Union[str, bytes], max_bytes: Optional[int]
+) -> Dict[str, Any]:
+    """Parse one stdio-JSONL request line, enforcing the size cap first.
+
+    A raw *line* (bytes, as read from a binary stdin) is decoded here, so
+    an undecodable one is a ``bad_request`` whatever the locale.
+    """
+    if isinstance(line, bytes):
+        size = len(line)
+    else:
+        size = len(line.encode("utf-8", errors="replace"))
+    if max_bytes is not None and size > max_bytes:
         raise Rejection(
             OVERSIZE,
-            "request of {} bytes exceeds the {} byte cap".format(
-                len(encoded), max_bytes
-            ),
+            "request of {} bytes exceeds the {} byte cap".format(size, max_bytes),
         )
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ProtocolError("request is not UTF-8 text: {}".format(error))
     try:
         doc = json.loads(line)
     except (ValueError, RecursionError) as error:

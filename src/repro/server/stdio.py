@@ -36,17 +36,19 @@ _Slot = Union[dict, Ticket]
 
 def serve_stdio(
     server: VerificationServer,
-    stdin: Iterable[str],
+    stdin: Iterable[Union[str, bytes]],
     stdout: IO[str],
     *,
     drain_timeout: Optional[float] = None,
 ) -> int:
     """Run the request/response loop until EOF or ``shutdown``.
 
-    Returns the number of requests served.  The *server* must already be
-    started; it is drained (bounded by *drain_timeout*) before the loop
-    returns, so by then every admitted check has produced its response
-    line.
+    *stdin* yields request lines as text or as raw bytes; raw lines are
+    decoded one by one, so a line that is not UTF-8 is answered
+    ``bad_request`` and the loop goes on.  Returns the number of requests
+    served.  The *server* must already be started; it is drained (bounded
+    by *drain_timeout*) before the loop returns, so by then every admitted
+    check has produced its response line.
     """
     slots = []
     served = 0

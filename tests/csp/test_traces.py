@@ -88,6 +88,12 @@ class TestPaperEquations:
         process = Hiding(sequence(A, B), Alphabet.of(A))
         assert denotational_traces(process, max_length=3) == {(), (B,)}
 
+    def test_nested_hiding_keeps_traces_longer_than_the_bound(self):
+        # the inner hiding must not cut its traces to the caller's bound:
+        # <a, tick> is longer than 1, but hides to <tick>
+        process = Hiding(Hiding(Prefix(A, SKIP), Alphabet()), Alphabet.of(A))
+        assert denotational_traces(process, max_length=1) == {(), (TICK,)}
+
     def test_traces_parallel_sync(self):
         sync = Alphabet.of(A)
         process = GenParallel(Prefix(A, STOP), Prefix(A, STOP), sync)

@@ -81,6 +81,35 @@ class TestCspcheck:
         assert captured.err == "cspcheck: {}\n".format(expected.format(path=path))
         assert captured.out == ""
 
+    def test_exceeded_budget_is_reported_per_assertion(self, tmp_path, capsys):
+        from repro.csp.lts import StateSpaceLimitExceeded
+        from repro.exec.resultcache import ResultCache
+
+        path = tmp_path / "big.csp"
+        path.write_text(
+            "channel a, b\n"
+            "P = a -> b -> P\n"
+            "Q = P ||| P ||| P\n"
+            "assert Q :[deadlock free]\n"
+            "assert P [T= Q\n"
+            "assert P [T= P\n"
+        )
+        store = tmp_path / "verdicts"
+        argv = [str(path), "--max-states", "3", "--result-cache", str(store)]
+        assert cspcheck_main(argv) == 1
+        captured = capsys.readouterr()
+        error = "ERROR -- StateSpaceLimitExceeded: {}".format(
+            StateSpaceLimitExceeded(3)
+        )
+        assert captured.out.splitlines() == [
+            "Q :[deadlock free]: " + error,
+            "P [T= Q: " + error,
+            "P [T= P: PASSED (2 states, 2 transitions explored)",
+            "1/3 assertions passed",
+        ]
+        assert "Traceback" not in captured.err
+        assert len(ResultCache(str(store))) == 1  # only the decided verdict
+
     def test_stats_go_to_stderr_not_stdout(self, passing_script, capsys):
         """stdout carries only verdict lines -- diagnostics go to stderr.
 

@@ -165,6 +165,56 @@ class TestBadInputs:
         assert error.value.code == EXIT_USAGE
         assert "bad manifest" in capsys.readouterr().err
 
+    def usage_error(self, capsys, argv):
+        """The one stderr line of a run that must exit 2."""
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    def manifest_for(self, tmp_path, log):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "dbc": "builtin:ota",
+                    "spec": "ota-session",
+                    "logs": [log],
+                }
+            )
+        )
+        return str(path)
+
+    def test_mistyped_tracelog_field_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "v.jsonl").write_text(
+            '{"t": 1, "sender": "VMG", "id": 257, "data": [0]}\n'
+            '{"t": 2, "sender": "VMG", "id": 257, "data": [0], "remote": "no"}\n'
+        )
+        line = self.usage_error(capsys, [self.manifest_for(tmp_path, "v.jsonl")])
+        assert line.startswith("csprv: ")
+        assert "v.jsonl:2: bad remote flag 'no'" in line
+
+    def test_log_path_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "drive.log").mkdir()
+        line = self.usage_error(capsys, [self.manifest_for(tmp_path, "drive.log")])
+        assert line.startswith("csprv: cannot read input: ")
+        assert "drive.log" in line
+
+    def test_non_utf8_log(self, tmp_path, capsys):
+        (tmp_path / "drive.log").write_bytes(b"(1.0) can0 101#00\n\xff\xfe\n")
+        line = self.usage_error(capsys, [self.manifest_for(tmp_path, "drive.log")])
+        assert "drive.log: log is not UTF-8 text" in line
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"format": 1, "dbc": "\xff"}')
+        line = self.usage_error(capsys, [str(path)])
+        assert line.startswith("csprv: bad manifest: ")
+        assert "can't decode byte 0xff" in line
+
     def test_unknown_builtin_spec_and_dbc(self, tmp_path):
         for spec, dbc in (("no-such-spec", "builtin:ota"), ("ota-session", "builtin:nope")):
             path = tmp_path / "m.json"

@@ -105,6 +105,27 @@ class TestTracelog:
         assert "line 2" in str(error.value)
 
 
+class TestTracelogFieldTypes:
+    """Each field has the JSON type ``TraceEntry.to_doc`` writes, exactly."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"t": true, "id": 257}', "bad timestamp True"),
+            ('{"t": 1, "id": true}', "bad identifier True"),
+            ('{"t": 1, "id": 257, "data": [true, false]}', "bad payload [True, False]"),
+            ('{"t": 1, "id": 257, "remote": "no"}', "bad remote flag 'no'"),
+            ('{"t": 1, "id": 257, "extended": "false"}', "bad extended flag 'false'"),
+            ('{"t": 1, "id": 257, "sender": 7}', "bad sender 7"),
+        ],
+    )
+    def test_mistyped_fields_are_rejected_at_their_line(self, text, message):
+        with pytest.raises(LogParseError) as error:
+            parse_tracelog_line(text, line=9, path="vehicle.jsonl")
+        assert "vehicle.jsonl:9: " + message in str(error.value)
+        assert error.value.line == 9
+
+
 class TestAutoDetect:
     def test_candump_detected(self):
         records = list(iter_records([CANDUMP, "(2.0) can0 102#01"]))

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 from repro.batch import CheckSpec
 from repro.server import serve_stdio
@@ -88,6 +91,45 @@ def test_malformed_line_rejects_and_serving_continues(make_server):
     assert docs[0]["code"] == "bad_request"
     assert docs[0]["retry"] is False
     assert docs[1]["id"] == "after"
+
+
+def test_non_utf8_line_rejects_and_serving_continues(make_server):
+    served, docs = run(
+        make_server,
+        [
+            b'{"op": "ping", "id": "\xff"}\n',
+            (line_of({"op": "ping", "id": "after"}) + "\n").encode("utf-8"),
+        ],
+        workers=1,
+    )
+    assert served == 2
+    assert docs[0]["code"] == "bad_request"
+    assert docs[0]["error"].startswith("request is not UTF-8 text: ")
+    assert docs[1]["id"] == "after"
+    assert docs[1]["pong"] is True
+
+
+def test_non_utf8_line_under_strict_stdin_decoding():
+    # with PYTHONIOENCODING=utf-8 a text stdin would raise on this line and
+    # kill the daemon; the bytes are decoded per line instead
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env.setdefault("PYTHONPATH", "src")
+    request = b'{"op": "ping", "id": "\xff"}\n' + (
+        line_of({"op": "ping", "id": "after"}) + "\n"
+    ).encode("utf-8")
+    daemon = subprocess.run(
+        [sys.executable, "-m", "repro.server.cli", "--stdio", "--workers", "1"],
+        input=request,
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert daemon.returncode == 0, daemon.stderr
+    docs = [json.loads(line) for line in daemon.stdout.splitlines()]
+    assert len(docs) == 2
+    assert docs[0]["code"] == "bad_request"
+    assert docs[1]["pong"] is True
+    assert b"Traceback" not in daemon.stderr
 
 
 def test_nesting_bomb_line_rejects_and_serving_continues(make_server, nested_term_json):
