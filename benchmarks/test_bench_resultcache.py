@@ -45,10 +45,10 @@ def _rate(count, seconds):
 
 
 def _timed_replay(url, docs):
-    client = ServerClient(url)
-    started = time.perf_counter()
-    results = client.run_manifest(docs)
-    elapsed = time.perf_counter() - started
+    with ServerClient(url) as client:
+        started = time.perf_counter()
+        results = client.run_manifest(docs)
+        elapsed = time.perf_counter() - started
     assert {r.verdict for r in results} <= {"PASS", "FAIL"}
     return results, elapsed
 

@@ -58,10 +58,10 @@ def _mode_payload(count, seconds, **extra):
 
 
 def _timed_server_replay(url, docs):
-    client = ServerClient(url)
-    started = time.perf_counter()
-    results = client.run_manifest(docs)
-    elapsed = time.perf_counter() - started
+    with ServerClient(url) as client:
+        started = time.perf_counter()
+        results = client.run_manifest(docs)
+        elapsed = time.perf_counter() - started
     return results, elapsed
 
 

@@ -91,9 +91,9 @@ def test_bench_server_latency_and_dedup(artifact, tmp_path):
 
     with VerificationServer(workers=2, cache_dir=cache_dir) as server:
         with HttpFrontend(server) as frontend:
-            client = ServerClient(frontend.url)
-            cold_results, cold_s = _timed_replay(client, docs)
-            warm_results, warm_s = _timed_replay(client, docs)
+            with ServerClient(frontend.url) as client:
+                cold_results, cold_s = _timed_replay(client, docs)
+                warm_results, warm_s = _timed_replay(client, docs)
 
     # byte-identical across cache temperatures, as everywhere else
     assert [r.canonical_line() for r in cold_results] == [

@@ -405,9 +405,8 @@ def verify_traces(
         doc = manifest
     specs = specs_from_manifest(doc, base_dir if base_dir is not None else ".")
     if server is not None:
-        results = server_client(server).run_manifest(
-            specs, tenant=tenant, timeout=timeout
-        )
+        with server_client(server) as client:
+            results = client.run_manifest(specs, tenant=tenant, timeout=timeout)
     else:
         from .batch import run_batch
 
@@ -431,6 +430,10 @@ def server_client(url: str, *, http_timeout: Optional[float] = None):
     manifest order, canonically byte-identical to a local ``cspbatch``
     run).  The daemon pays compilation once per distinct check across all
     clients -- identical in-flight submissions coalesce server-side.
+
+    The client keeps its connections to the daemon open between requests:
+    use it as a context manager (``with server_client(url) as client:``)
+    or call ``client.close()`` when done.
     """
     # deferred: most api callers never talk to a daemon
     from .server.client import ServerClient

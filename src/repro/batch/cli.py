@@ -139,9 +139,10 @@ def _run_against_server(args, specs: List[CheckSpec]) -> int:
         sys.stderr.write("cspbatch: {}\n".format(error))
         return EXIT_USAGE
     try:
-        results = client.run_manifest(
-            specs, tenant=args.tenant, timeout=args.timeout
-        )
+        with client:
+            results = client.run_manifest(
+                specs, tenant=args.tenant, timeout=args.timeout
+            )
     except ServerError as error:
         sys.stderr.write("cspbatch: {}\n".format(error))
         return EXIT_USAGE

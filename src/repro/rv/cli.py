@@ -307,9 +307,10 @@ def _run_against_server(args, specs: List[CheckSpec]) -> int:
         sys.stderr.write("csprv: {}\n".format(error))
         return EXIT_USAGE
     try:
-        results = client.run_manifest(
-            specs, tenant=args.tenant, timeout=args.timeout
-        )
+        with client:
+            results = client.run_manifest(
+                specs, tenant=args.tenant, timeout=args.timeout
+            )
     except ServerError as error:
         sys.stderr.write("csprv: {}\n".format(error))
         return EXIT_USAGE

@@ -9,17 +9,36 @@ order), and :meth:`ServerClient.check` submits a single
 and retry hint); transport problems -- daemon not running, connection
 refused, unparseable response -- surface as :class:`ServerError`, which a
 fail-closed caller treats like a failing verdict.
+
+A client keeps its HTTP/1.1 connections open between requests: a request
+takes an idle connection (or opens one), and the connection goes back on
+the idle stack only after a complete response that did not say
+``Connection: close``.  A closed loop of checks therefore costs one TCP
+connection, and one daemon handler thread, per concurrent caller.  Any
+failure discards the connection, so a timed-out request's late verdict can
+never be read as the next request's answer.  A *reused* connection that
+the daemon already closed (its idle timeout, a restart) fails while the
+request is sent or its status line awaited; that request alone is sent
+once more, on a fresh connection -- sound because a check is idempotent.
+Use the client as a context manager, or call :meth:`ServerClient.close`,
+to release the idle connections.
 """
 
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection
+import threading
+from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from ..batch.spec import BATCH_FORMAT_VERSION, CheckSpec, JobResult
 from .protocol import Rejection, check_request
+
+
+#: how a kept-alive connection the daemon already closed fails on reuse
+#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``)
+_STALE = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
 
 class ServerError(Exception):
@@ -42,46 +61,113 @@ def parse_server_url(url: str) -> Tuple[str, int]:
 
 
 class ServerClient:
-    """Talks the server protocol to one daemon over localhost HTTP."""
+    """Talks the server protocol to one daemon over localhost HTTP.
+
+    Safe to share between threads: each concurrent request holds its own
+    connection, and idle ones wait on a stack for the next request.
+    """
 
     def __init__(self, url: str, *, http_timeout: Optional[float] = None) -> None:
+        self._lock = threading.Lock()
+        #: kept-alive connections no request is using, most recent last
+        self._idle: List[HTTPConnection] = []
         self.host, self.port = parse_server_url(url)
         #: socket-level timeout per round trip (None: wait for the verdict)
         self.http_timeout = http_timeout
 
+    def close(self) -> None:
+        """Close every idle connection (a later request opens a new one)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServerClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+    def __del__(self) -> None:
+        # a dropped client releases its sockets rather than leaking them
+        self.close()
+
     # -- transport -----------------------------------------------------------
+
+    def _connect(self) -> HTTPConnection:
+        return HTTPConnection(self.host, self.port, timeout=self.http_timeout)
 
     def _round_trip(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Tuple[int, Dict[str, Any]]:
-        connection = HTTPConnection(self.host, self.port, timeout=self.http_timeout)
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body, sort_keys=True).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if connection is None:
+            connection = self._connect()
+        keep = False
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body, sort_keys=True).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
+            try:
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+            except _STALE:
+                if not reused:
+                    raise
+                # the daemon closed this idle connection before reading the
+                # request; a check is idempotent, so send it once more
+                connection.close()
+                connection = self._connect()
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
             raw = response.read()
+            keep = not response.will_close
         except OSError as error:
             raise ServerError(
                 "cannot reach cspserve at {}:{}: {}".format(
                     self.host, self.port, error
                 )
             ) from None
+        except HTTPException as error:
+            raise ServerError(
+                "malformed server response: {!r}".format(error)
+            ) from None
         finally:
-            connection.close()
+            # never reuse a failed connection: a late answer to this request
+            # must not be read as the answer to the next one
+            if keep:
+                with self._lock:
+                    self._idle.append(connection)
+            else:
+                connection.close()
         try:
             doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as error:
+        except (UnicodeDecodeError, ValueError, RecursionError) as error:
             raise ServerError("unparseable server response: {}".format(error)) from None
+        if not isinstance(doc, dict):
+            raise ServerError(
+                "unparseable server response: not a JSON object: {}".format(
+                    raw[:200]
+                )
+            )
         return response.status, doc
 
     @staticmethod
     def _payload(status: int, doc: Dict[str, Any], key: str) -> Any:
         if doc.get("status") == "rejected":
-            raise Rejection(doc["code"], doc.get("error", ""))
+            code = doc.get("code")
+            if not isinstance(code, str):
+                raise ServerError(
+                    "rejection without a code (HTTP {}): {}".format(
+                        status, json.dumps(doc, sort_keys=True)[:200]
+                    )
+                )
+            raise Rejection(code, doc.get("error", ""))
         if status != 200 or key not in doc:
             raise ServerError(
                 "unexpected server response (HTTP {}): {}".format(
@@ -89,6 +175,15 @@ class ServerClient:
                 )
             )
         return doc[key]
+
+    @staticmethod
+    def _job_result(doc: Any) -> JobResult:
+        try:
+            return JobResult.from_doc(doc)
+        except (KeyError, TypeError) as error:
+            raise ServerError(
+                "unreadable result document: {!r}".format(error)
+            ) from None
 
     # -- endpoints -----------------------------------------------------------
 
@@ -121,7 +216,7 @@ class ServerClient:
             index=index,
         )
         status, doc = self._round_trip("POST", "/check", request)
-        return JobResult.from_doc(self._payload(status, doc, "result"))
+        return self._job_result(self._payload(status, doc, "result"))
 
     def run_manifest(
         self,
@@ -144,4 +239,8 @@ class ServerClient:
             body["timeout"] = timeout
         status, doc = self._round_trip("POST", "/batch", body)
         results = self._payload(status, doc, "results")
-        return [JobResult.from_doc(entry) for entry in results]
+        if not isinstance(results, list):
+            raise ServerError(
+                "unexpected server response: 'results' is not a list"
+            )
+        return [self._job_result(entry) for entry in results]

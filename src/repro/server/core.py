@@ -432,6 +432,15 @@ class VerificationServer:
                 self.metrics.counter("server.rejected.{}".format(code)).inc()
         return Rejection(code, message)
 
+    def count(self, name: str) -> None:
+        """Add one to the counter *name*, for events a frontend observes.
+
+        Taken under the scheduler lock, like every other counter:
+        ``Counter.inc`` is a read-modify-write.
+        """
+        with self._cond:
+            self.metrics.counter(name).inc()
+
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:

@@ -20,6 +20,16 @@ exceeded quota (with ``Retry-After``, the fail-closed CI client's cue), 400
 for malformed documents, 413 oversize, 503 while draining.  ``/check`` is
 fail-fast under backpressure; ``/batch`` opts into blocking admission, so a
 saturated queue slows the submitter instead of bouncing its manifest.
+
+Connections are HTTP/1.1 and kept alive, so a client's whole session can
+ride one connection and one handler thread.  Three rules make that safe:
+a response to a request whose body the handler did not read (a rejection,
+an unknown path, a ``GET`` with a body) says ``Connection: close``, so
+unread bytes are never parsed as the next request; a request framed by
+``Transfer-Encoding`` or by more than one ``Content-Length`` is a 400 that
+closes; and a connection idle for :data:`IDLE_TIMEOUT_S` is closed.  A
+client that hangs up costs one log line, not a traceback.  Accepted
+connections are counted as ``server.http_connections``.
 """
 
 from __future__ import annotations
@@ -50,16 +60,59 @@ _ENVELOPE_SLACK = 64 * 1024
 #: a manifest may carry many specs; each one is still capped individually
 _BATCH_BODY_FACTOR = 64
 
+#: seconds a kept-alive connection may wait for its next request before the
+#: daemon closes it, so an idle client cannot hold a handler thread forever
+IDLE_TIMEOUT_S = 60.0
+
+_CLOSE = {"Connection": "close"}
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "cspserve/{}".format(SERVER_PROTOCOL_VERSION)
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response goes out as two sends (headers, body), and on
+    #: a kept-alive connection Nagle's algorithm would hold the second back
+    #: until the client's delayed ACK, tens of milliseconds later
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
     @property
     def core(self) -> VerificationServer:
         return self.server.core  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        # the socket timeout bounds every read, the wait for the next
+        # request on a kept-alive connection included
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+        self.core.count("server.http_connections")
+
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError as error:
+            # the client hung up (its own timeout, or an idle connection it
+            # reset): routine, so one log line and no traceback
+            self.log_error("connection closed by the client: %r", error)
+            self.close_connection = True
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        lengths = self.headers.get_all("Content-Length") or []
+        if "Transfer-Encoding" in self.headers or len(lengths) > 1:
+            # an ambiguous body length is how requests get smuggled
+            self._send_rejection(
+                None,
+                Rejection(
+                    BAD_REQUEST,
+                    "a request body must be framed by exactly one "
+                    "Content-Length (no Transfer-Encoding)",
+                ),
+            )
+            return False
+        return True
 
     def log_message(self, format: str, *args: Any) -> None:
         log = getattr(self.server, "log_stream", None)
@@ -84,7 +137,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_rejection(self, request_id: Optional[str], rejection: Rejection) -> None:
         # close after every rejection: an oversize request's body was never
         # read, and must not be misparsed as the next request on the socket
-        headers = {"Connection": "close"}
+        headers = dict(_CLOSE)
         if rejection.retryable:
             headers["Retry-After"] = "1"
         self._send_json(
@@ -121,14 +174,20 @@ class _Handler(BaseHTTPRequestHandler):
     # -- endpoints -----------------------------------------------------------
 
     def do_GET(self) -> None:
+        # a GET never reads a body: one it carries must not become a request
+        close = None if self.headers.get("Content-Length", "0") == "0" else _CLOSE
         if self.path == "/healthz":
             self._send_json(
-                200, {"status": "ok", "state": self.core.state}
+                200, {"status": "ok", "state": self.core.state}, close
             )
         elif self.path == "/stats":
-            self._send_json(200, ok_response(None, "stats", self.core.stats()))
+            self._send_json(
+                200, ok_response(None, "stats", self.core.stats()), close
+            )
         else:
-            self._send_json(404, {"status": "error", "error": "unknown path"})
+            self._send_json(
+                404, {"status": "error", "error": "unknown path"}, close
+            )
 
     def do_POST(self) -> None:
         request_id: Optional[str] = None
@@ -149,7 +208,10 @@ class _Handler(BaseHTTPRequestHandler):
                 request_id = body.get("id")
                 self._handle_batch(request_id, body)
             else:
-                self._send_json(404, {"status": "error", "error": "unknown path"})
+                # the body is left unread, so the connection cannot go on
+                self._send_json(
+                    404, {"status": "error", "error": "unknown path"}, _CLOSE
+                )
         except Rejection as rejection:
             self._send_rejection(request_id, rejection)
         except (ProtocolError, ManifestError) as error:
@@ -242,6 +304,12 @@ class HttpFrontend:
         return self
 
     def stop(self) -> None:
+        """Stop accepting connections.
+
+        Connections already open are still served until their client
+        closes them or they idle out, so a request in flight during a
+        drain still gets its answer.
+        """
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:

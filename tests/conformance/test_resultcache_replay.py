@@ -81,13 +81,15 @@ def test_memoised_daemon_replay_is_byte_identical(tmp_path):
     docs = [spec.to_doc() for spec in specs]
     with VerificationServer(workers=2, result_cache_dir=cache_dir) as server:
         with HttpFrontend(server) as frontend:
-            cold = ServerClient(frontend.url).run_manifest(docs)
+            with ServerClient(frontend.url) as client:
+                cold = client.run_manifest(docs)
         entries = len(ResultCache(cache_dir))
         assert entries == _eligible(specs, expectations)
     # a *restarted* daemon on the same store: verdicts survive the process
     with VerificationServer(workers=2, result_cache_dir=cache_dir) as server:
         with HttpFrontend(server) as frontend:
-            warm = ServerClient(frontend.url).run_manifest(docs)
+            with ServerClient(frontend.url) as client:
+                warm = client.run_manifest(docs)
         snapshot = server.stats()
         assert snapshot["result_cache"]["result_hits"] == entries
         assert snapshot["metrics"].get("server.result_hits") == entries
@@ -104,7 +106,8 @@ def test_daemon_store_serves_batch_and_inline(tmp_path):
     docs = [spec.to_doc() for spec in specs]
     with VerificationServer(workers=2, result_cache_dir=cache_dir) as server:
         with HttpFrontend(server) as frontend:
-            ServerClient(frontend.url).run_manifest(docs)
+            with ServerClient(frontend.url) as client:
+                client.run_manifest(docs)
     pooled = run_batch(specs, jobs=2, timeout=120, result_cache_dir=cache_dir)
     inline = run_batch(specs, inline=True, result_cache_dir=cache_dir)
     _assert_golden(pooled.results, expectations)

@@ -52,14 +52,18 @@ def test_http_check_replay_at_concurrency_4_is_byte_identical():
     specs, expectations = _corpus()
     with VerificationServer(workers=2) as server:
         with HttpFrontend(server) as frontend:
-            client = ServerClient(frontend.url)
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(
-                    pool.map(
-                        lambda pair: client.check(pair[1].to_doc(), index=pair[0]),
-                        enumerate(specs),
+            with ServerClient(frontend.url) as client:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    results = list(
+                        pool.map(
+                            lambda pair: client.check(
+                                pair[1].to_doc(), index=pair[0]
+                            ),
+                            enumerate(specs),
+                        )
                     )
-                )
+        # each of the 4 concurrent callers holds at most one connection
+        assert server.stats()["metrics"]["server.http_connections"] <= 4
     for result, expected in zip(results, expectations):
         assert canonical_bytes(result) == expected_bytes(expected)
 
@@ -68,9 +72,8 @@ def test_http_batch_replay_is_byte_identical():
     specs, expectations = _corpus()
     with VerificationServer(workers=2) as server:
         with HttpFrontend(server) as frontend:
-            results = ServerClient(frontend.url).run_manifest(
-                [spec.to_doc() for spec in specs]
-            )
+            with ServerClient(frontend.url) as client:
+                results = client.run_manifest([spec.to_doc() for spec in specs])
     assert [r.index for r in results] == list(range(len(CASE_FILES)))
     for result, expected in zip(results, expectations):
         assert canonical_bytes(result) == expected_bytes(expected)
@@ -82,12 +85,12 @@ def test_warm_daemon_replay_is_byte_identical(tmp_path):
     docs = [spec.to_doc() for spec in specs]
     with VerificationServer(workers=2, cache_dir=cache_dir) as server:
         with HttpFrontend(server) as frontend:
-            client = ServerClient(frontend.url)
-            cold = client.run_manifest(docs)
-            entries = sorted(os.listdir(cache_dir))
-            assert entries, "the cold replay should persist kernel entries"
-            warm = client.run_manifest(docs)
-            assert sorted(os.listdir(cache_dir)) == entries
+            with ServerClient(frontend.url) as client:
+                cold = client.run_manifest(docs)
+                entries = sorted(os.listdir(cache_dir))
+                assert entries, "the cold replay should persist kernel entries"
+                warm = client.run_manifest(docs)
+                assert sorted(os.listdir(cache_dir)) == entries
     for run in (cold, warm):
         for result, expected in zip(run, expectations):
             assert canonical_bytes(result) == expected_bytes(expected)

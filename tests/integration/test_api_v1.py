@@ -147,6 +147,24 @@ class TestModeByteIdentity:
         assert all(isinstance(v, api.Verdict) for v in inline)
         assert [v.to_json() for v in inline] == [v.to_json() for v in pooled]
 
+    def test_verify_traces_through_a_daemon_matches_inline(self, tmp_path):
+        from repro.rv.cli import main as csprv_main
+        from repro.server import VerificationServer
+        from repro.server.http import HttpFrontend
+
+        fleet = tmp_path / "fleet"
+        assert csprv_main(
+            ["--fleetgen", str(fleet), "--vehicles", "3", "--seed", "7",
+             "--fault-rate", "0.5", "--quiet"]
+        ) == 0
+        manifest = str(fleet / "manifest.json")
+        inline = api.verify_traces(manifest)
+        with VerificationServer(workers=1) as server:
+            with HttpFrontend(server) as frontend:
+                served = api.verify_traces(manifest, server=frontend.url)
+            assert server.stats()["metrics"]["server.http_connections"] == 1
+        assert [v.to_json() for v in served] == [v.to_json() for v in inline]
+
 
 class TestCheckFunctions:
     def test_check_trace_is_a_check_result(self):

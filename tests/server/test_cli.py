@@ -27,10 +27,13 @@ from repro.cli_common import (
 from repro.csp.events import Event
 from repro.csp.process import Prefix, Stop
 from repro.obs.schema import validate_file
+from repro.rv.cli import main as csprv_main
 from repro.server.cli import main as cspserve_main
 from repro.server.client import ServerClient
 from repro.server.http import HttpFrontend
 from repro.server.protocol import check_request
+
+from .conftest import http_reply
 
 A, B, C = Event("a"), Event("b"), Event("c")
 
@@ -174,25 +177,33 @@ class TestHttpDaemonSubprocess:
             stderr=subprocess.PIPE,
             text=True,
             env=env,
+            # its own process group: on failure the cleanup below kills the
+            # warm workers too, which would otherwise hold stderr open
+            start_new_session=True,
         )
         try:
             # the banner is the CI job's cue; it must be one scrapeable line
             banner = daemon.stderr.readline()
             assert banner.startswith("cspserve: listening on http://127.0.0.1:")
             url = banner.split()[-1]
-            client = ServerClient(url)
-            assert client.healthz()["state"] == "running"
-            result = client.check(selftest("pass", "smoke"))
-            assert result.verdict == "PASS"
-            daemon.send_signal(signal.SIGTERM)
-            stdout, stderr = daemon.communicate(timeout=30)
+            with ServerClient(url) as client:
+                assert client.healthz()["state"] == "running"
+                result = client.check(selftest("pass", "smoke"))
+                assert result.verdict == "PASS"
+                # one kept-alive connection carried all three requests, and
+                # the client still holds it, idle, while the daemon drains
+                metrics = client.stats()["metrics"]
+                assert metrics["server.http_connections"] == 1
+                daemon.send_signal(signal.SIGTERM)
+                stdout, stderr = daemon.communicate(timeout=30)
         finally:
             if daemon.poll() is None:
-                daemon.kill()
+                os.killpg(daemon.pid, signal.SIGKILL)
                 daemon.communicate()
         assert daemon.returncode == EXIT_OK
         assert stdout == ""  # HTTP mode writes nothing to stdout
         assert "cspserve: draining" in stderr
+        assert "Traceback" not in stderr
 
 
 class TestCspbatchServerMode:
@@ -249,6 +260,27 @@ class TestCspbatchServerMode:
         url = "http://127.0.0.1:{}".format(port)
         assert cspbatch_main([manifest, "--server", url]) == EXIT_USAGE
         assert "cannot reach" in capsys.readouterr().err
+
+    def test_a_daemon_that_is_not_http_exits_2(self, manifest, fake_daemon, capsys):
+        daemon = fake_daemon([b"SSH-2.0-OpenSSH_9.6\r\n"])
+        assert cspbatch_main([manifest, "--server", daemon.url]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("cspbatch: malformed server response")
+        assert len(err.splitlines()) == 1
+
+    def test_csprv_against_a_daemon_answering_an_array_exits_2(
+        self, tmp_path, fake_daemon, capsys
+    ):
+        fleet = tmp_path / "fleet"
+        argv = ["--fleetgen", str(fleet), "--vehicles", "2", "--quiet"]
+        assert csprv_main(argv) == EXIT_OK
+        capsys.readouterr()
+        daemon = fake_daemon([http_reply(b"[]")])
+        manifest = str(fleet / "manifest.json")
+        assert csprv_main([manifest, "--server", daemon.url]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("csprv: unparseable server response")
+        assert len(err.splitlines()) == 1
 
     def test_bad_server_url_exits_2(self, manifest, capsys):
         argv = [manifest, "--server", "ftp://example:1"]

@@ -2,6 +2,11 @@
 
 import json
 import socket
+import statistics
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 
 import pytest
@@ -13,7 +18,7 @@ from repro.server.client import ServerClient, ServerError, parse_server_url
 from repro.server.http import HttpFrontend
 from repro.server.protocol import Rejection, check_request
 
-from .conftest import wait_until
+from .conftest import http_reply, wait_until
 
 A, B, C = Event("a"), Event("b"), Event("c")
 
@@ -34,16 +39,25 @@ def mixed_specs():
 @pytest.fixture
 def http_server(make_server):
     frontends = []
+    clients = []
 
     def make(**options):
         server = make_server(**options)
         frontend = HttpFrontend(server).start()
         frontends.append(frontend)
-        return server, ServerClient(frontend.url)
+        clients.append(ServerClient(frontend.url))
+        return server, clients[-1]
 
     yield make
+    for client in clients:
+        client.close()
     for frontend in frontends:
         frontend.stop()
+
+
+def connections(server):
+    """Connections the daemon's HTTP frontend has accepted so far."""
+    return server.stats()["metrics"].get("server.http_connections", 0)
 
 
 def raw_request(client, method, path, body=None, headers=None):
@@ -199,9 +213,9 @@ class TestClient:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        client = ServerClient("http://127.0.0.1:{}".format(port))
-        with pytest.raises(ServerError, match="cannot reach"):
-            client.healthz()
+        with ServerClient("http://127.0.0.1:{}".format(port)) as client:
+            with pytest.raises(ServerError, match="cannot reach"):
+                client.healthz()
 
     def test_manifest_round_trip_shapes_like_cspbatch(self, http_server):
         # the client ships the exact PR-5 manifest document
@@ -211,3 +225,256 @@ class TestClient:
         assert doc["format"] == 1
         results = client.run_manifest([spec.to_doc() for spec in specs])
         assert [r.verdict for r in results] == ["PASS", "FAIL"]
+
+
+class TestMalformedResponses:
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"SSH-2.0-OpenSSH_9.6\r\n",
+            http_reply(b'{"status": "ok", "result": {}}')[:-8],
+            http_reply(b"[]"),
+            http_reply(b'"ok"'),
+            http_reply(b'{"status": "rejected"}', "429 Too Many Requests"),
+            http_reply(b'{"status": "ok", "result": {}}'),
+        ],
+        ids=[
+            "not-http",
+            "short-body",
+            "array",
+            "string",
+            "rejection-without-code",
+            "unreadable-result",
+        ],
+    )
+    def test_every_malformed_reply_is_a_server_error(self, fake_daemon, reply):
+        daemon = fake_daemon([reply])
+        with ServerClient(daemon.url) as client:
+            with pytest.raises(ServerError):
+                client.check(selftest("pass", "probe"))
+        assert daemon.accepted == 1  # a fresh connection is never retried
+
+
+class TestKeepAlive:
+    def test_a_client_session_rides_one_connection(self, http_server):
+        server, client = http_server(workers=1)
+        client.healthz()
+        client.stats()
+        for index in range(50):
+            result = client.check(selftest("pass", "c{}".format(index)))
+            assert result.check_id == "c{}".format(index)
+        client.run_manifest(mixed_specs())
+        assert connections(server) == 1
+
+    def test_a_dropped_client_closes_its_connections(self, http_server):
+        _, client = http_server(workers=1)
+        dropped = ServerClient("http://{}:{}".format(client.host, client.port))
+        dropped.check(selftest("pass", "one"))
+        (connection,) = dropped._idle
+        del dropped  # no close(): perfbench's client threads drop theirs
+        assert connection.sock is None
+
+    def test_threads_sharing_a_client_get_their_own_answers(
+        self, http_server, monkeypatch
+    ):
+        server, client = http_server(workers=2)
+        opened = []
+        connect = client._connect
+
+        def counting_connect():
+            opened.append(1)
+            return connect()
+
+        monkeypatch.setattr(client, "_connect", counting_connect)
+
+        def run(thread):
+            for index in range(20):
+                check_id = "t{}-{}".format(thread, index)
+                assert client.check(selftest("pass", check_id)).check_id == check_id
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, thread) for thread in range(8)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        # at most one connection per thread, and the daemon lost no count
+        assert 1 <= len(opened) <= 8
+        assert connections(server) == len(opened)
+
+    @pytest.mark.parametrize(
+        "kind", ["bad_request", "oversize", "queue_full", "quota", "not_found"]
+    )
+    def test_a_rejection_costs_exactly_one_reconnect(self, http_server, kind):
+        server, client = http_server(
+            workers=1, queue_limit=1, quota=1, max_request_bytes=300
+        )
+        client.check(selftest("pass", "warm"), tenant="t")
+        assert connections(server) == 1
+        blockers = []
+        if kind in ("queue_full", "quota"):
+            # hold the only worker (and, for queue_full, the only queue slot)
+            blockers.append(server.submit(selftest("sleep:1", "blk"), tenant="t"))
+        if kind == "queue_full":
+            wait_until(lambda: server.stats()["busy_workers"] == 1)
+            blockers.append(server.submit(selftest("pass", "queued"), tenant="u"))
+        if kind == "not_found":
+            status, doc = client._round_trip("POST", "/nope", {})
+            assert (status, doc["error"]) == (404, "unknown path")
+        else:
+            request = {
+                "bad_request": ({"kind": "bogus"}, "t"),
+                "oversize": (selftest("pass", "big", name="x" * 400), "t"),
+                "queue_full": (selftest("fail", "bounced"), "v"),
+                "quota": (selftest("fail", "bounced"), "t"),
+            }
+            spec, tenant = request[kind]
+            with pytest.raises(Rejection) as excinfo:
+                client.check(spec, tenant=tenant)
+            assert excinfo.value.code == kind
+        for ticket in blockers:
+            assert ticket.wait(30) is not None
+        result = client.check(selftest("pass", "after"), tenant="t")
+        assert result.verdict == "PASS"
+        assert connections(server) == 2
+
+    def test_a_draining_daemon_costs_one_reconnect(self, make_server):
+        first = make_server(workers=1)
+        with HttpFrontend(first) as frontend, ServerClient(frontend.url) as client:
+            client.check(selftest("pass", "warm"))
+            first.close(drain=True)
+            with pytest.raises(Rejection) as excinfo:
+                client.check(selftest("pass", "bounced"))
+            assert excinfo.value.code == "draining"
+            host, port = frontend.address
+            frontend.stop()
+            # a daemon restarted on the same port serves the same client
+            second = make_server(workers=1)
+            with HttpFrontend(second, host, port):
+                result = client.check(selftest("pass", "after"))
+        assert result.verdict == "PASS"
+        assert connections(second) == 1
+
+    def test_a_connection_closed_while_idle_is_retried_once(
+        self, http_server, monkeypatch
+    ):
+        monkeypatch.setattr("repro.server.http.IDLE_TIMEOUT_S", 0.2)
+        server, client = http_server(workers=1)
+        client.check(selftest("pass", "before"))
+        time.sleep(0.5)  # the daemon closes the idle connection at 0.2 s
+        result = client.check(selftest("pass", "after"))
+        assert result.check_id == "after"
+        assert connections(server) == 2
+
+    def test_a_stale_connection_is_retried_once_and_never_again(
+        self, fake_daemon
+    ):
+        # connection 1 answers keep-alive, then closes; connection 2 (the
+        # retry) closes unanswered -- and a fresh connection is not retried
+        healthy = http_reply(b'{"status": "ok", "state": "running"}')
+        daemon = fake_daemon([healthy, b""])
+        with ServerClient(daemon.url) as client:
+            assert client.healthz()["state"] == "running"
+            with pytest.raises(ServerError, match="cannot reach"):
+                client.healthz()
+        assert daemon.accepted == 2
+
+    def test_a_fresh_connection_is_never_retried(self, fake_daemon):
+        daemon = fake_daemon([b""])  # every connection closes unanswered
+        with ServerClient(daemon.url) as client:
+            with pytest.raises(ServerError, match="cannot reach"):
+                client.healthz()
+        assert daemon.accepted == 1
+
+    def test_a_timed_out_request_never_answers_the_next(self, make_server):
+        server = make_server(workers=2)
+        with HttpFrontend(server) as frontend:
+            with ServerClient(frontend.url, http_timeout=0.5) as client:
+                with pytest.raises(ServerError, match="timed out"):
+                    client.check(selftest("sleep:1", "slow"))
+                first = client.check(selftest("pass", "next-1"))
+                second = client.check(selftest("fail", "next-2"))
+        assert (first.check_id, first.verdict) == ("next-1", "PASS")
+        assert (second.check_id, second.verdict) == ("next-2", "FAIL")
+
+    def test_round_trips_do_not_stall_on_nagle(self, http_server):
+        # a Nagle stall behind the client's delayed ACK costs >= 40 ms
+        _, client = http_server(workers=1)
+        client.check(selftest("pass", "warm"))
+        seconds = []
+        for index in range(20):
+            started = time.perf_counter()
+            client.check(selftest("pass", "c{}".format(index)))
+            seconds.append(time.perf_counter() - started)
+        assert statistics.median(seconds) < 0.020
+
+
+def read_until_eof(sock):
+    received = b""
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            return received
+        if not chunk:
+            return received
+        received += chunk
+
+
+#: a request carried as another request's body: answering it is smuggling
+SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class TestFraming:
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /nope HTTP/1.1\r\nContent-Length: %d" % len(SMUGGLED), b"404"),
+            (b"GET /healthz HTTP/1.1\r\nContent-Length: %d" % len(SMUGGLED), b"200"),
+            (b"POST /check HTTP/1.1\r\nTransfer-Encoding: chunked", b"400"),
+            (
+                b"POST /check HTTP/1.1\r\nContent-Length: %d\r\n"
+                b"Content-Length: 0" % len(SMUGGLED),
+                b"400",
+            ),
+        ],
+        ids=["unknown-path", "get-with-body", "chunked", "two-lengths"],
+    )
+    def test_unread_request_bytes_close_the_connection(
+        self, http_server, head, status
+    ):
+        _, client = http_server(workers=1)
+        probe = (
+            head
+            + b"\r\nHost: x\r\n\r\n"
+            + SMUGGLED
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        with socket.create_connection((client.host, client.port), 30) as sock:
+            sock.sendall(probe)
+            received = read_until_eof(sock)
+        assert received.startswith(b"HTTP/1.1 " + status)
+        assert received.count(b"HTTP/1.1 ") == 1  # one response, then EOF
+        assert b"Connection: close" in received
+
+
+class TestHangUp:
+    def test_a_client_that_hangs_up_costs_no_traceback(self, make_server, capfd):
+        server = make_server(workers=2)
+        with HttpFrontend(server, log=sys.stderr) as frontend:
+            before = set(threading.enumerate())
+            with ServerClient(frontend.url, http_timeout=0.3) as client:
+                with pytest.raises(ServerError, match="timed out"):
+                    client.check(selftest("sleep:1", "abandoned"))
+            # the handler thread writes the late verdict to a closed socket
+            handlers = set(threading.enumerate()) - before
+            assert handlers
+            wait_until(lambda: not any(t.is_alive() for t in handlers))
+            with ServerClient(frontend.url) as client:
+                assert client.check(selftest("pass", "next")).verdict == "PASS"
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("connection closed by the client") <= 1
