@@ -22,8 +22,6 @@ from repro.batch import CheckSpec, run_batch
 from repro.csp import Channel, Environment, Prefix, ref
 from repro.security.properties import run_process
 
-from conftest import OUT_DIR  # noqa: F401  (fixtures resolve via conftest)
-
 #: interleaved components per fleet job -- sized so one job is a few
 #: hundred milliseconds of real search, big enough to amortise a fork
 FLEET_COMPONENTS = 11

@@ -3,13 +3,15 @@
 ``jobs >= 1`` runs the batch on an in-process
 :class:`~repro.server.core.VerificationServer` -- the same scheduler the
 ``cspserve`` daemon uses, with *jobs* persistent warm workers.  Every spec
-is submitted at once (the queue is sized to the batch, so submission never
-blocks) and the tickets are collected in input order.  A worker that
-crashes or overruns its deadline is killed and respawned by the server, so
-a broken job fails alone and its siblings keep going; identical specs
-coalesce onto one execution, and the server's result cache answers
-memoised specs at submit time without a worker.  ``jobs <= 0`` (or
-``inline=True``) runs everything sequentially in this process.
+is submitted at once, as the :class:`~repro.batch.spec.CheckSpec` it is
+(the queue is sized to the batch, so submission never blocks), cheap specs
+reach a worker in chunks of several per pipe message, and the tickets are
+collected in input order.  A worker that crashes or overruns its deadline
+is killed and respawned by the server, so a broken job fails alone and its
+siblings keep going; identical specs coalesce onto one execution, and the
+server's result cache answers memoised specs at submit time without a
+worker.  ``jobs <= 0`` (or ``inline=True``) runs everything sequentially in
+this process.
 
 Determinism: results are keyed by the spec's position in the input list and
 reported in that order regardless of completion order, and every execution
@@ -248,12 +250,12 @@ def _run_pooled(
         tickets = []
         for index, spec in enumerate(specs):
             try:
-                tickets.append(
-                    server.submit(spec.to_doc(), timeout=timeout, index=index)
-                )
+                # the spec itself, not its document: submit has nothing
+                # to decode
+                tickets.append(server.submit(spec, timeout=timeout, index=index))
             except Rejection as rejection:
-                # the queue is sized to the batch, so only an undecodable
-                # spec is refused; it fails alone, like a check that raised
+                # the queue is sized to the batch, so only a spec that cannot
+                # be encoded is refused; it fails alone, like a check that raised
                 tickets.append(
                     failure_result(
                         ERROR,

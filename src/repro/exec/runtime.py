@@ -169,8 +169,6 @@ def execute_cached(
     profile: bool = False,
     result_cache: Optional[ResultCache] = None,
     metrics: Optional[Metrics] = None,
-    spec_doc: Optional[Dict[str, Any]] = None,
-    material: Optional[str] = None,
 ) -> JobResult:
     """:func:`execute_spec` with a :class:`ResultCache` probe around it.
 
@@ -180,19 +178,18 @@ def execute_cached(
     near zero and ``worker_pid`` this process -- both outside the canonical
     surface), and a fresh execution is promoted write-through so the next
     identical request in any mode hits.  The spec is encoded once: the
-    probe and the write-through share its canonical text.  Callers that
-    already hold the wire document and its text (the server's workers)
-    pass *spec_doc* and *material* to skip even that; both must
-    round-trip to *spec*.
+    probe and the write-through share its canonical text.  (The server's
+    workers do not come through here: the server probed at submit, so
+    they only write through, see
+    :func:`~repro.exec.workers.execute_material`.)
     """
     if result_cache is None:
         return execute_spec(
             spec, index, cache_dir=cache_dir, profile=profile
         )
     started = time.perf_counter()
-    doc = spec_doc if spec_doc is not None else spec.to_doc()
-    if material is None:
-        material = spec_material(doc)
+    doc = spec.to_doc()
+    material = spec_material(doc)
     hit = result_cache.get(doc, index, material=material)
     if hit is not None:
         if metrics is not None:

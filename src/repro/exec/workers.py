@@ -3,24 +3,36 @@
 :func:`persistent_worker_main` is the one worker shape in the system: the
 warm worker of :class:`~repro.server.core.VerificationServer`, which both
 the ``cspserve`` daemon and pooled ``cspbatch`` runs schedule onto.  It
-loops over ``(spec JSON text, profile?)`` requests on a duplex pipe, so the
-interpreter, the imported toolchain and both cache directories stay hot
-across requests; ``None`` is the shutdown sentinel.  A worker that crashes
+loops over ``(chunk of spec JSON texts, profile?)`` messages on a duplex
+pipe, so the interpreter, the imported toolchain and both cache
+directories stay hot across requests; ``None`` is the shutdown sentinel.
+A chunk runs in order, and each result goes back on the pipe as soon as
+its execution finishes: the server starts the next member's deadline when
+the previous result arrives, and a crash or overrun costs only the member
+that was running (the server requeues the rest).  A worker that crashes
 or overruns its deadline is killed and respawned by the server.
 
 It is a top-level function (not a closure) so it works under the
-``spawn`` start method as well as ``fork``, and it receives the spec as
+``spawn`` start method as well as ``fork``, and it receives each spec as
 the canonical JSON text of a ``cspbatch`` manifest entry
 (:func:`~repro.exec.keys.spec_material`) -- so workers never unpickle
 code, and a deeply nested spec crosses the pipe as one flat string.
 
-With a result-cache directory it runs requests through
-:func:`~repro.exec.runtime.execute_cached`: the server probes the store at
-submit (a hit never costs a queue slot or a worker), and the worker probes
-again around execution -- catching entries another worker promoted
-meanwhile -- then writes its own verdict through its own connection.  The
-text it received is the spec's canonical text, so the worker keys both
-store calls on it without encoding the spec again.
+Two steps make a forked worker independent of the process that forked
+it.  ``SIGTERM`` goes back to its default action: a worker forked after
+``cspserve --http`` installed its stop handler would otherwise inherit
+that handler, and the server's ``terminate()`` of an overrunning worker
+would only set an event.  And the worker closes its copy of the server's
+end of its own pipe, so it reads EOF -- and exits -- once the server is
+gone, even after a ``SIGKILL``.  (A younger worker holds copies of its
+older siblings' ends; when it exits they see EOF in turn.)
+
+With a result-cache directory, :func:`execute_material` writes each
+verdict through to the :class:`~repro.exec.resultcache.ResultCache` on
+the worker's own connection.  It does not probe the store first: the
+server probed it at submit, and a hit never reaches a worker.  The text
+the worker received is the spec's canonical text, so it keys the write
+without encoding the spec again.
 
 :func:`failure_result` builds the verdicts that exist *because* there is a
 process boundary: worker death -> ``ERROR``, deadline -> ``TIMEOUT``,
@@ -36,7 +48,8 @@ import signal
 from typing import Optional
 
 from ..batch.spec import CheckSpec, ERROR, JobResult, ManifestError
-from .runtime import execute_cached, open_result_cache
+from .resultcache import ResultCache
+from .runtime import execute_spec, open_result_cache
 
 
 def failure_result(
@@ -51,15 +64,46 @@ def failure_result(
     return JobResult(index, check_id, verdict, name=name, error=error)
 
 
+def execute_material(
+    material: str,
+    *,
+    cache_dir: Optional[str] = None,
+    profile: bool = False,
+    result_cache: Optional[ResultCache] = None,
+) -> JobResult:
+    """Run the spec whose canonical text is *material*; write it through.
+
+    The result is unlabelled (index 0, the label-stripped spec's id): the
+    server stamps each requester's own labels on it.
+    """
+    try:
+        spec_doc = json.loads(material)
+        spec = CheckSpec.from_doc(spec_doc)
+    except (ManifestError, RecursionError) as error:
+        return failure_result(ERROR, "undecodable spec: {}".format(error))
+    result = execute_spec(spec, 0, cache_dir=cache_dir, profile=profile)
+    if result_cache is not None:
+        result_cache.put(spec_doc, result, material=material)
+    return result
+
+
 def persistent_worker_main(
     conn,
     cache_dir: Optional[str],
     result_cache_dir: Optional[str] = None,
+    server_end=None,
 ) -> None:
-    """One warm worker: loop over (spec JSON text, profile?) requests."""
+    """One warm worker: loop over (spec JSON texts, profile?) chunks.
+
+    *server_end* is the server's end of this worker's pipe, as a forked
+    child inherits it; the worker closes its copy before anything else.
+    """
     # a terminal Ctrl-C reaches the whole process group; interruption is the
     # parent's to handle, and it kills or shuts down its workers itself
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if server_end is not None:
+        server_end.close()
     result_cache = open_result_cache(result_cache_dir)
     try:
         while True:
@@ -69,27 +113,18 @@ def persistent_worker_main(
                 break
             if message is None:
                 break
-            material, want_profile = message
-            try:
-                spec_doc = json.loads(material)
-                spec = CheckSpec.from_doc(spec_doc)
-            except (ManifestError, RecursionError) as error:
-                # unlabelled: the server stamps each requester's labels
-                result = failure_result(ERROR, "undecodable spec: {}".format(error))
-            else:
-                result = execute_cached(
-                    spec,
-                    0,
+            materials, want_profile = message
+            for material in materials:
+                result = execute_material(
+                    material,
                     cache_dir=cache_dir,
                     profile=want_profile,
                     result_cache=result_cache,
-                    spec_doc=spec_doc,
-                    material=material,
                 )
-            try:
-                conn.send(result.to_doc())
-            except (BrokenPipeError, OSError):
-                break
+                try:
+                    conn.send(result.to_doc())
+                except (BrokenPipeError, OSError):
+                    return
     finally:
         if result_cache is not None:
             result_cache.close()

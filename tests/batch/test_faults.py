@@ -10,7 +10,10 @@ untouched.
 import threading
 import time
 
+import pytest
+
 from repro.batch import CheckSpec, run_batch
+from repro.obs.trace import Tracer
 
 
 def test_mixed_faults_isolate_per_job():
@@ -93,3 +96,55 @@ def test_faults_do_not_poison_later_jobs_on_the_same_slot():
     ]
     report = run_batch(specs, jobs=1, timeout=30)
     assert [r.verdict for r in report.results] == ["ERROR", "PASS", "ERROR", "PASS"]
+
+
+# -- faults inside a chunk -----------------------------------------------------
+
+
+def cheap(label):
+    """A cheap check under its own name: distinct names never coalesce."""
+    return CheckSpec.selftest("pass", check_id=label, name=label)
+
+
+#: runs alone on the one worker (no execution time is measured yet) while
+#: the rest of the batch queues behind it
+BLOCKER = CheckSpec.selftest("sleep:0.3", check_id="blocker")
+
+
+@pytest.mark.parametrize(
+    "op, verdict, error, lost",
+    [
+        ("raise", "ERROR", "RuntimeError", 0),
+        ("exit:4", "ERROR", "exited with code 4", 1),
+        ("sleep:30", "TIMEOUT", "0.5s timeout", 1),
+    ],
+)
+def test_a_fault_mid_chunk_fails_alone(chunk_by_share, op, verdict, error, lost):
+    before = [cheap("before-{}".format(i)) for i in range(5)]
+    after = [cheap("after-{}".format(i)) for i in range(chunk_by_share - 6)]
+    fault = CheckSpec.selftest(op, check_id="fault")
+    tracer = Tracer()
+    report = run_batch(
+        [BLOCKER] + before + [fault] + after, jobs=1, timeout=0.5, obs=tracer
+    )
+    faulted = report.results[1 + len(before)]
+    assert (faulted.check_id, faulted.verdict) == ("fault", verdict)
+    assert error in faulted.error
+    siblings = [r for r in report.results if r is not faulted]
+    assert [r.verdict for r in siblings] == ["PASS"] * len(siblings)
+    metrics = tracer.metrics
+    # the blocker, the chunk, and the requeued rest after a lost worker
+    assert metrics.counter("server.dispatches").value == 2 + lost
+    assert metrics.counter("server.executions").value == len(report.results)
+    assert metrics.counter("server.worker_restarts").value == lost
+
+
+def test_batch_timeout_cancels_every_chunk_member(chunk_by_share):
+    stuck = CheckSpec.selftest("sleep:30", check_id="stuck")
+    behind = [cheap("behind-{}".format(i)) for i in range(4)]
+    tracer = Tracer()
+    report = run_batch([BLOCKER, stuck] + behind, jobs=1, batch_timeout=2.0, obs=tracer)
+    assert [r.verdict for r in report.results] == ["PASS"] + ["CANCELLED"] * 5
+    assert all(r.error == "batch cancelled" for r in report.results[1:])
+    # the five were one message on the worker when the deadline fired
+    assert tracer.metrics.counter("server.dispatches").value == 2

@@ -120,3 +120,19 @@ def deep_property_spec():
         return CheckSpec.property_check(term, "deadlock free", check_id=check_id)
 
     return build
+
+
+@pytest.fixture
+def chunk_by_share(monkeypatch):
+    """Size warm-worker chunks by the queue alone; returns the chunk cap.
+
+    A chunk normally fills a few milliseconds at the recent mean execution
+    time, so one slow check (the blocker a test needs to line work up
+    behind) shrinks the next chunks to one execution.  With the slice
+    unbounded, a worker that frees up takes its fair share of the queue,
+    up to the cap, as soon as one execution time has been measured.
+    """
+    from repro.server import core
+
+    monkeypatch.setattr(core, "_CHUNK_SLICE_MS", 1e9)
+    return core._CHUNK_CAP

@@ -15,6 +15,7 @@ from repro.exec.runtime import (
     open_result_cache,
     resolve_result_cache_dir,
 )
+from repro.exec.workers import execute_material
 from repro.obs.metrics import Metrics
 
 
@@ -106,10 +107,19 @@ def test_metrics_counters_track_the_flow(cache):
 
 
 def test_caller_supplied_doc_is_honoured(cache):
+    # the worker's write-through keys the verdict on the text it received,
+    # so the submitter's own document finds it
     spec = _refinement()
     doc = spec.to_doc()
-    execute_cached(spec, result_cache=cache, spec_doc=doc)
-    assert cache.get(doc) is not None
+    written = execute_material(spec_material(doc), result_cache=cache)
+    assert (cache.hits, cache.misses, cache.writes) == (0, 0, 1)
+    hit = cache.get(doc)
+    assert hit is not None
+    assert (
+        hit.canonical_line()
+        == written.canonical_line()
+        == execute_spec(spec).canonical_line()
+    )
 
 
 def _count_spec_encodings(monkeypatch, spec):
@@ -138,13 +148,14 @@ def test_a_cold_execution_encodes_the_spec_once(cache, monkeypatch):
 
 
 def test_a_supplied_text_is_not_encoded_again(cache, monkeypatch):
-    # the worker path: the text it received is the spec's canonical text
+    # the worker path: the text it received is the spec's canonical text,
+    # and it writes through without probing (the server probed at submit)
     spec = _refinement("worker")
     doc = strip_label(spec.to_doc())
     material = spec_material(doc)
     encodings = _count_spec_encodings(monkeypatch, spec)
-    execute_cached(spec, result_cache=cache, spec_doc=doc, material=material)
-    assert cache.writes == 1
+    execute_material(material, result_cache=cache)
+    assert (cache.hits, cache.misses, cache.writes) == (0, 0, 1)
     assert encodings == []
     assert cache.get(doc, material=material) is not None
 

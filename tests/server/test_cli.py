@@ -7,12 +7,14 @@ subprocess -- the HTTP banner and the graceful ``SIGTERM`` drain that the
 CI smoke job scrapes.
 """
 
+import contextlib
 import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -33,7 +35,7 @@ from repro.server.client import ServerClient
 from repro.server.http import HttpFrontend
 from repro.server.protocol import check_request
 
-from .conftest import http_reply
+from .conftest import http_reply, wait_until
 
 A, B, C = Event("a"), Event("b"), Event("c")
 
@@ -204,6 +206,92 @@ class TestHttpDaemonSubprocess:
         assert stdout == ""  # HTTP mode writes nothing to stdout
         assert "cspserve: draining" in stderr
         assert "Traceback" not in stderr
+
+
+@contextlib.contextmanager
+def http_daemon(workers):
+    """A ``cspserve --http`` subprocess and its URL; killed, workers too, at exit."""
+    env = dict(os.environ)
+    env.setdefault("PYTHONPATH", "src")
+    daemon = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.server.cli",
+            "--http",
+            "127.0.0.1:0",
+            "--workers",
+            str(workers),
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        # its own process group, so the cleanup reaches every worker
+        start_new_session=True,
+    )
+    try:
+        banner = daemon.stderr.readline()
+        assert banner.startswith("cspserve: listening on http://127.0.0.1:")
+        yield daemon, banner.split()[-1]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(daemon.pid, signal.SIGKILL)
+        daemon.communicate()
+
+
+def children(pid):
+    """The pids whose parent is *pid*, read from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _stat(int(entry))[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+def alive(pid):
+    """Is *pid* a process that still runs (not gone, not a zombie)?"""
+    state = _stat(pid)[0]
+    return state is not None and state not in "ZX"
+
+
+def _stat(pid):
+    """``(state, parent pid)`` of *pid*, or ``(None, None)`` once it is gone."""
+    try:
+        with open("/proc/{}/stat".format(pid), encoding="ascii") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None, None
+    return fields[0], int(fields[1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads worker pids from /proc")
+class TestWorkerLifecycle:
+    def test_a_respawned_worker_is_still_killed_at_its_deadline(self):
+        # the replacement for a crashed worker is forked after the daemon
+        # installed its SIGTERM handler; a timeout must still end it and
+        # leave the scheduler free for the next check
+        with http_daemon(1) as (daemon, url):
+            with ServerClient(url, http_timeout=10) as client:
+                crashed = client.check(selftest("exit:3", "crash"))
+                assert crashed.verdict == "ERROR"
+                slow = client.check(selftest("sleep:20", "slow"), timeout=1)
+                assert slow.verdict == "TIMEOUT"
+                started = time.perf_counter()
+                assert client.check(selftest("pass", "next")).verdict == "PASS"
+                assert time.perf_counter() - started < 5.0
+
+    def test_a_killed_daemon_takes_its_workers_with_it(self):
+        with http_daemon(2) as (daemon, url):
+            with ServerClient(url) as client:
+                assert client.check(selftest("exit:3", "crash")).verdict == "ERROR"
+                assert client.check(selftest("pass", "after")).verdict == "PASS"
+            # the original worker and the one respawned after the crash
+            workers = children(daemon.pid)
+            assert len(workers) == 2
+            daemon.kill()
+            daemon.wait()
+            wait_until(lambda: not any(alive(pid) for pid in workers), timeout=5.0)
 
 
 class TestCspbatchServerMode:

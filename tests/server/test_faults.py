@@ -173,3 +173,109 @@ def test_cancel_resolves_queued_work_too(make_server):
     server.close(drain=False)
     # never silence: even never-dispatched work gets a CANCELLED response
     assert queued.result(timeout=1).verdict == "CANCELLED"
+
+
+# -- chunked dispatch ----------------------------------------------------------
+
+
+def cheap(label):
+    """A cheap check under its own name: distinct names never coalesce."""
+    return selftest("pass", label, name=label)
+
+
+def counted(server, name):
+    return server.metrics.counter(name).value
+
+
+def line_up(server, docs, timeout=None):
+    """Queue *docs* behind a blocker on a one-worker server.
+
+    A first check measures an execution time and the blocker occupies the
+    worker while every doc queues, so the freed worker takes the docs in
+    one message (up to the chunk cap).  That makes three dispatches and
+    ``2 + len(docs)`` executions once the chunk is sent.
+    """
+    assert server.submit(cheap("warm")).result(timeout=60).verdict == "PASS"
+    server.submit(selftest("sleep:0.3", "blocker"))
+    wait_until(lambda: server.stats()["busy_workers"] == 1)
+    return [server.submit(doc, timeout=timeout) for doc in docs]
+
+
+@pytest.mark.parametrize(
+    "op, verdict, error, restarts",
+    [
+        ("raise", "ERROR", "RuntimeError: injected worker exception", 0),
+        ("exit:3", "ERROR", "worker exited with code 3", 1),
+        ("sleep:30", "TIMEOUT", "request exceeded 0.5s timeout", 1),
+    ],
+)
+def test_a_fault_mid_chunk_fails_alone(
+    make_server, chunk_by_share, op, verdict, error, restarts
+):
+    server = make_server(workers=1)
+    before = [cheap("before-{}".format(i)) for i in range(5)]
+    after = [cheap("after-{}".format(i)) for i in range(chunk_by_share - 6)]
+    tickets = line_up(server, before + [selftest(op, "fault")] + after, timeout=0.5)
+    started = time.perf_counter()
+    results = [ticket.result(timeout=60) for ticket in tickets]
+    assert time.perf_counter() - started < 10.0
+    faulted = results[len(before)]
+    assert (faulted.check_id, faulted.verdict) == ("fault", verdict)
+    assert error in faulted.error
+    siblings = results[: len(before)] + results[len(before) + 1 :]
+    assert [(r.check_id, r.verdict) for r in siblings] == [
+        (doc["id"], "PASS") for doc in before + after
+    ]
+    assert counted(server, "server.worker_restarts") == restarts
+    # one chunk, plus one more message for the requeued rest after a lost
+    # worker; a requeued execution still counts once
+    assert counted(server, "server.dispatches") == 3 + restarts
+    assert counted(server, "server.executions") == 2 + len(tickets)
+    if restarts:
+        assert {r.worker_pid for r in results[len(before) + 1 :]}.isdisjoint(
+            r.worker_pid for r in results[: len(before)]
+        )
+
+
+def test_each_chunk_member_has_its_own_deadline(make_server, chunk_by_share):
+    # 0.9 s of sleeps in one message, each well inside its own 0.5 s
+    server = make_server(workers=1)
+    naps = [
+        selftest("sleep:0.3", "nap-{}".format(i), name="nap-{}".format(i))
+        for i in range(3)
+    ]
+    tickets = line_up(server, [cheap("head")] + naps + [cheap("tail")], timeout=0.5)
+    results = [ticket.result(timeout=60) for ticket in tickets]
+    assert [r.verdict for r in results] == ["PASS"] * 5
+    assert counted(server, "server.dispatches") == 3
+    assert counted(server, "server.worker_restarts") == 0
+
+
+@pytest.mark.parametrize(
+    "close",
+    [{"drain": False}, {"drain": True, "timeout": 0.5}],
+    ids=["cancel", "drain-deadline"],
+)
+def test_closing_cancels_every_chunk_member(make_server, chunk_by_share, close):
+    server = make_server(workers=1)
+    stuck = selftest("sleep:30", "stuck")
+    docs = [stuck] + [cheap("behind-{}".format(i)) for i in range(4)]
+    tickets = line_up(server, docs)
+    # the whole chunk is on the worker, none of it in the queue
+    wait_until(lambda: counted(server, "server.dispatches") == 3)
+    assert server.stats()["pending"] == 0
+    server.close(**close)
+    results = [ticket.result(timeout=1) for ticket in tickets]
+    assert [(r.verdict, r.error) for r in results] == [
+        ("CANCELLED", "server closed")
+    ] * 5
+
+
+def test_drain_finishes_every_chunk_member(make_server, chunk_by_share):
+    server = make_server(workers=1)
+    nap = selftest("sleep:0.2", "nap", name="nap")
+    docs = [nap] + [cheap("rest-{}".format(i)) for i in range(3)]
+    tickets = line_up(server, docs)
+    wait_until(lambda: counted(server, "server.dispatches") == 3)
+    server.close(drain=True)
+    assert [ticket.result(timeout=1).verdict for ticket in tickets] == ["PASS"] * 4
