@@ -39,6 +39,7 @@ from .csp.lts import DEFAULT_STATE_LIMIT
 from .csp.process import Environment, Process
 from .engine.cache import CompilationCache
 from .engine.pipeline import VerificationPipeline
+from .exec.runtime import execute_cached, open_result_cache
 from .fdr.refine import CheckResult
 from .obs.trace import Tracer
 from .passes.base import PassSpec
@@ -89,7 +90,7 @@ class Verdict:
 
     @classmethod
     def from_job_result(cls, job) -> "Verdict":
-        """Wrap a :class:`~repro.batch.spec.JobResult` from the runtime."""
+        """Wrap a :class:`~repro.exec.spec.JobResult` from the runtime."""
         return cls(job)
 
     # -- canonical fields ----------------------------------------------------
@@ -148,7 +149,7 @@ class Verdict:
 
     @property
     def job_result(self):
-        """The underlying :class:`~repro.batch.spec.JobResult`."""
+        """The underlying :class:`~repro.exec.spec.JobResult`."""
         return self._job
 
     # -- canonical JSON ------------------------------------------------------
@@ -296,7 +297,7 @@ def execute_check(
     result_cache_dir: Optional[str] = None,
     profile: bool = False,
 ) -> Verdict:
-    """Execute one :class:`~repro.batch.spec.CheckSpec` through the runtime.
+    """Execute one :class:`~repro.exec.spec.CheckSpec` through the runtime.
 
     The programmatic spelling of what every entry point (inline batch,
     ``cspbatch`` workers, the ``cspserve`` daemon) does per check: run the
@@ -305,9 +306,6 @@ def execute_check(
     content-addressed verdict store -- an identical spec already discharged
     by any mode answers from disk without re-verifying.
     """
-    # deferred: repro.exec pulls in the batch/worker machinery
-    from .exec.runtime import execute_cached, open_result_cache
-
     return Verdict.from_job_result(
         execute_cached(
             spec,
@@ -425,7 +423,7 @@ def server_client(url: str, *, http_timeout: Optional[float] = None):
     """A client for a running ``cspserve`` daemon (verification as a service).
 
     Returns a :class:`~repro.server.client.ServerClient`; ``.check(spec)``
-    submits one :class:`~repro.batch.spec.CheckSpec` and blocks on its
+    submits one :class:`~repro.exec.spec.CheckSpec` and blocks on its
     verdict, ``.run_manifest(specs)`` submits a whole batch (results in
     manifest order, canonically byte-identical to a local ``cspbatch``
     run).  The daemon pays compilation once per distinct check across all

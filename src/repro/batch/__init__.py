@@ -12,18 +12,24 @@ run in-process:
   the rest of the batch completes.
 * **Determinism** -- results come back in input order and each job runs in
   a fresh pipeline; a parallel run's canonical results are byte-identical
-  to the sequential reference (:func:`execute_spec`), which the
-  conformance corpus under ``tests/conformance`` enforces.
+  to the sequential reference (:func:`~repro.exec.runtime.execute_spec`),
+  which the conformance corpus under ``tests/conformance`` enforces.
 * **Shared compilation** -- workers layer the in-memory cache over a
   content-addressed on-disk store (:mod:`repro.engine.diskcache`), so one
   worker's compiled automaton warms every sibling and every later session.
+
+The package sits above :mod:`repro.exec` (the wire format, execution and
+the result cache) and :mod:`repro.server` (the pool), and holds what is
+batch-specific: :func:`run_batch` (:mod:`repro.batch.executor`), manifest
+files (:mod:`repro.batch.spec`) and the one run-and-emit path that
+``cspbatch`` and ``csprv`` share (:mod:`repro.batch.cli`).  The wire format
+names are re-exported here for callers that think in batches.
 
 Surfaced on the command line as ``cspbatch`` (manifest in, JSONL out) and
 programmatically as :func:`repro.api.verify_requirements`.
 """
 
-from .executor import BatchReport, execute_spec, run_batch
-from .spec import (
+from ..exec.spec import (
     BATCH_FORMAT_VERSION,
     CANCELLED,
     CheckSpec,
@@ -34,12 +40,11 @@ from .spec import (
     PASS,
     TIMEOUT,
     VERDICTS,
-    dump_manifest,
-    load_manifest,
     manifest_document,
     parse_manifest,
-    requirement_specs,
 )
+from .executor import BatchReport, run_batch
+from .spec import dump_manifest, load_manifest, requirement_specs
 
 __all__ = [
     "BATCH_FORMAT_VERSION",
@@ -54,7 +59,6 @@ __all__ = [
     "TIMEOUT",
     "VERDICTS",
     "dump_manifest",
-    "execute_spec",
     "load_manifest",
     "manifest_document",
     "parse_manifest",

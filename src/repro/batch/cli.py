@@ -8,11 +8,12 @@ Usage::
              [--quiet] [--profile] [--trace-out FILE]
 
 The manifest is a JSON document (``{"format": 1, "checks": [...]}``, schema
-in :mod:`repro.batch.spec` and ``docs/batch.md``); ``-`` reads it from
+in :mod:`repro.exec.spec` and ``docs/batch.md``); ``-`` reads it from
 stdin.  Results stream to stdout as JSON Lines, one canonical result per
 check **in manifest order** -- the same bytes regardless of ``--jobs``,
 scheduling, or cache temperature.  Diagnostics (the batch summary, per-job
-failure lines, profiles) go to stderr.
+failure lines, profiles) go to stderr.  ``csprv`` writes its verdicts
+through the same path, :func:`run_and_emit`.
 
 ``--server URL`` points the same manifest at a running ``cspserve`` daemon
 instead of a local worker pool: one ``POST /batch`` round trip, canonical
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..cli_common import (
     EXIT_OK,
@@ -49,8 +49,11 @@ from ..cli_common import (
     result_cache_dir_from_args,
     tracer_from_args,
 )
-from .executor import run_batch
-from .spec import CheckSpec, ManifestError, PASS, load_manifest
+from ..exec.spec import CheckSpec, JobResult, ManifestError, PASS
+from ..server.client import ServerClient, ServerError
+from ..server.protocol import Rejection
+from .executor import BatchReport, run_batch, verdict_counts, verdict_tally
+from .spec import load_manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,50 +131,82 @@ def _load_specs(path: str, parser: argparse.ArgumentParser) -> List[CheckSpec]:
         parser.exit(EXIT_USAGE, "cspbatch: bad manifest: {}\n".format(error))
 
 
-def _run_against_server(args, specs: List[CheckSpec]) -> int:
-    """The ``--server`` client mode: one POST /batch, canonical JSONL out."""
-    from ..server.client import ServerClient, ServerError
-    from ..server.protocol import Rejection
+def run_and_emit(
+    args: argparse.Namespace,
+    specs: Sequence[CheckSpec],
+    *,
+    tool: str,
+    rejected: str,
+    summary: Callable[[List[JobResult], Optional[BatchReport]], str],
+    cache_dir: Optional[str] = None,
+    batch_timeout: Optional[float] = None,
+) -> int:
+    """Run *specs* and write their verdicts; return the exit status.
 
+    The one run path under ``cspbatch`` and ``csprv``.  With ``--server``
+    the specs go to a running daemon in one ``POST /batch``; otherwise
+    :func:`run_batch` runs them inline (``--jobs 0``) or on ``--jobs``
+    warm workers.  Canonical JSONL goes to stdout in input order.  On
+    stderr: one line per job that did not pass and the
+    ``summary(results, report)`` line (*report* is None when served),
+    unless ``--quiet``; the verdict counts and, for a local run, the
+    result-cache counters under ``--stats``; then what ``--profile`` and
+    ``--trace-out`` ask for (local runs only).  *tool* prefixes the error
+    lines, and *rejected* names what a daemon rejection refused
+    (``"the manifest"``).  An unusable or unreachable daemon exits 2, a
+    rejection 1: no verdict means no pass.
+    """
+    tracer = tracer_from_args(args)
+    report: Optional[BatchReport] = None
     try:
-        client = ServerClient(args.server)
-    except ValueError as error:
-        sys.stderr.write("cspbatch: {}\n".format(error))
-        return EXIT_USAGE
-    try:
-        with client:
-            results = client.run_manifest(
-                specs, tenant=args.tenant, timeout=args.timeout
+        if args.server is not None:
+            try:
+                client = ServerClient(args.server)
+            except ValueError as error:
+                sys.stderr.write("{}: {}\n".format(tool, error))
+                return EXIT_USAGE
+            with client:
+                results = client.run_manifest(
+                    specs, tenant=args.tenant, timeout=args.timeout
+                )
+        else:
+            report = run_batch(
+                specs,
+                jobs=args.jobs,
+                timeout=args.timeout,
+                batch_timeout=batch_timeout,
+                cache_dir=cache_dir,
+                result_cache_dir=result_cache_dir_from_args(args),
+                obs=tracer if tracer.enabled else None,
+                inline=args.jobs == 0,
             )
+            results = report.results
     except ServerError as error:
-        sys.stderr.write("cspbatch: {}\n".format(error))
+        sys.stderr.write("{}: {}\n".format(tool, error))
         return EXIT_USAGE
     except Rejection as rejection:
-        # fail closed: an unserved manifest is a failing gate, not a pass
+        # fail closed: an unserved submission is a failing gate, not a pass
         sys.stderr.write(
-            "cspbatch: server rejected the manifest ({}): {}\n".format(
-                rejection.code, rejection.message
+            "{}: server rejected {} ({}): {}\n".format(
+                tool, rejected, rejection.code, rejection.message
             )
         )
         return EXIT_VIOLATION
-    counts = {}
+    except KeyboardInterrupt:
+        sys.stderr.write("{}: interrupted\n".format(tool))
+        return EXIT_VIOLATION
     for result in results:
-        counts[result.verdict] = counts.get(result.verdict, 0) + 1
         sys.stdout.write(result.canonical_line() + "\n")
         if not args.quiet and result.verdict != PASS:
             sys.stderr.write(result.summary() + "\n")
     if not args.quiet:
-        parts = ", ".join(
-            "{} {}".format(count, verdict)
-            for verdict, count in sorted(counts.items())
-        )
-        sys.stderr.write(
-            "{} jobs ({}) via {}\n".format(
-                len(results), parts if parts else "empty", args.server
-            )
-        )
+        sys.stderr.write(summary(results, report) + "\n")
     if args.stats:
-        emit_stats(sorted(counts.items()))
+        emit_stats(sorted(verdict_counts(results).items()))
+        if report is not None and report.result_cache_stats is not None:
+            emit_stats(sorted(report.result_cache_stats.items()))
+    if report is not None:
+        finish_observability(args, tracer, report.profile)
     ok = all(result.verdict == PASS for result in results)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -182,39 +217,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 0:
         parser.exit(EXIT_USAGE, "cspbatch: --jobs must be >= 0\n")
     specs = _load_specs(args.manifest, parser)
-    if args.server is not None:
-        return _run_against_server(args, specs)
-    tracer = tracer_from_args(args)
 
-    cancel = threading.Event()
-    try:
-        report = run_batch(
-            specs,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            batch_timeout=args.batch_timeout,
-            cache_dir=args.cache_dir,
-            result_cache_dir=result_cache_dir_from_args(args),
-            obs=tracer if tracer.enabled else None,
-            cancel=cancel,
-            inline=args.jobs == 0,
+    def summary(results, report):
+        if report is not None:
+            return report.summary()
+        return "{} jobs ({}) via {}".format(
+            len(results), verdict_tally(results), args.server
         )
-    except KeyboardInterrupt:
-        sys.stderr.write("cspbatch: interrupted\n")
-        return EXIT_VIOLATION
 
-    for result in report.results:
-        sys.stdout.write(result.canonical_line() + "\n")
-        if not args.quiet and result.verdict != PASS:
-            sys.stderr.write(result.summary() + "\n")
-    if not args.quiet:
-        sys.stderr.write(report.summary() + "\n")
-    if args.stats:
-        emit_stats(sorted(report.counts().items()))
-        if report.result_cache_stats is not None:
-            emit_stats(sorted(report.result_cache_stats.items()))
-    finish_observability(args, tracer, report.profile)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return run_and_emit(
+        args,
+        specs,
+        tool="cspbatch",
+        rejected="the manifest",
+        summary=summary,
+        cache_dir=args.cache_dir,
+        batch_timeout=args.batch_timeout,
+    )
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 ``jobs >= 1`` runs the batch on an in-process
 :class:`~repro.server.core.VerificationServer` -- the same scheduler the
 ``cspserve`` daemon uses, with *jobs* persistent warm workers.  Every spec
-is submitted at once, as the :class:`~repro.batch.spec.CheckSpec` it is
+is submitted at once, as the :class:`~repro.exec.spec.CheckSpec` it is
 (the queue is sized to the batch, so submission never blocks), cheap specs
 reach a worker in chunks of several per pipe message, and the tickets are
 collected in input order.  A worker that crashes or overruns its deadline
@@ -37,13 +37,13 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
-# the execution core moved to repro.exec; re-exported because this module
-# defined it first and every mode's callers import it from here
-from ..exec.runtime import execute_cached, execute_spec, open_result_cache
+from ..exec.runtime import execute_cached, open_result_cache
+from ..exec.spec import CANCELLED, CheckSpec, ERROR, JobResult, PASS
 from ..exec.workers import failure_result
 from ..obs.profile import Profile, merge_profiles
 from ..obs.trace import Tracer, ensure_tracer
-from .spec import CANCELLED, CheckSpec, ERROR, JobResult, PASS
+from ..server.core import VerificationServer
+from ..server.protocol import Rejection
 
 #: how often a pooled batch re-checks its cancel event (seconds)
 _POLL = 0.1
@@ -77,19 +77,12 @@ class BatchReport:
         return all(result.verdict == PASS for result in self.results)
 
     def counts(self) -> Dict[str, int]:
-        tally: Dict[str, int] = {}
-        for result in self.results:
-            tally[result.verdict] = tally.get(result.verdict, 0) + 1
-        return tally
+        return verdict_counts(self.results)
 
     def summary(self) -> str:
-        parts = [
-            "{} {}".format(count, verdict)
-            for verdict, count in sorted(self.counts().items())
-        ]
         return "{} jobs ({}) in {:.1f} ms on {} worker{}".format(
             len(self.results),
-            ", ".join(parts) if parts else "empty",
+            verdict_tally(self.results),
             self.wall_ms,
             self.jobs,
             "" if self.jobs == 1 else "s",
@@ -97,6 +90,23 @@ class BatchReport:
 
     def __repr__(self) -> str:
         return "BatchReport({})".format(self.summary())
+
+
+def verdict_counts(results: Sequence[JobResult]) -> Dict[str, int]:
+    """How many of *results* carry each verdict."""
+    tally: Dict[str, int] = {}
+    for result in results:
+        tally[result.verdict] = tally.get(result.verdict, 0) + 1
+    return tally
+
+
+def verdict_tally(results: Sequence[JobResult]) -> str:
+    """``"1 FAIL, 2 PASS"`` (verdicts sorted), or ``"empty"``."""
+    parts = [
+        "{} {}".format(count, verdict)
+        for verdict, count in sorted(verdict_counts(results).items())
+    ]
+    return ", ".join(parts) if parts else "empty"
 
 
 def run_batch(
@@ -234,10 +244,6 @@ def _run_pooled(
     cancel: Optional[threading.Event],
 ):
     """Run the batch on an in-process server; return results and cache stats."""
-    # deferred: the server package builds on repro.batch.spec
-    from ..server.core import VerificationServer
-    from ..server.protocol import Rejection
-
     server = VerificationServer(
         workers=jobs,
         queue_limit=max(len(specs), 1),

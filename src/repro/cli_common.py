@@ -74,10 +74,16 @@ def add_result_cache_args(
 
 
 def result_cache_dir_from_args(args: argparse.Namespace) -> Optional[str]:
-    """The result-cache directory the flag pair above resolved to, if any."""
-    from .exec.runtime import resolve_result_cache_dir
+    """The result-cache directory the flag pair above resolved to, if any.
 
-    return resolve_result_cache_dir(args)
+    ``--result-cache DIR`` opts in (memoisation is never on by default -- a
+    default-on verdict store would surprise exactly the regression reruns
+    that must observe today's engine), and ``--no-result-cache`` wins over
+    it.
+    """
+    if getattr(args, "no_result_cache", False):
+        return None
+    return getattr(args, "result_cache", None)
 
 
 def add_seed_arg(parser: argparse.ArgumentParser, default: int = 0) -> None:

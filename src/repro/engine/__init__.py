@@ -23,7 +23,7 @@ caller.  The pipeline owns three pieces of shared state:
 """
 
 from .cache import CompilationCache, reachable_bindings, structural_key
-from .diskcache import DISKCACHE_FORMAT_VERSION, DiskCache, key_digest
+from .diskcache import DISKCACHE_FORMAT_VERSION, DiskCache
 from .pipeline import VerificationPipeline, shared_cache
 from .plan import (
     CompilationPlan,
@@ -45,7 +45,6 @@ __all__ = [
     "ProductLTS",
     "VerificationPipeline",
     "component_provenance",
-    "key_digest",
     "reachable_bindings",
     "shared_cache",
     "structural_key",

@@ -60,8 +60,8 @@ from ..csp.kernel import CompactLTS
 from ..csp.lts import LTS
 
 # the layout version and key digest live with every other structural key in
-# repro.exec.keys; re-exported here because this module defined them first
-from ..exec.keys import DISKCACHE_FORMAT_VERSION, lts_key_digest as key_digest
+# repro.exec.keys
+from ..exec.keys import DISKCACHE_FORMAT_VERSION, lts_key_digest
 
 #: on-disk entry suffix (v2 binary layout); v1 used ``.json``
 ENTRY_SUFFIX = ".ltsb"
@@ -219,7 +219,7 @@ class DiskCache:
 
     def path_of(self, key, passes: Tuple[str, ...] = ()) -> str:
         return os.path.join(
-            self.directory, key_digest(key, passes) + ENTRY_SUFFIX
+            self.directory, lts_key_digest(key, passes) + ENTRY_SUFFIX
         )
 
     def __len__(self) -> int:

@@ -57,7 +57,6 @@ class VerificationPipeline:
         max_states: int = DEFAULT_STATE_LIMIT,
         on_the_fly: bool = True,
         passes: PassSpec = "default",
-        por: bool = False,
         obs: Optional[Tracer] = None,
     ) -> None:
         self.env = env if env is not None else Environment()
@@ -65,10 +64,6 @@ class VerificationPipeline:
         self.cache = cache if cache is not None else CompilationCache()
         self.max_states = max_states
         self.on_the_fly = on_the_fly
-        #: partial-order reduction over independent interleaved components;
-        #: only sound for stuttering-invariant properties, so it is applied
-        #: solely to trace checks, and only when explicitly requested
-        self.por = por
         self.passes = resolve_passes(passes)
         self.plan = CompilationPlan(self, self.passes)
         self.checks_run = 0
@@ -183,11 +178,7 @@ class VerificationPipeline:
                     # components; terms it cannot synthesise (no compiled
                     # leaves, degraded components) fall back to the generic
                     # term-level lazy expansion
-                    implementation = self.plan.product_view(
-                        prepared_impl,
-                        limit,
-                        por=self.por and model == "T",
-                    )
+                    implementation = self.plan.product_view(prepared_impl, limit)
                     if implementation is None:
                         implementation = self.lazy(prepared_impl.term, max_states)
                 else:

@@ -237,7 +237,6 @@ class CompilationPlan:
         self,
         prepared: PreparedTerm,
         max_states: int,
-        por: bool = False,
     ) -> Optional[ProductLTS]:
         """An on-the-fly product over the prepared term's compiled leaves.
 
@@ -245,9 +244,7 @@ class CompilationPlan:
         or a leaf left in SOS form); the caller then uses the generic
         term-level lazy expansion, which handles every term shape.
         """
-        view = ProductLTS.for_term(
-            prepared.term, self.pipeline.table, max_states, por=por
-        )
+        view = ProductLTS.for_term(prepared.term, self.pipeline.table, max_states)
         if view is not None and self.pipeline.obs.enabled:
             self.pipeline.obs.metrics.counter("plan.product_views").inc()
         return view

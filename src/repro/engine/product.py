@@ -40,16 +40,6 @@ Events the pipeline's table has not interned yet (renaming targets, events
 of a leaf compiled under another pipeline's table) are numbered when the
 first edge carrying them is emitted, as ``compile_lts`` does, so both paths
 leave the table in the same state.
-
-Partial-order reduction (optional, off by default): when a component's
-current state has only tau moves, those moves are invisible, cannot
-synchronise, and commute with every move of every other component.
-Expanding *only* that component's taus (an ample set) therefore preserves
-trace verdicts while skipping the interleaving blow-up.  The reduction is
-only sound for stuttering-invariant properties, so the pipeline enables it
-solely for on-the-fly trace checks and only when asked (``por=True``); a
-cycle proviso (the ample set must discover at least one new state) guards
-against a reduced cycle postponing a visible move forever.
 """
 
 from __future__ import annotations
@@ -273,7 +263,6 @@ class ProductLTS:
         kernels: List,
         table: AlphabetTable,
         max_states: int = DEFAULT_STATE_LIMIT,
-        por: bool = False,
         deferred: Tuple[Event, ...] = (),
     ) -> None:
         # admitting the initial state counts against the budget, as in
@@ -282,10 +271,7 @@ class ProductLTS:
             raise StateSpaceLimitExceeded(max_states)
         self.table = table
         self.max_states = max_states
-        self.por = por
         self.initial: StateId = 0
-        #: times an ample set replaced a full expansion (POR diagnostics)
-        self.ample_hits = 0
         self._template = template
         self._node = node
         self._kernels = kernels
@@ -303,7 +289,6 @@ class ProductLTS:
         term: Process,
         table: AlphabetTable,
         max_states: int = DEFAULT_STATE_LIMIT,
-        por: bool = False,
     ) -> Optional["ProductLTS"]:
         """The product of *term*, or None when it does not qualify.
 
@@ -321,7 +306,7 @@ class ProductLTS:
         node = _build(term, kernels, ids)
         if node is None:
             return None
-        return cls(term, node, kernels, table, max_states, por, tuple(ids.deferred))
+        return cls(term, node, kernels, table, max_states, tuple(ids.deferred))
 
     # -- the automaton protocol ----------------------------------------------
 
@@ -401,9 +386,7 @@ class ProductLTS:
     def _emit(self, state: StateId) -> None:
         """Append the state's edges to the buffers, numbering new states."""
         tup = self._tuples[state]
-        moves = self._ample(tup) if self.por else None
-        if moves is None:
-            moves = self._node.moves(tup)
+        moves = self._node.moves(tup)
         index = self._index
         tuples = self._tuples
         events, targets = self._events, self._targets
@@ -436,31 +419,6 @@ class ProductLTS:
             eid = events[i]
             if eid >= _DEFERRED:
                 events[i] = intern(deferred[eid - _DEFERRED])
-
-    def _ample(self, tup: Tuple[StateId, ...]) -> Optional[List[_Move]]:
-        """An ample subset of the state's moves, or None for full expansion.
-
-        A component whose current state offers *only* raw kernel taus is an
-        ample candidate: its moves are invisible at every level (hiding and
-        renaming leave tau alone), can never synchronise, and touch no other
-        component -- so they commute with every concurrent move.  The first
-        candidate whose taus discover at least one new product state (the
-        cycle proviso) is expanded alone.
-        """
-        for k, kernel in enumerate(self._kernels):
-            events, targets, lo, hi = kernel.successors_span(tup[k])
-            if lo == hi:
-                continue
-            if any(events[i] != TAU_ID for i in range(lo, hi)):
-                continue
-            prefix, suffix = tup[:k], tup[k + 1 :]
-            if any(
-                prefix + (targets[i],) + suffix not in self._index
-                for i in range(lo, hi)
-            ):
-                self.ample_hits += 1
-                return [(TAU_ID, ((k, targets[i]),)) for i in range(lo, hi)]
-        return None
 
     # -- convenience views (tests, diagnostics) ------------------------------
 

@@ -3,7 +3,7 @@
 The LTS :class:`~repro.engine.diskcache.DiskCache` persists *compiled
 automata*, so a warm run skips compilation but still re-runs every search.
 This store persists the **outcome**: the canonical
-:class:`~repro.batch.spec.JobResult` bytes of a completed check (verdict,
+:class:`~repro.exec.spec.JobResult` bytes of a completed check (verdict,
 counterexample, explored counts -- timings excluded, exactly the
 byte-identity surface the conformance corpus pins), keyed by the same
 structural key the server's dedup table uses.  A later identical request
@@ -61,13 +61,13 @@ import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from ..batch.spec import FAIL, JobResult, PASS
 from .keys import (
     ENGINE_SEMANTICS_VERSION,
     RESULT_FORMAT_VERSION,
     result_key_digest,
     spec_material,
 )
+from .spec import FAIL, JobResult, PASS
 
 if TYPE_CHECKING:
     # imported where used: sqlite3 costs ~1.5 MB of resident memory, and

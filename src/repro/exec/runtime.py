@@ -1,7 +1,6 @@
 """Spec execution: the one ``CheckSpec -> JobResult`` core every mode uses.
 
-:func:`execute_spec` is the **sequential reference semantics**.  It used to
-live in :mod:`repro.batch.executor`; it moved here because it was never
+:func:`execute_spec` is the **sequential reference semantics**.  It is not
 batch-specific -- the warm workers of the one execution pool (pooled
 batches and the daemon) and the inline path all call exactly this
 function, and the conformance corpus holds all of them to its
@@ -26,11 +25,11 @@ import os
 import time
 from typing import Any, Dict, Optional
 
-from ..batch.spec import CheckSpec, ERROR, FAIL, JobResult, PASS
 from ..obs.metrics import Metrics
 from ..obs.trace import Tracer
 from .keys import spec_material
 from .resultcache import ResultCache
+from .spec import CheckSpec, ERROR, FAIL, JobResult, PASS
 
 
 def execute_spec(
@@ -45,13 +44,13 @@ def execute_spec(
     The sequential reference semantics: every other mode -- the warm
     worker pool of pooled batches and the daemon, the memoised flavour
     below -- must produce byte-identical
-    :meth:`~repro.batch.spec.JobResult.canonical` documents to this
+    :meth:`~repro.exec.spec.JobResult.canonical` documents to this
     function for every spec.  Each call builds a fresh
     pipeline -- fresh environment, alphabet table, and in-memory cache
     (optionally layered over the shared disk store) -- so specs cannot
     interfere.
     """
-    from .. import api
+    from .. import api  # deferred: repro.api builds on this module
     from ..engine.cache import CompilationCache
     from ..engine.diskcache import DiskCache
 
@@ -206,24 +205,9 @@ def execute_cached(
     return result
 
 
-# -- construction and CLI plumbing ---------------------------------------------
+# -- construction --------------------------------------------------------------
 
 
 def open_result_cache(directory: Optional[str]) -> Optional[ResultCache]:
     """A :class:`ResultCache` on *directory*, or None when memoisation is off."""
     return None if directory is None else ResultCache(directory)
-
-
-def resolve_result_cache_dir(args: Any) -> Optional[str]:
-    """The result-cache directory an argparse namespace asks for, if any.
-
-    The flag pair installed by
-    :func:`repro.cli_common.add_result_cache_args`: ``--result-cache DIR``
-    opts in (memoisation is never on by default -- a default-on verdict
-    store would surprise exactly the regression reruns that must observe
-    today's engine), and ``--no-result-cache`` wins over it, so wrapper
-    scripts can force a run cold without editing the wrapped command.
-    """
-    if getattr(args, "no_result_cache", False):
-        return None
-    return getattr(args, "result_cache", None)

@@ -47,9 +47,9 @@ import json
 import signal
 from typing import Optional
 
-from ..batch.spec import CheckSpec, ERROR, JobResult, ManifestError
 from .resultcache import ResultCache
 from .runtime import execute_spec, open_result_cache
+from .spec import CheckSpec, ERROR, JobResult, ManifestError
 
 
 def failure_result(

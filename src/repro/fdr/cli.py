@@ -42,7 +42,10 @@ from ..csp.lts import StateSpaceLimitExceeded
 from ..cspm.evaluator import CspmEvaluationError, load_file
 from ..cspm.lexer import CspmSyntaxError
 from ..engine.pipeline import VerificationPipeline
+from ..exec.runtime import open_result_cache
+from ..exec.spec import CheckSpec, JobResult, reachable_bindings
 from .assertions import PropertyAssertion, RefinementAssertion
+from .refine import CheckResult
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -106,8 +109,6 @@ def _assertion_doc(model, decl, max_states: int, passes: str):
     Assertions outside the corpus codec (or the manifest schema) return
     None and simply run fresh every time.
     """
-    from ..batch.spec import CheckSpec, reachable_bindings
-
     try:
         left = model.eval_process(decl.left, {})
         if decl.kind in ("T", "F", "FD"):
@@ -165,15 +166,13 @@ def _assertion_label(model, decl) -> str:
     return "not ({})".format(label) if decl.negated else label
 
 
-def _result_of_stored(stored) -> "CheckResult":
+def _result_of_stored(stored) -> CheckResult:
     """A displayable check result rebuilt from a memoised JobResult.
 
     ``summary()`` output is byte-identical to the fresh run's because every
     field it prints -- name, verdict, explored counts, the counterexample's
     ``describe()`` text -- is part of the stored canonical surface.
     """
-    from .refine import CheckResult
-
     counterexample = None
     if stored.counterexample is not None:
         counterexample = _StoredCounterexample(
@@ -218,7 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except KeyError as error:
             sys.stderr.write("error: {}\n".format(error.args[0]))
             return EXIT_USAGE
-        result_cache = _open_result_cache(args)
+        result_cache = open_result_cache(result_cache_dir_from_args(args))
         results = []
         for decl in model.assertions:
             doc = None
@@ -248,8 +247,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 continue
             results.append(result)
             if doc is not None:
-                from ..batch.spec import JobResult
-
                 result_cache.put(doc, JobResult.of_check_result(0, None, result))
     failed = 0
     for result in results:
@@ -271,12 +268,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
     finish_observability(args, tracer)
     return EXIT_VIOLATION if failed else EXIT_OK
-
-
-def _open_result_cache(args):
-    from ..exec.runtime import open_result_cache
-
-    return open_result_cache(result_cache_dir_from_args(args))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -180,7 +180,7 @@ class LearnResult:
         Returns ``(entry, bindings)``: one equation per canonical state,
         each an external choice of event-prefixed references (``STOP``
         for a state with no successors).  The bindings drop straight into
-        a :class:`~repro.batch.spec.CheckSpec`, so a learned model flows
+        a :class:`~repro.exec.spec.CheckSpec`, so a learned model flows
         through the batch executor, the daemon and the result cache like
         any extracted one.
         """

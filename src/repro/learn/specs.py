@@ -1,7 +1,7 @@
 """Learned models as wire-format checks: the exec/batch plumbing bridge.
 
 A converged :class:`~repro.learn.learner.LearnResult` becomes ordinary
-``kind: "refinement"`` :class:`~repro.batch.spec.CheckSpec` documents --
+``kind: "refinement"`` :class:`~repro.exec.spec.CheckSpec` documents --
 the learned automaton re-expressed as process equations refines (and is
 refined by) any reference process.  Nothing downstream knows the model
 was learned: the specs shard over ``cspbatch`` workers, serve from
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..batch.spec import CheckSpec, reachable_bindings
 from ..csp.process import Environment, Process
+from ..exec.spec import CheckSpec, reachable_bindings
 from .learner import LearnResult
 
 

@@ -474,13 +474,13 @@ def check_batch(value) -> None:
     """The batch executor's wire format and dispatch change nothing.
 
     Runs the same checks twice: directly through a pipeline, and as
-    :class:`~repro.batch.spec.CheckSpec` documents round-tripped through
+    :class:`~repro.exec.spec.CheckSpec` documents round-tripped through
     the manifest encoding and discharged by
-    :func:`~repro.batch.executor.execute_spec` (the sequential reference
+    :func:`~repro.exec.runtime.execute_spec` (the sequential reference
     the pooled executor is itself held to).  Verdicts and counterexample
     traces must agree.
     """
-    from ..batch.spec import CheckSpec, FAIL, PASS
+    from ..exec.spec import CheckSpec, FAIL, PASS
 
     spec, impl, model = value
     if model not in ("T", "F"):
@@ -510,8 +510,8 @@ def check_batch(value) -> None:
 
 
 def _execute_roundtripped(check_spec):
-    from ..batch.executor import execute_spec
-    from ..batch.spec import CheckSpec
+    from ..exec.runtime import execute_spec
+    from ..exec.spec import CheckSpec
 
     return execute_spec(CheckSpec.from_doc(check_spec.to_doc()))
 
@@ -535,9 +535,9 @@ def check_result_cache(value) -> None:
     """
     import tempfile
 
-    from ..batch.spec import CheckSpec
     from ..exec.resultcache import ResultCache
     from ..exec.runtime import execute_cached, execute_spec
+    from ..exec.spec import CheckSpec
 
     spec, impl, model = value
     if model not in ("T", "F"):
@@ -1016,7 +1016,7 @@ _register(
     Oracle(
         "batch",
         "batch wire format and executor agree with the direct pipeline",
-        "repro.batch.spec, repro.batch.executor",
+        "repro.exec.spec, repro.exec.runtime",
         _batch_input(),
         check_batch,
     )

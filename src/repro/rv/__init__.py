@@ -23,7 +23,7 @@ The pieces:
 * :mod:`repro.rv.cli`      -- the ``csprv`` CLI: manifest of logs + spec ->
   canonical JSONL verdicts, inline, ``--jobs N`` or ``--server URL``
 
-An rv job is an ordinary ``kind: "trace"`` :class:`~repro.batch.spec.
+An rv job is an ordinary ``kind: "trace"`` :class:`~repro.exec.spec.
 CheckSpec`, so per-trace checks shard over :mod:`repro.batch`, ``cspserve``
 and the :mod:`repro.exec` runtime unchanged -- and memoise for free.
 """

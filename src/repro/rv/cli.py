@@ -44,23 +44,20 @@ import argparse
 import json
 import os
 import sys
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..batch.spec import CheckSpec, ManifestError, PASS, dump_manifest
+from ..batch.cli import run_and_emit
+from ..batch.executor import verdict_tally
+from ..batch.spec import dump_manifest
 from ..cli_common import (
     EXIT_OK,
     EXIT_USAGE,
-    EXIT_VIOLATION,
     add_observability_args,
     add_result_cache_args,
     add_seed_arg,
     add_stats_arg,
-    emit_stats,
-    finish_observability,
-    result_cache_dir_from_args,
-    tracer_from_args,
 )
+from ..exec.spec import CheckSpec, ManifestError
 from .ingest import read_log
 from .mapping import EventMapping
 from .specs import OTA_DBC_PATH, builtin_spec
@@ -274,81 +271,6 @@ def specs_from_manifest(
 # -- run modes -----------------------------------------------------------------
 
 
-def _emit_results(args, results) -> int:
-    counts: Dict[str, int] = {}
-    for result in results:
-        counts[result.verdict] = counts.get(result.verdict, 0) + 1
-        sys.stdout.write(result.canonical_line() + "\n")
-        if not args.quiet and result.verdict != PASS:
-            sys.stderr.write(result.summary() + "\n")
-    if not args.quiet:
-        parts = ", ".join(
-            "{} {}".format(count, verdict)
-            for verdict, count in sorted(counts.items())
-        )
-        sys.stderr.write(
-            "{} logs checked ({})\n".format(
-                len(results), parts if parts else "empty"
-            )
-        )
-    if args.stats:
-        emit_stats(sorted(counts.items()))
-    ok = all(result.verdict == PASS for result in results)
-    return EXIT_OK if ok else EXIT_VIOLATION
-
-
-def _run_against_server(args, specs: List[CheckSpec]) -> int:
-    from ..server.client import ServerClient, ServerError
-    from ..server.protocol import Rejection
-
-    try:
-        client = ServerClient(args.server)
-    except ValueError as error:
-        sys.stderr.write("csprv: {}\n".format(error))
-        return EXIT_USAGE
-    try:
-        with client:
-            results = client.run_manifest(
-                specs, tenant=args.tenant, timeout=args.timeout
-            )
-    except ServerError as error:
-        sys.stderr.write("csprv: {}\n".format(error))
-        return EXIT_USAGE
-    except Rejection as rejection:
-        sys.stderr.write(
-            "csprv: server rejected the fleet ({}): {}\n".format(
-                rejection.code, rejection.message
-            )
-        )
-        return EXIT_VIOLATION
-    return _emit_results(args, results)
-
-
-def _run_local(args, specs: List[CheckSpec]) -> int:
-    from ..batch.executor import run_batch
-
-    tracer = tracer_from_args(args)
-    cancel = threading.Event()
-    try:
-        report = run_batch(
-            specs,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            result_cache_dir=result_cache_dir_from_args(args),
-            obs=tracer if tracer.enabled else None,
-            cancel=cancel,
-            inline=args.jobs == 0,
-        )
-    except KeyboardInterrupt:
-        sys.stderr.write("csprv: interrupted\n")
-        return EXIT_VIOLATION
-    status = _emit_results(args, report.results)
-    if args.stats and report.result_cache_stats is not None:
-        emit_stats(sorted(report.result_cache_stats.items()))
-    finish_observability(args, tracer, report.profile)
-    return status
-
-
 def _run_fleetgen(args, parser: argparse.ArgumentParser) -> int:
     from .fleetgen import write_fleet
 
@@ -414,9 +336,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             )
         return EXIT_OK
-    if args.server is not None:
-        return _run_against_server(args, specs)
-    return _run_local(args, specs)
+    return run_and_emit(
+        args,
+        specs,
+        tool="csprv",
+        rejected="the fleet",
+        summary=lambda results, report: "{} logs checked ({})".format(
+            len(results), verdict_tally(results)
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The client shape is the CI gate from the related work: submit a manifest,
 block on the verdicts, fail closed.  :meth:`ServerClient.run_manifest`
 does exactly that (one ``POST /batch`` round trip, results in manifest
 order), and :meth:`ServerClient.check` submits a single
-:class:`~repro.batch.spec.CheckSpec`.  Rejections surface as
+:class:`~repro.exec.spec.CheckSpec`.  Rejections surface as
 :class:`~repro.server.protocol.Rejection` (with the machine-readable code
 and retry hint); transport problems -- daemon not running, connection
 refused, unparseable response -- surface as :class:`ServerError`, which a
@@ -32,7 +32,7 @@ from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
-from ..batch.spec import BATCH_FORMAT_VERSION, CheckSpec, JobResult
+from ..exec.spec import BATCH_FORMAT_VERSION, CheckSpec, JobResult
 from .protocol import Rejection, check_request
 
 

@@ -8,7 +8,7 @@ interpreter, the imported toolchain and the shared
 :class:`~repro.engine.diskcache.DiskCache` directory all persist, so only
 the first request for a given model pays compilation and nobody pays
 import cost twice.  Everything a worker is asked to do is still a
-:class:`~repro.batch.spec.CheckSpec` document run through
+:class:`~repro.exec.spec.CheckSpec` document run through
 :func:`~repro.exec.runtime.execute_spec` -- the sequential reference
 semantics -- so a pooled or daemon-served verdict is byte-identical
 (canonically) to an inline ``cspbatch`` run of the same spec.  The
@@ -75,9 +75,9 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Union
 
-from ..batch.spec import CANCELLED, CheckSpec, ERROR, JobResult, ManifestError, TIMEOUT
 from ..exec.keys import material_key, spec_material
 from ..exec.runtime import open_result_cache
+from ..exec.spec import CANCELLED, CheckSpec, ERROR, JobResult, ManifestError, TIMEOUT
 from ..exec.workers import failure_result, persistent_worker_main
 from ..obs.metrics import Metrics
 from ..obs.profile import Profile, merge_profiles

@@ -39,7 +39,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, IO, Optional, Tuple
 
-from ..batch.spec import ManifestError, parse_manifest
+from ..exec.spec import ManifestError, parse_manifest
 from .core import VerificationServer
 from .protocol import (
     BAD_REQUEST,

@@ -1,8 +1,8 @@
-"""The server wire protocol: request/response documents and structural keys.
+"""The server wire protocol: request/response documents and rejections.
 
 One protocol serves both transports.  A **request** is a JSON object with an
 ``op`` (``check``, ``ping``, ``stats``, ``shutdown``); a ``check`` request
-wraps one :class:`~repro.batch.spec.CheckSpec` document -- exactly the PR-5
+wraps one :class:`~repro.exec.spec.CheckSpec` document -- exactly the
 manifest schema, so anything a ``cspbatch`` manifest can say, a server
 client can submit.  A **response** echoes the request's client-chosen ``id``
 and is either ``status: "ok"`` with a payload or ``status: "rejected"`` with
@@ -15,12 +15,8 @@ status codes (:data:`HTTP_STATUS_OF`): full queues and exceeded quotas are
 ``429`` (retryable -- the CI-gate client shape retries or fails closed),
 malformed specs ``400``, oversize ones ``413``, a draining server ``503``.
 
-Dedup is keyed here too: :func:`structural_key` is the SHA-256 of the
-spec document with its ``id`` label stripped, so two requests that mean the
-same check -- regardless of who submitted them or what they called it --
-hash identically and can share one execution.  The ``name`` field *does*
-participate in the key: it flows into result labels, so only requests that
-would produce byte-identical canonical results coalesce.
+The dedup key two requests coalesce on is not part of the protocol: it is
+:func:`~repro.exec.keys.structural_key`, shared with the result cache.
 """
 
 from __future__ import annotations
@@ -191,12 +187,3 @@ def rejection_response(
 
 def response_line(doc: Dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True)
-
-
-# -- dedup keys ---------------------------------------------------------------
-
-# Defined here first; the computation now lives in repro.exec.keys so the
-# in-flight dedup table, the LTS disk cache and the result cache all share
-# one identity.  Re-exported because the server API (and its clients'
-# tests) import them from the protocol module.
-from ..exec.keys import strip_label, structural_key  # noqa: E402,F401

@@ -99,7 +99,7 @@ def test_cold_and_warm_disk_cache_agree(repro_seed, tmp_path):
 def test_batch_oracle_is_registered():
     oracle = ORACLES["batch"]
     assert "executor" in oracle.description or "batch" in oracle.description
-    assert "repro.batch" in oracle.guards
+    assert "repro.exec.spec" in oracle.guards
 
 
 def test_batch_oracle_runs_clean(repro_seed):

@@ -10,13 +10,13 @@ import pytest
 from repro import api
 from repro.batch import (
     CheckSpec,
-    execute_spec,
     load_manifest,
     requirement_specs,
     run_batch,
 )
 from repro.csp.events import Event
 from repro.csp.process import Prefix, ProcessRef, Stop
+from repro.exec.runtime import execute_spec
 from repro.obs.trace import Tracer
 from repro.rv.cli import load_rv_manifest, specs_from_manifest
 from repro.rv.fleetgen import write_fleet

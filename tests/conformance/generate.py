@@ -5,7 +5,7 @@ Run from the repository root::
     PYTHONPATH=src python tests/conformance/generate.py
 
 Produces ``cases/*.json`` (one golden case each: a batch
-:class:`~repro.batch.spec.CheckSpec` document plus the canonical result
+:class:`~repro.exec.spec.CheckSpec` document plus the canonical result
 the sequential reference executor produced when the case was minted) and
 ``manifest.json`` (all case specs as one ``cspbatch`` manifest, in case
 order).  The corpus is checked in; ``test_conformance.py`` replays it on
@@ -26,8 +26,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from repro.batch import CheckSpec, dump_manifest, execute_spec  # noqa: E402
+from repro.batch import CheckSpec, dump_manifest  # noqa: E402
 from repro.csp import event  # noqa: E402
+from repro.exec.runtime import execute_spec  # noqa: E402
 from repro.quickcheck import process_terms, sampled_from, tuples  # noqa: E402
 
 SEED = 20190624  # the paper's DSN-W publication date

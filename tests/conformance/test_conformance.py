@@ -4,7 +4,7 @@ Each checked-in case pins a batch spec to the canonical result the
 sequential reference executor produced when the corpus was minted
 (``generate.py``).  The suite replays every case through
 
-* :func:`~repro.batch.executor.execute_spec` (the sequential reference),
+* :func:`~repro.exec.runtime.execute_spec` (the sequential reference),
 * the inline batch path, and
 * one pooled run over the whole corpus with real worker processes,
 
@@ -18,7 +18,8 @@ import os
 
 import pytest
 
-from repro.batch import CheckSpec, execute_spec, load_manifest, run_batch
+from repro.batch import CheckSpec, load_manifest, run_batch
+from repro.exec.runtime import execute_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CASES_DIR = os.path.join(HERE, "cases")

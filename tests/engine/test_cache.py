@@ -6,7 +6,6 @@ import pathlib
 import pytest
 
 from repro.batch import load_manifest
-from repro.batch.spec import reachable_bindings as spec_bindings
 from repro.batch.spec import requirement_specs
 from repro.csp import event
 from repro.csp.process import (
@@ -22,6 +21,7 @@ from repro.csp.process import (
 from repro.cspm import load
 from repro.cspm.prelude import SP02_FLAWED_SCRIPT, SP02_SCRIPT
 from repro.engine import reachable_bindings, structural_key
+from repro.exec.spec import reachable_bindings as spec_bindings
 from repro.ota import build_paper_system, build_session_system
 from repro.ota.extended import build_extended_system
 from repro.ota.models import build_secured_system
@@ -59,7 +59,7 @@ def walk_reachable_bindings(process, env):
 
 
 def walk_spec_bindings(env, *terms, bindings=None):
-    """``repro.batch.spec.reachable_bindings`` as a walk over ``_key()``."""
+    """``repro.exec.spec.reachable_bindings`` as a walk over ``_key()``."""
     collected = dict(bindings or {})
     stack = list(terms)
     while stack:

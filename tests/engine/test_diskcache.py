@@ -13,9 +13,9 @@ from repro.engine import (
     DISKCACHE_FORMAT_VERSION,
     DiskCache,
     VerificationPipeline,
-    key_digest,
     structural_key,
 )
+from repro.exec.keys import lts_key_digest
 
 A, B, C = Event("a"), Event("b"), Event("c")
 
@@ -115,7 +115,7 @@ class TestRoundTrip:
         disk.put_lts(key, lts, passes=("sbisim",))
         assert disk.get_lts(key) is None
         assert disk.get_lts(key, passes=("sbisim",)) is not None
-        assert key_digest(key) != key_digest(key, ("sbisim",))
+        assert lts_key_digest(key) != lts_key_digest(key, ("sbisim",))
 
 
 class TestCorruptionTolerance:
@@ -194,7 +194,7 @@ class TestCorruptionTolerance:
 
     def test_legacy_v1_entries_are_swept_on_open(self, tmp_path):
         # a v1 .json entry left by an older build must not linger: its
-        # digest namespace is dead (key_digest folds in the version), so
+        # digest namespace is dead (lts_key_digest folds in the version), so
         # opening the directory removes it and reports it as stale
         legacy = tmp_path / ("a" * 64 + ".json")
         legacy.write_text('{"format": 1}')

@@ -1,4 +1,4 @@
-"""The on-the-fly product view: parity with the term-level path, and POR.
+"""The on-the-fly product view: parity with the term-level path.
 
 The :class:`~repro.engine.product.ProductLTS` replaces the SOS replay of
 compiled component leaves with direct kernel-span synthesis.  The claims
@@ -12,9 +12,7 @@ pinned here:
 * terms the product cannot synthesise fall back cleanly,
 * materialising a spine (eager compilation) builds exactly the automaton
   ``compile_lts`` builds -- arrays, event ids, budget and the terms behind
-  counterexamples,
-* the optional partial-order reduction preserves trace verdicts while
-  exploring no more (and on interleavings strictly fewer) states.
+  counterexamples.
 """
 
 import pytest
@@ -23,11 +21,9 @@ from repro.csp import (
     Alphabet,
     CompiledProcess,
     Environment,
-    Event,
     GenParallel,
     Hiding,
     Interleave,
-    InternalChoice,
     Renaming,
     Stop,
     StateSpaceLimitExceeded,
@@ -55,9 +51,9 @@ def _composed_env():
     return env
 
 
-def _product_for(pipeline, term, model="T", por=False):
+def _product_for(pipeline, term, model="T"):
     prepared = pipeline.plan.prepare(term, model)
-    return prepared, pipeline.plan.product_view(prepared, 10_000, por=por)
+    return prepared, pipeline.plan.product_view(prepared, 10_000)
 
 
 def _explore_all(impl):
@@ -276,77 +272,3 @@ class TestMaterialise:
         assert violation.impl_term == expected.impl_term
         assert violation.provenance == component_provenance(expected.impl_term)
         assert [entry.label for entry in violation.provenance] == ["P", "Q"]
-
-
-def _tau_branching_env(components):
-    """Interleaved components whose initial states offer only tau moves."""
-    env = Environment()
-    names = []
-    for i in range(components):
-        left = prefix(Event("a{}".format(i)), Stop())
-        right = prefix(Event("b{}".format(i)), Stop())
-        name = "C{}".format(i)
-        env.bind(name, InternalChoice(left, right))
-        names.append(name)
-    system = ref(names[0])
-    for name in names[1:]:
-        system = Interleave(system, ref(name))
-    env.bind("SYS", system)
-    return env
-
-
-class TestPartialOrderReduction:
-    def test_por_preserves_passing_verdicts_and_shrinks_the_search(self):
-        env = _tau_branching_env(4)
-        spec = ref("SYS")
-        full = VerificationPipeline(_tau_branching_env(4)).refinement(
-            spec, ref("SYS"), "T"
-        )
-        reduced = VerificationPipeline(
-            _tau_branching_env(4), por=True
-        ).refinement(spec, ref("SYS"), "T")
-        assert full.passed and reduced.passed
-        assert reduced.states_explored <= full.states_explored
-        assert reduced.states_explored < full.states_explored
-
-    def test_por_preserves_failing_verdicts(self):
-        env = _tau_branching_env(3)
-        # a spec that forbids one of the implementation's visible events
-        env.bind("SPEC", InternalChoice(prefix(Event("a0"), Stop()), Stop()))
-        full = VerificationPipeline(env).refinement(ref("SPEC"), ref("SYS"), "T")
-        por_env = _tau_branching_env(3)
-        por_env.bind(
-            "SPEC", InternalChoice(prefix(Event("a0"), Stop()), Stop())
-        )
-        reduced = VerificationPipeline(por_env, por=True).refinement(
-            ref("SPEC"), ref("SYS"), "T"
-        )
-        # the reduction reorders the frontier, so the explored-pair count may
-        # differ either way on a failing check; the verdict may not
-        assert not full.passed and not reduced.passed
-
-    def test_por_is_ignored_outside_trace_checks(self):
-        env = _tau_branching_env(3)
-        pipeline = VerificationPipeline(env, por=True)
-        prepared = pipeline.plan.prepare(ref("SYS"), "F")
-        view = pipeline.plan.product_view(prepared, 10_000, por=False)
-        assert view is not None and not view.por
-        failures = pipeline.refinement(ref("SYS"), ref("SYS"), "F")
-        trace = VerificationPipeline(
-            _tau_branching_env(3)
-        ).refinement(ref("SYS"), ref("SYS"), "F")
-        assert failures.passed == trace.passed
-
-    def test_ample_sets_actually_fire(self):
-        env = _tau_branching_env(3)
-        pipeline = VerificationPipeline(env, por=True)
-        prepared, view = _product_for(pipeline, ref("SYS"), por=True)
-        _explore_all(view)
-        assert view.ample_hits > 0
-
-    def test_por_is_off_by_default(self):
-        pipeline = VerificationPipeline(_tau_branching_env(2))
-        assert pipeline.por is False
-        _prepared, view = _product_for(pipeline, ref("SYS"))
-        _explore_all(view)
-        assert view.ample_hits == 0

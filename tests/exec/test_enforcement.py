@@ -1,19 +1,24 @@
-"""The refactor's contract, enforced: batch and server no longer carry
-their own spec-execution or key-computation code -- both import it from
-:mod:`repro.exec`.  These tests are the tripwire against the copies
-quietly growing back."""
+"""The refactor's contract, enforced: batch and server carry no
+spec-execution or key-computation code of their own -- both import it from
+:mod:`repro.exec` -- and the execution stack is layered one way,
+exec < server < batch < rv.  These tests are the tripwire against the
+copies, or an import cycle, quietly growing back."""
 
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
 import repro.batch.executor as batch_executor
-import repro.engine.diskcache as diskcache
-import repro.exec.keys as keys
+import repro.exec as exec_pkg
 import repro.exec.runtime as runtime
 import repro.exec.workers as workers
 import repro.server.core as server_core
-import repro.server.protocol as protocol
 
-
-def test_batch_executor_delegates_execution():
-    assert batch_executor.execute_spec is runtime.execute_spec
+SRC_REPRO = os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def test_batch_executor_owns_no_execution_helpers():
@@ -27,40 +32,116 @@ def test_server_core_owns_no_worker_main():
     assert server_core.failure_result is workers.failure_result
 
 
-def test_server_protocol_delegates_keys():
-    assert protocol.structural_key is keys.structural_key
-    assert protocol.strip_label is keys.strip_label
+def test_exec_package_has_no_lazy_facade():
+    for name in ("_LAZY", "__getattr__", "__dir__"):
+        assert name not in vars(exec_pkg), name
 
 
-def test_diskcache_delegates_keys():
-    assert diskcache.key_digest is keys.lts_key_digest
-    assert diskcache.DISKCACHE_FORMAT_VERSION is keys.DISKCACHE_FORMAT_VERSION
+# -- layering ------------------------------------------------------------------
 
 
-def test_exec_facade_lazily_exposes_the_runtime():
-    import repro.exec as exec_pkg
+def _modules(package):
+    """``(module name, file path)`` for every module of one subpackage."""
+    directory = os.path.join(SRC_REPRO, package)
+    for filename in sorted(os.listdir(directory)):
+        if filename.endswith(".py"):
+            stem = filename[: -len(".py")]
+            name = "repro." + package
+            if stem != "__init__":
+                name += "." + stem
+            yield name, os.path.join(directory, filename)
 
-    assert exec_pkg.execute_spec is runtime.execute_spec
-    assert exec_pkg.execute_cached is runtime.execute_cached
-    assert exec_pkg.structural_key is keys.structural_key
-    assert "ResultCache" in dir(exec_pkg)
+
+def _imported_names(module, path):
+    """Every module name an import statement in the file can load.
+
+    Walks the whole tree, so imports deferred into a function body count
+    as much as module-level ones.  ``from X import y`` yields both ``X``
+    and ``X.y`` (``y`` may be a submodule).
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    package = module if path.endswith("__init__.py") else module.rpartition(".")[0]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                target = base + "." + node.module if node.module else base
+            else:
+                target = node.module
+            yield target
+            for alias in node.names:
+                yield target + "." + alias.name
 
 
-def test_exec_facade_rejects_unknown_names():
-    import repro.exec as exec_pkg
+def _within(name, package):
+    return name == package or name.startswith(package + ".")
 
-    try:
-        exec_pkg.no_such_symbol
-    except AttributeError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("expected AttributeError")
+
+@pytest.mark.parametrize(
+    "package, forbidden",
+    [("exec", ("repro.batch", "repro.server")), ("server", ("repro.batch",))],
+)
+def test_lower_layers_never_import_higher_ones(package, forbidden):
+    offences = [
+        "{} imports {}".format(module, name)
+        for module, path in _modules(package)
+        for name in _imported_names(module, path)
+        if any(_within(name, layer) for layer in forbidden)
+    ]
+    assert offences == []
+
+
+def test_the_import_walk_resolves_relative_imports():
+    # the walk above is only a gate if it sees what a relative import loads
+    names = set(
+        _imported_names(
+            "repro.batch.executor", os.path.join(SRC_REPRO, "batch", "executor.py")
+        )
+    )
+    assert "repro.server.core" in names
+    assert "repro.exec.spec.CheckSpec" in names
+
+
+_FIRST_IMPORT = """
+import importlib
+import sys
+import types
+
+# a bare stand-in for the repro package: nothing but the path, so the
+# import order of repro/__init__.py cannot mask a cycle
+package = types.ModuleType("repro")
+package.__path__ = [sys.argv[1]]
+sys.modules["repro"] = package
+importlib.import_module(sys.argv[2])
+"""
+
+_FIRST_IMPORTS = [name for name, _path in _modules("exec")] + [
+    "repro.server.core",
+    "repro.server.http",
+    "repro.server.client",
+    "repro.batch.executor",
+]
+
+
+@pytest.mark.parametrize("module", _FIRST_IMPORTS)
+def test_module_imports_first_without_a_cycle(module):
+    completed = subprocess.run(
+        [sys.executable, "-c", _FIRST_IMPORT, SRC_REPRO, module],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_api_execute_check_routes_through_the_runtime(tmp_path):
     from repro import api
-    from repro.batch.spec import CheckSpec
     from repro.csp import Event, Prefix, STOP
+    from repro.exec.spec import CheckSpec
 
     term = Prefix(Event("a"), STOP)
     spec = CheckSpec.refinement(term, term, "T")

@@ -9,7 +9,6 @@ review as a fixture diff, not as a mystery cold run.
 
 import hashlib
 
-from repro.batch.spec import CheckSpec
 from repro.csp import Event, Prefix, STOP
 from repro.exec.keys import (
     DISKCACHE_FORMAT_VERSION,
@@ -22,6 +21,7 @@ from repro.exec.keys import (
     strip_label,
     structural_key,
 )
+from repro.exec.spec import CheckSpec
 
 
 def _fixture_specs():
@@ -142,11 +142,8 @@ def test_result_material_wraps_versions_around_the_spec():
 
 
 def test_delegating_modules_share_this_implementation():
-    # the satellite's point: one copy of the key code, everyone calls it
+    # one copy of the key material: the disk cache writes the layout
+    # version defined here
     from repro.engine import diskcache
-    from repro.server import protocol
 
-    assert protocol.structural_key is structural_key
-    assert protocol.strip_label is strip_label
-    assert diskcache.key_digest is lts_key_digest
     assert diskcache.DISKCACHE_FORMAT_VERSION is DISKCACHE_FORMAT_VERSION

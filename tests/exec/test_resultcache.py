@@ -12,7 +12,6 @@ from contextlib import closing
 
 import pytest
 
-from repro.batch.spec import CheckSpec, JobResult
 from repro.csp import Event, Prefix, STOP
 from repro.exec.keys import (
     ENGINE_SEMANTICS_VERSION,
@@ -21,6 +20,7 @@ from repro.exec.keys import (
     spec_material,
 )
 from repro.exec.resultcache import STORE_NAME, ResultCache, cacheable
+from repro.exec.spec import CheckSpec, JobResult
 
 
 def _spec(name="fixture"):

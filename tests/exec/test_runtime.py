@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.batch.spec import CheckSpec
+from repro.cli_common import result_cache_dir_from_args
 from repro.csp import Event, Prefix, STOP
 from repro.exec.keys import spec_material, strip_label
 from repro.exec.resultcache import ResultCache
@@ -13,8 +13,8 @@ from repro.exec.runtime import (
     execute_cached,
     execute_spec,
     open_result_cache,
-    resolve_result_cache_dir,
 )
+from repro.exec.spec import CheckSpec
 from repro.exec.workers import execute_material
 from repro.obs.metrics import Metrics
 
@@ -171,10 +171,10 @@ def test_resolve_result_cache_dir_precedence():
         result_cache = "/tmp/rc"
         no_result_cache = False
 
-    assert resolve_result_cache_dir(Args()) == "/tmp/rc"
+    assert result_cache_dir_from_args(Args()) == "/tmp/rc"
     Args.no_result_cache = True
-    assert resolve_result_cache_dir(Args()) is None
+    assert result_cache_dir_from_args(Args()) is None
     Args.no_result_cache = False
     Args.result_cache = None
-    assert resolve_result_cache_dir(Args()) is None
-    assert resolve_result_cache_dir(object()) is None
+    assert result_cache_dir_from_args(Args()) is None
+    assert result_cache_dir_from_args(object()) is None

@@ -110,6 +110,24 @@ class TestCspcheck:
         assert "Traceback" not in captured.err
         assert len(ResultCache(str(store))) == 1  # only the decided verdict
 
+    def test_two_state_tau_cycle_is_a_divergence(self, tmp_path, capsys):
+        path = tmp_path / "livelock.csp"
+        path.write_text(
+            "channel a, b\n"
+            "Q = a -> b -> Q\n"
+            "P = Q \\ {a, b}\n"
+            "assert P :[divergence free]\n"
+            "assert STOP [FD= P\n"
+        )
+        assert cspcheck_main([str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "P :[divergence free]: FAILED (2 states, 2 transitions explored)",
+            "  divergence (livelock) reachable after <>",
+            "STOP [FD= P: FAILED (1 states, 0 transitions explored)",
+            "  divergence (livelock) reachable after <>",
+            "0/2 assertions passed",
+        ]
+
     def test_stats_go_to_stderr_not_stdout(self, passing_script, capsys):
         """stdout carries only verdict lines -- diagnostics go to stderr.
 

@@ -44,6 +44,14 @@ class TestTauCycles:
         lts = compile_lts(Hiding(ref("P"), Alphabet.of(A)), env)
         assert len(tau_cycle_states(lts)) > 0
 
+    def test_two_state_tau_cycle_diverges(self):
+        # Q = a -> b -> Q with both events hidden: one tau cycle through
+        # two states, so both are divergent
+        env = Environment().bind("Q", Prefix(A, Prefix(B, ref("Q"))))
+        lts = compile_lts(Hiding(ref("Q"), Alphabet.of(A, B)), env)
+        assert lts.state_count == 2
+        assert tau_cycle_states(lts) == frozenset({0, 1})
+
     def test_single_tau_step_is_not_divergence(self):
         lts = compile_lts(InternalChoice(STOP, STOP))
         assert tau_cycle_states(lts) == frozenset()

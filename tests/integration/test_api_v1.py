@@ -6,10 +6,10 @@ import pytest
 
 import repro
 from repro import api
-from repro.batch.spec import CheckSpec
 from repro.csp import Environment, Event, Prefix, STOP, ref
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import execute_cached, execute_spec
+from repro.exec.spec import CheckSpec
 
 A, B = Event("a"), Event("b")
 BINDINGS = {"AB": Prefix(A, Prefix(B, ref("AB")))}

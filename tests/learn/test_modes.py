@@ -13,10 +13,10 @@ import random
 import pytest
 
 from repro.batch import run_batch
-from repro.batch.spec import PASS
 from repro.csp.lts import compile_lts
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import execute_cached, execute_spec
+from repro.exec.spec import PASS
 from repro.learn import (
     CaplSimulatorSUL,
     ReferenceTeacher,

@@ -85,13 +85,17 @@ class TestTraceChecker:
         assert checker.violation is first
 
     def test_context_window_bounded(self):
-        env = loop_env()
-        checker = TraceChecker(self.norm(ref("AB"), env))
-        for _ in range(3 * CONTEXT_WINDOW):
-            checker.advance(A)
-            checker.advance(B)
-        checker.advance(C)
+        # a period of 3 (not 2) so that keeping the wrong event changes
+        # the window: it holds the last CONTEXT_WINDOW accepted events
+        env = Environment()
+        env.bind("ABC", Prefix(A, Prefix(B, Prefix(C, ref("ABC")))))
+        checker = TraceChecker(self.norm(ref("ABC"), env))
+        log = [A, B, C] * CONTEXT_WINDOW
+        for event in log:
+            assert checker.advance(event)
+        checker.advance(D)
         assert len(checker.violation.trace) == CONTEXT_WINDOW
+        assert checker.violation.trace == tuple(log[-CONTEXT_WINDOW:])
 
     def test_doc_fields(self):
         violation = TraceViolation((A,), B, 1, line=4)

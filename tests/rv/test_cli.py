@@ -6,8 +6,8 @@ import pytest
 
 from repro.batch.cli import main as cspbatch_main
 from repro.cli_common import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
+from repro.exec.spec import ManifestError
 from repro.rv.cli import load_rv_manifest, main, specs_from_manifest
-from repro.batch.spec import ManifestError
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from repro.batch.spec import CheckSpec, ManifestError
 from repro.batch.executor import run_batch
 from repro.csp import Environment, Event, Prefix, STOP, ref
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import execute_cached, execute_spec
+from repro.exec.spec import CheckSpec, ManifestError
 from repro.obs.metrics import Metrics
 
 A, B, C = Event("a"), Event("b"), Event("c")

@@ -381,3 +381,18 @@ class TestCspbatchServerMode:
         assert cspbatch_main([manifest, "--server", url]) == EXIT_VIOLATION
         err = capsys.readouterr().err
         assert "server rejected the manifest (draining)" in err
+
+    def test_csprv_rejected_fleet_fails_closed(self, tmp_path, frontend, capsys):
+        # csprv shares cspbatch's run path but keeps its own wording
+        fleet = tmp_path / "fleet"
+        argv = ["--fleetgen", str(fleet), "--vehicles", "2", "--quiet"]
+        assert csprv_main(argv) == EXIT_OK
+        capsys.readouterr()
+        server, url = frontend
+        server.close(drain=True)
+        manifest = str(fleet / "manifest.json")
+        assert csprv_main([manifest, "--server", url]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("csprv: server rejected the fleet (draining)")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""

@@ -5,10 +5,11 @@ import time
 
 import pytest
 
-from repro.batch import CheckSpec, execute_spec
+from repro.batch import CheckSpec
 from repro.csp.events import Event
 from repro.exec.resultcache import ResultCache
 from repro.csp.process import Prefix, Stop
+from repro.exec.runtime import execute_spec
 from repro.server import VerificationServer, core
 from repro.server.protocol import (
     BAD_REQUEST,

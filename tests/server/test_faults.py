@@ -13,9 +13,10 @@ import time
 
 import pytest
 
-from repro.batch import CheckSpec, execute_spec
+from repro.batch import CheckSpec
 from repro.csp.events import Event
 from repro.csp.process import Prefix, Stop
+from repro.exec.runtime import execute_spec
 from repro.server.protocol import BAD_REQUEST, OVERSIZE, Rejection
 
 from .conftest import wait_until

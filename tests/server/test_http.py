@@ -11,9 +11,10 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.batch import CheckSpec, execute_spec, manifest_document
+from repro.batch import CheckSpec, manifest_document
 from repro.csp.events import Event
 from repro.csp.process import Prefix, Stop
+from repro.exec.runtime import execute_spec
 from repro.server.client import ServerClient, ServerError, parse_server_url
 from repro.server.http import HttpFrontend
 from repro.server.protocol import Rejection, check_request

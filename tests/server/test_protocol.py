@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.batch import CheckSpec
+from repro.exec.keys import strip_label, structural_key
 from repro.server.protocol import (
     BAD_REQUEST,
     DRAINING,
@@ -22,8 +23,6 @@ from repro.server.protocol import (
     rejection_response,
     response_line,
     result_response,
-    strip_label,
-    structural_key,
 )
 
 

@@ -16,8 +16,9 @@ import random
 
 import pytest
 
-from repro.batch import CheckSpec, execute_spec
+from repro.batch import CheckSpec
 from repro.csp import event
+from repro.exec.runtime import execute_spec
 from repro.quickcheck import for_all, process_terms, sampled_from, tuples
 from repro.server import VerificationServer
 from repro.server.protocol import QUOTA, Rejection
