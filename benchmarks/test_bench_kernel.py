@@ -112,8 +112,8 @@ def test_bench_kernel_throughput(artifact):
     # refinement over the lazy on-the-fly product of the component kernels
     def onfly_check():
         prepared = pipeline.plan.prepare(system, "T")
-        view = pipeline.plan.product_view(prepared, pipeline.max_states)
-        assert view is not None, "the interleaving must qualify for a product view"
+        view = pipeline.lazy(prepared.term)
+        assert not view.sos, "the interleaving must be a synthesised product"
         return view, check_trace_refinement_from(normalised, view)
 
     (view, onfly), onfly_s = _best_of(3, onfly_check)

@@ -151,11 +151,21 @@ def run_and_emit(
     ``summary(results, report)`` line (*report* is None when served),
     unless ``--quiet``; the verdict counts and, for a local run, the
     result-cache counters under ``--stats``; then what ``--profile`` and
-    ``--trace-out`` ask for (local runs only).  *tool* prefixes the error
+    ``--trace-out`` ask for.  The daemon's spans stay in the daemon, so
+    with ``--server`` either flag is a usage error, reported before any
+    request is sent.  *tool* prefixes the error
     lines, and *rejected* names what a daemon rejection refused
     (``"the manifest"``).  An unusable or unreachable daemon exits 2, a
     rejection 1: no verdict means no pass.
     """
+    if args.server is not None:
+        flags = (("--profile", args.profile), ("--trace-out", args.trace_out))
+        for flag, given in flags:
+            if given:
+                sys.stderr.write(
+                    "{}: {} cannot be used with --server\n".format(tool, flag)
+                )
+                return EXIT_USAGE
     tracer = tracer_from_args(args)
     report: Optional[BatchReport] = None
     try:

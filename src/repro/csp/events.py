@@ -101,6 +101,55 @@ TICK = Event(_TICK_NAME)
 TAU = Event(_TAU_NAME)
 
 
+# -- JSON form, shared by the spec wire format and the disk cache --------------
+
+
+def fields_to_json(fields: Tuple[Value, ...]) -> list:
+    """An event's fields as JSON: a tuple field becomes ``{"t": [...]}``."""
+    for value in fields:
+        if isinstance(value, tuple):
+            return [
+                {"t": fields_to_json(item)} if isinstance(item, tuple) else item
+                for item in fields
+            ]
+    return list(fields)
+
+
+def event_from_json(channel: object, fields: object) -> Event:
+    """The event a JSON channel and field list stand for.
+
+    Raises :class:`ValueError` unless *channel* is a non-empty string and
+    every field is a string, an integer, a boolean or a tagged tuple.
+    """
+    if isinstance(channel, str) and isinstance(fields, list):
+        # the common case, scalar fields: one type check each (bool is an int)
+        for value in fields:
+            if not isinstance(value, (str, int)):
+                break
+        else:
+            return Event(channel, fields)
+    if not isinstance(channel, str):
+        raise ValueError("event channel {!r} is not a string".format(channel))
+    return Event(channel, _fields_from_json(fields))
+
+
+def _fields_from_json(doc: object) -> Tuple[Value, ...]:
+    if not isinstance(doc, list):
+        raise ValueError("event fields {!r} are not a list".format(doc))
+    return tuple(_field_from_json(value) for value in doc)
+
+
+def _field_from_json(doc: object) -> Value:
+    if isinstance(doc, (str, int)):
+        return doc
+    if isinstance(doc, dict) and len(doc) == 1 and "t" in doc:
+        return _fields_from_json(doc["t"])
+    raise ValueError(
+        "event field {!r} is not a string, an integer, a boolean or a "
+        "tagged tuple".format(doc)
+    )
+
+
 class Channel:
     """A typed CSP channel declaration.
 

@@ -49,6 +49,26 @@ class StateSpaceLimitExceeded(RuntimeError):
         self.limit = limit
 
 
+class TermNestingExceeded(StateSpaceLimitExceeded):
+    """Raised when a reachable process term nests too deeply to expand.
+
+    Recursion through hiding (``P = (a -> P) \\ {a}``) wraps every unfolding
+    in one more operator, so the terms grow without bound and the SOS runs
+    out of interpreter stack long before the state budget.  The text is
+    fixed; the ``RecursionError`` behind it depends on where the stack ran
+    out, which differs between callers.
+    """
+
+    def __init__(self) -> None:
+        RuntimeError.__init__(
+            self,
+            "a reachable process term nests too deeply to expand; recursion "
+            "through hiding, renaming or parallel composition grows the term "
+            "without bound",
+        )
+        self.limit = None
+
+
 DEFAULT_STATE_LIMIT = 200_000
 
 
@@ -62,8 +82,10 @@ def compile_lts(
 
     Structurally equal terms are merged into one state, which ties recursive
     definitions back into cycles.  Raises :class:`StateSpaceLimitExceeded` if
-    more than *max_states* distinct terms are reached.  A shared *table* puts
-    the result in an existing id space (one table per pipeline).
+    more than *max_states* distinct terms are reached, and
+    :class:`TermNestingExceeded` if a term nests too deeply to expand.  A
+    shared *table* puts the result in an existing id space (one table per
+    pipeline).
 
     States are numbered in BFS discovery order and each state is expanded
     exactly once, in id order -- so the kernel's CSR arrays are appended to
@@ -94,7 +116,11 @@ def compile_lts(
     work: deque = deque([process])
     while work:
         term = work.popleft()
-        for event, successor in sos_transitions(term, env):
+        try:
+            moves = sos_transitions(term, env)
+        except RecursionError:
+            raise TermNestingExceeded() from None
+        for event, successor in moves:
             known = successor in index
             target = state_of(successor)
             events.append(intern(event))

@@ -53,9 +53,9 @@ import os
 import sys
 import tempfile
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..csp.events import AlphabetTable, Event
+from ..csp.events import AlphabetTable, Event, event_from_json, fields_to_json
 from ..csp.kernel import CompactLTS
 from ..csp.lts import LTS
 
@@ -68,29 +68,13 @@ ENTRY_SUFFIX = ".ltsb"
 
 _ITEM_SIZE = array("q").itemsize
 
-#: JSON-encodable event field values (tuples encode as tagged lists)
-_Value = Union[str, int, bool, list]
-
-
-def _encode_field(value) -> object:
-    if isinstance(value, tuple):
-        return {"t": [_encode_field(v) for v in value]}
-    return value
-
-
-def _decode_field(doc):
-    if isinstance(doc, dict):
-        return tuple(_decode_field(v) for v in doc["t"])
-    return doc
-
-
 def _encode_event(event: Event) -> List[object]:
-    return [event.channel, [_encode_field(f) for f in event.fields]]
+    return [event.channel, fields_to_json(event.fields)]
 
 
 def _decode_event(doc: Sequence[object]) -> Event:
     channel, fields = doc
-    return Event(channel, tuple(_decode_field(f) for f in fields))
+    return event_from_json(channel, fields)
 
 
 def _le_bytes(arr: array) -> bytes:

@@ -4,13 +4,13 @@ Every check that used to hand-wire ``compile_lts`` + ``normalise`` +
 ``check_*`` now goes through one :class:`VerificationPipeline`.  The pipeline
 owns an interned :class:`AlphabetTable` (one id space for every automaton it
 builds), a :class:`CompilationCache` (one compile per distinct term), and the
-choice between the on-the-fly product search (default for ``[T=`` / ``[F=``:
-implementation states unfold on demand, the search exits on the first
-violation) and the eager search (full LTS on both sides; always used for
-``[FD=``, which needs the implementation's complete tau graph).  Eager
-compilation of a composition spine over compiled components materialises
-its :class:`~repro.engine.product.ProductLTS`; only components and spines
-with a degraded leaf go through the SOS compiler.
+choice between the on-the-fly search (default for ``[T=`` / ``[F=``: the
+implementation is a :class:`~repro.engine.product.ProductLTS` whose states
+unfold on demand, and the search exits on the first violation) and the eager
+search (full LTS on both sides; always used for ``[FD=``, which needs the
+implementation's complete tau graph).  Eager compilation materialises the
+product of a term with a compiled spine or a bare compiled leaf; any other
+term goes through the SOS compiler.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from ..csp.process import Environment, Process
 from ..fdr.normalise import NormalisedSpec, normalise
 from ..fdr.refine import (
     CheckResult,
-    LazyImplementation,
     check_deadlock_free,
     check_deterministic,
     check_divergence_free,
@@ -98,15 +97,15 @@ class VerificationPipeline:
     def _generate(self, process: Process, limit: int) -> LTS:
         """The full state space of *process*, in the pipeline's id space.
 
-        A composition spine over compiled leaves is materialised as its
-        :class:`ProductLTS`; everything else (leaves, spines with a degraded
-        SOS leaf) goes through the SOS compiler.  Both build the same
-        automaton.
+        A composition spine over compiled leaves, or a bare compiled leaf,
+        is materialised as its :class:`ProductLTS`.  Any other term is one
+        SOS leaf, which ``compile_lts`` expands to the same automaton
+        faster.
         """
-        product = ProductLTS.for_term(process, self.table, limit)
-        if product is not None:
-            return product.materialise()
-        return compile_lts(process, self.env, limit, self.table)
+        product = ProductLTS.for_term(process, self.table, limit, self.env)
+        if product.sos:
+            return compile_lts(process, self.env, limit, self.table)
+        return product.materialise()
 
     def normalised(
         self, process: Process, max_states: Optional[int] = None
@@ -130,10 +129,10 @@ class VerificationPipeline:
 
     def lazy(
         self, process: Process, max_states: Optional[int] = None
-    ) -> LazyImplementation:
+    ) -> ProductLTS:
         """An on-the-fly expansion of *process* in the pipeline's id space."""
         limit = self.max_states if max_states is None else max_states
-        return LazyImplementation(process, self.env, self.table, limit)
+        return ProductLTS.for_term(process, self.table, limit, self.env)
 
     # -- checks --------------------------------------------------------------
 
@@ -172,15 +171,8 @@ class VerificationPipeline:
                     result = check_fd_refinement(spec_lts, impl_lts, label, obs)
             else:
                 normalised_spec = self.normalised(prepared_spec.term, max_states)
-                limit = self.max_states if max_states is None else max_states
                 if self.on_the_fly:
-                    # prefer the kernel-level product view over compiled
-                    # components; terms it cannot synthesise (no compiled
-                    # leaves, degraded components) fall back to the generic
-                    # term-level lazy expansion
-                    implementation = self.plan.product_view(prepared_impl, limit)
-                    if implementation is None:
-                        implementation = self.lazy(prepared_impl.term, max_states)
+                    implementation = self.lazy(prepared_impl.term, max_states)
                 else:
                     implementation = self.compile(prepared_impl.term, max_states)
                 with obs.span("refine", model=model):

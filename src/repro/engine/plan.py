@@ -57,7 +57,6 @@ from ..passes.base import (
     passes_for_model,
 )
 from .cache import structural_key
-from .product import ProductLTS
 
 #: the operators the plan decomposes through -- the composition spine
 _COMPOSITION = (GenParallel, Interleave, Hiding, Renaming)
@@ -232,22 +231,6 @@ class CompilationPlan:
             term, passes, frozenset(), max_states, stats, components
         )
         return PreparedTerm(rebuilt, tuple(stats), tuple(components))
-
-    def product_view(
-        self,
-        prepared: PreparedTerm,
-        max_states: int,
-    ) -> Optional[ProductLTS]:
-        """An on-the-fly product over the prepared term's compiled leaves.
-
-        Returns None when the term does not qualify (no composition spine,
-        or a leaf left in SOS form); the caller then uses the generic
-        term-level lazy expansion, which handles every term shape.
-        """
-        view = ProductLTS.for_term(prepared.term, self.pipeline.table, max_states)
-        if view is not None and self.pipeline.obs.enabled:
-            self.pipeline.obs.metrics.counter("plan.product_views").inc()
-        return view
 
     # -- decomposition -------------------------------------------------------
 

@@ -1,45 +1,57 @@
-"""Composition spines over compiled component kernels, lazy or materialised.
+"""The on-the-fly state-space generator: a product over leaves.
 
-The compilation plan rebuilds a composed term with
-:class:`~repro.csp.process.CompiledProcess` leaves standing in for its
-compressed components.  Replaying those leaves through the term-level SOS is
-correct, but every expanded state allocates a fresh process term per
-component move and hashes whole terms into the state index.
+:class:`ProductLTS` is the one generator the refinement search drives on
+the implementation side, and the one eager compilation materialises for
+any term with a compiled spine.  A product state is the tuple of its
+leaves' states; a state's successors are numbered in discovery order and
+its edges appended to two shared flat ``array('q')`` buffers, under a
+``max_states`` budget enforced at discovery time.  Expanding states in id
+order is breadth-first search, the order ``compile_lts`` numbers states
+in, so every shape below builds state-for-state, edge-for-edge and
+id-for-id the automaton ``compile_lts`` builds from the same term.
+:meth:`ProductLTS.for_term` takes any term, in one of three shapes:
 
-:class:`ProductLTS` is the state-space generator for exactly that case.
-When a term is a pure composition spine (generalised parallel / interleave /
-hiding / renaming) over compiled leaves, a product state is just the tuple
-of component kernel states, and a state's successors are synthesised
-directly from the components' flat CSR spans -- no term objects, no SOS
-dispatch, tuple hashing instead of term hashing.  The synthesis mirrors the
-SOS rules move for move (left non-sync moves first, then right non-sync,
-then synchronised pairs in left-major order; hiding maps to tau in place;
-renaming relabels ids), so state numbering, edge order, verdicts,
-counterexamples and explored-state counts are identical to the term-level
-path it replaces.  It serves two uses:
+* a composition spine (generalised parallel / interleave / hiding /
+  renaming) whose leaves are all
+  :class:`~repro.csp.process.CompiledProcess` handles -- what the
+  compilation plan emits when every component compiled.  A state's
+  successors are synthesised from the components' flat CSR spans: no term
+  objects, no SOS dispatch, tuple hashing instead of term hashing.  The
+  synthesis mirrors the SOS rules move for move (left non-sync moves
+  first, then right non-sync, then synchronised pairs in left-major order;
+  hiding maps to tau in place; renaming relabels ids);
+* a bare compiled leaf, whose moves come straight off its kernel;
+* any other term (no composition, a spine with a component left in SOS
+  form, a term prepared with no passes) as one SOS leaf, whose state *is*
+  its process term, expanded through :func:`repro.csp.semantics.
+  transitions` when the search first asks.  SOS leaves never sit inside a
+  synthesised spine: synchronisation and hiding resolve their id sets from
+  leaf alphabets known when the spine is built, and an SOS leaf has none.
+
+It serves two uses:
 
 * on the fly (``[T=`` / ``[F=``): the refinement search drives
-  :meth:`ProductLTS.successors_span` and states unfold on demand, like a
-  :class:`~repro.fdr.refine.LazyImplementation`;
-* materialised (eager compilation, hence ``[FD=`` and property checks):
-  :meth:`ProductLTS.materialise` expands every state in id order into the
-  :class:`~repro.csp.kernel.CompactLTS` that ``compile_lts`` would have
-  built from the same term -- same BFS numbering, per-state edge order,
-  event ids and state budget -- whose per-state ``terms`` are rebuilt by
-  :meth:`ProductLTS.term_of` only when a counterexample asks for one.
+  :meth:`ProductLTS.successors_span` and states unfold on demand, so the
+  search can exit on the first violation without building the rest;
+* materialised (eager compilation of the first two shapes, hence ``[FD=``
+  and property checks): :meth:`ProductLTS.materialise` expands every state
+  in id order into a :class:`~repro.csp.kernel.CompactLTS`, whose
+  per-state ``terms`` are rebuilt by :meth:`ProductLTS.term_of` only when
+  a counterexample asks for one.  The pipeline compiles the third shape
+  with ``compile_lts``, which builds the same automaton faster.
 
-Moves are synthesised as *deltas*: each spine node returns
+Moves are synthesised as *deltas*: each node returns
 ``(event id, ((leaf position, new leaf state), ...))``, naming only the
-leaves the move changes.  A leaf caches its move list per kernel state,
-and so does any other subtree whose leaves span few state combinations
-(a synchronised VMG/ECU pair, say), so most of the synthesis is list
-lookups; the successor tuple is built once per move that survives
+leaves the move changes.  A compiled leaf caches its move list per kernel
+state, and so does any other subtree whose leaves span few state
+combinations (a synchronised VMG/ECU pair, say), so most of the synthesis
+is list lookups; the successor tuple is built once per move that survives
 synchronisation.
 
 Events the pipeline's table has not interned yet (renaming targets, events
-of a leaf compiled under another pipeline's table) are numbered when the
-first edge carrying them is emitted, as ``compile_lts`` does, so both paths
-leave the table in the same state.
+of a leaf compiled under another pipeline's table, events an SOS leaf
+meets) are numbered when the first edge carrying them is emitted, as
+``compile_lts`` does, so every path leaves the table in the same state.
 """
 
 from __future__ import annotations
@@ -50,23 +62,28 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..csp.events import AlphabetTable, Event, TAU_ID, TICK_ID
 from ..csp.kernel import CompactLTS
-from ..csp.lts import DEFAULT_STATE_LIMIT, StateId, StateSpaceLimitExceeded
+from ..csp.lts import (
+    DEFAULT_STATE_LIMIT,
+    StateId,
+    StateSpaceLimitExceeded,
+    TermNestingExceeded,
+)
 from ..csp.process import (
     CompiledProcess,
+    Environment,
     GenParallel,
     Hiding,
     Interleave,
     Process,
     Renaming,
 )
+from ..csp.semantics import transitions as sos_transitions
 
-#: the leaf positions one move changes, each with its new kernel state
-Delta = Tuple[Tuple[int, StateId], ...]
+#: the leaf positions one move changes, each with its new leaf state (a
+#: kernel state, or the successor term of an SOS leaf)
+Delta = Tuple[Tuple[int, object], ...]
 #: one synthesised move: (event id, delta)
 _Move = Tuple[int, Delta]
-
-#: the operators a spine is built from
-_SPINE = (GenParallel, Interleave, Hiding, Renaming)
 
 #: ids from here up stand for events the table had not interned when the
 #: spine was built; each is swapped for its table id as its edge is emitted
@@ -79,11 +96,12 @@ _MEMO_STATES = 4096
 
 
 class _Ids:
-    """Event ids for building one spine, deferring events new to the table.
+    """Event ids for one product, deferring events new to the table.
 
     An event the table already knows gets its table id.  Any other event a
-    child can produce gets a placeholder at or above ``_DEFERRED``, so that
-    interning happens in edge-emission order rather than build order.
+    leaf can produce gets a placeholder at or above ``_DEFERRED``, so that
+    interning happens in edge-emission order rather than build (or, for an
+    SOS leaf, expansion) order.
     """
 
     __slots__ = ("table", "deferred", "_placeholders")
@@ -144,6 +162,30 @@ class _Leaf:
             ]
             self._moves[state] = moves
         return moves
+
+
+class _Sos:
+    """A whole term as one leaf, expanded through the SOS on demand.
+
+    The leaf's state is its process term, so the product index numbers
+    terms in discovery order, as ``compile_lts`` does.  Each state is
+    expanded once (the product's root is never memoised), so its moves are
+    not kept.
+    """
+
+    __slots__ = ("env", "ids")
+
+    def __init__(self, env: Environment, ids: _Ids) -> None:
+        self.env = env
+        self.ids = ids
+
+    def moves(self, tup: Tuple[Process]) -> List[_Move]:
+        intern = self.ids.intern
+        try:
+            steps = sos_transitions(tup[0], self.env)
+        except RecursionError:
+            raise TermNestingExceeded() from None
+        return [(intern(event), ((0, successor),)) for event, successor in steps]
 
 
 class _Par:
@@ -243,10 +285,9 @@ class _Memo:
 
 
 class ProductLTS:
-    """The product of compiled component kernels (span protocol).
+    """The product of a term's leaves (span protocol).
 
-    Drives :class:`~repro.fdr.refine._ProductSearch` exactly like a
-    :class:`~repro.fdr.refine.LazyImplementation`: ``initial`` /
+    Drives :class:`~repro.fdr.refine._ProductSearch` through ``initial`` /
     ``successors_span`` / ``is_stable`` / ``table`` / ``term_of``, with
     states numbered in discovery order and a ``max_states`` budget enforced
     at discovery time -- or expands everything at once through
@@ -261,24 +302,25 @@ class ProductLTS:
         template: Process,
         node,
         kernels: List,
-        table: AlphabetTable,
+        ids: _Ids,
         max_states: int = DEFAULT_STATE_LIMIT,
-        deferred: Tuple[Event, ...] = (),
     ) -> None:
         # admitting the initial state counts against the budget, as in
         # compile_lts
         if max_states < 1:
             raise StateSpaceLimitExceeded(max_states)
-        self.table = table
+        self.table = ids.table
         self.max_states = max_states
         self.initial: StateId = 0
+        #: True when the whole term is one SOS leaf: nothing is synthesised
+        self.sos = isinstance(node, _Sos)
         self._template = template
         self._node = node
         self._kernels = kernels
-        self._deferred = tuple(deferred)
-        start = _initial_tuple(template)
-        self._tuples: List[Tuple[StateId, ...]] = [start]
-        self._index: Optional[Dict[Tuple[StateId, ...], StateId]] = {start: 0}
+        self._ids = ids
+        start = (template,) if self.sos else _initial_tuple(template)
+        self._tuples: List[Tuple] = [start]
+        self._index: Optional[Dict[Tuple, StateId]] = {start: 0}
         self._events: array = array("q")
         self._targets: array = array("q")
         self._bounds: List[Optional[Tuple[int, int]]] = [None]
@@ -289,24 +331,22 @@ class ProductLTS:
         term: Process,
         table: AlphabetTable,
         max_states: int = DEFAULT_STATE_LIMIT,
-    ) -> Optional["ProductLTS"]:
-        """The product of *term*, or None when it does not qualify.
+        env: Optional[Environment] = None,
+    ) -> "ProductLTS":
+        """The product of *term* in *table*'s id space, expanded under *env*.
 
-        Qualifying terms are composition spines (parallel / interleave /
-        hiding / renaming) whose leaves are all ``CompiledProcess`` handles
-        -- exactly what the compilation plan emits when every component
-        compiled.  A degraded leaf (a raw SOS term) or a bare compiled
-        process (no composition to synthesise) returns None and the caller
-        falls back to the term-level path.
+        A composition spine whose leaves all compiled is synthesised, and a
+        bare compiled leaf is one kernel leaf; any other term is one SOS
+        leaf (see the module docstring).
         """
-        if not isinstance(term, _SPINE):
-            return None
         kernels: List = []
         ids = _Ids(table)
         node = _build(term, kernels, ids)
         if node is None:
-            return None
-        return cls(term, node, kernels, table, max_states, tuple(ids.deferred))
+            kernels = []
+            ids = _Ids(table)
+            node = _Sos(env if env is not None else Environment(), ids)
+        return cls(term, node, kernels, ids, max_states)
 
     # -- the automaton protocol ----------------------------------------------
 
@@ -315,19 +355,22 @@ class ProductLTS:
         """States discovered so far (grows as the search explores)."""
         return len(self._tuples)
 
-    def component_states(self, state: StateId) -> Tuple[StateId, ...]:
-        """The component kernel states behind one product state."""
+    def component_states(self, state: StateId) -> Tuple:
+        """The leaf states behind one product state."""
         return self._tuples[state]
 
     def term_of(self, state: StateId) -> Process:
-        """The substituted spine term this product state corresponds to.
+        """The process term this product state corresponds to.
 
-        Byte-compatible with the term the SOS path would have evolved:
-        the spine operators are rebuilt unchanged around fresh
-        ``CompiledProcess`` leaves at the tuple's states, which is exactly
-        what the parallel/hiding/renaming rules produce.
+        Byte-compatible with the term the SOS path would have evolved: an
+        SOS leaf's state is that term, and a synthesised spine is rebuilt
+        unchanged around fresh ``CompiledProcess`` leaves at the tuple's
+        states, which is exactly what the parallel/hiding/renaming rules
+        produce.
         """
         tup = self._tuples[state]
+        if self.sos:
+            return tup[0]
         position = [0]
 
         def subst(term: Process) -> Process:
@@ -407,13 +450,13 @@ class ProductLTS:
                 events.append(eid)
                 targets.append(target)
         finally:
-            if self._deferred:
+            if self._ids.deferred:
                 self._resolve(start)
 
     def _resolve(self, start: int) -> None:
         """Swap the placeholder ids emitted from *start* for table ids."""
         events = self._events
-        deferred = self._deferred
+        deferred = self._ids.deferred
         intern = self.table.intern
         for i in range(start, len(events)):
             eid = events[i]

@@ -22,7 +22,6 @@ from .normalise import (
 )
 from .refine import (
     CheckResult,
-    LazyImplementation,
     check_deadlock_free,
     check_deterministic,
     check_divergence_free,
@@ -46,7 +45,6 @@ __all__ = [
     "DeadlockCounterexample",
     "DivergenceCounterexample",
     "FailureCounterexample",
-    "LazyImplementation",
     "NondeterminismCounterexample",
     "NormalisedSpec",
     "PropertyAssertion",

@@ -20,10 +20,11 @@ decode through the table, so existing callers see the same API as before.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..csp.events import AlphabetTable, Event, TAU_ID
+from ..csp.kernel import tau_scc_of
 from ..csp.lts import LTS, StateId
 
 NodeId = int
@@ -143,74 +144,19 @@ def minimal_bitsets(sets: Set[int], table: AlphabetTable) -> Tuple[int, ...]:
 def tau_cycle_states(lts: LTS) -> FrozenSet[StateId]:
     """States lying on a cycle of tau transitions (divergent states).
 
-    Uses Tarjan's SCC algorithm restricted to tau edges; a state diverges if
-    its tau-SCC has more than one state or it has a tau self-loop.  Frames
-    carry an absolute edge index into the kernel's flat arrays, so resuming
-    a frame is pointer arithmetic instead of re-listing tau successors.
+    A state diverges if its tau-SCC has two or more members, or if it has
+    a tau self-loop.
     """
-    index_counter = [0]
-    index: Dict[StateId, int] = {}
-    lowlink: Dict[StateId, int] = {}
-    on_stack: Set[StateId] = set()
-    stack: List[StateId] = []
+    scc_of = tau_scc_of(lts)
+    sizes = Counter(scc_of)
     divergent: Set[StateId] = set()
-    successors_span = lts.successors_span
-
-    # iterative Tarjan to avoid recursion limits on long tau chains; the
-    # per-frame cursor is an edge index into the shared arrays (-1 = first
-    # visit, before the frame's range is known)
-    for root in lts.iter_states():
-        if root in index:
+    for state, scc in enumerate(scc_of):
+        if sizes[scc] > 1:
+            divergent.add(state)
             continue
-        work: List[Tuple[StateId, int]] = [(root, -1)]
-        while work:
-            state, cursor = work[-1]
-            events, targets, lo, hi = successors_span(state)
-            if cursor < 0:
-                index[state] = index_counter[0]
-                lowlink[state] = index_counter[0]
-                index_counter[0] += 1
-                stack.append(state)
-                on_stack.add(state)
-                cursor = lo
-            advanced = False
-            while cursor < hi:
-                if events[cursor] != TAU_ID:
-                    cursor += 1
-                    continue
-                target = targets[cursor]
-                cursor += 1
-                if target not in index:
-                    work[-1] = (state, cursor)
-                    work.append((target, -1))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[state] = min(lowlink[state], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[state] == index[state]:
-                component: List[StateId] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == state:
-                        break
-                if len(component) > 1:
-                    divergent.update(component)
-                else:
-                    only = component[0]
-                    events, targets, lo, hi = successors_span(only)
-                    if any(
-                        events[i] == TAU_ID and targets[i] == only
-                        for i in range(lo, hi)
-                    ):
-                        divergent.add(only)
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
+        events, targets, lo, hi = lts.successors_span(state)
+        if any(events[i] == TAU_ID and targets[i] == state for i in range(lo, hi)):
+            divergent.add(state)
     return frozenset(divergent)
 
 

@@ -10,13 +10,12 @@ paper's workflow.
 
 The implementation side is anything exposing the small automaton protocol
 (``initial``, ``successors_span``, ``is_stable``, ``table``): a fully
-compiled :class:`~repro.csp.kernel.CompactLTS` (the eager path), a
-:class:`LazyImplementation` (states unfold on demand from the operational
-semantics so the search can exit on the first violation without
-materialising the whole state space), or the on-the-fly
-:class:`~repro.engine.product.ProductLTS` over compiled component kernels.
-All three store their edges in shared flat ``array('q')`` pairs, and the
-product search walks them by index -- no per-transition tuple allocation.
+compiled :class:`~repro.csp.kernel.CompactLTS` (the eager path) or the
+on-the-fly :class:`~repro.engine.product.ProductLTS`, whose states unfold
+on demand so the search can exit on the first violation without
+materialising the whole state space.  Both store their edges in shared
+flat ``array('q')`` pairs, and the product search walks them by index --
+no per-transition tuple allocation.
 
 Supported checks:
 
@@ -28,14 +27,11 @@ Supported checks:
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..csp.events import AlphabetTable, Event, TAU_ID, TICK_ID
-from ..csp.lts import DEFAULT_STATE_LIMIT, LTS, StateId, StateSpaceLimitExceeded
-from ..csp.process import Environment, Process
-from ..csp.semantics import transitions as sos_transitions
+from ..csp.lts import LTS, StateId
 from ..obs.trace import NULL_TRACER, Tracer
 from .counterexample import (
     Counterexample,
@@ -99,98 +95,9 @@ class CheckResult:
         return "CheckResult({!r}, passed={})".format(self.name, self.passed)
 
 
-class LazyImplementation:
-    """On-the-fly implementation state space over the operational semantics.
-
-    Exposes the same automaton protocol as a compiled
-    :class:`~repro.csp.kernel.CompactLTS` (``initial`` / ``successors_span``
-    / ``is_stable`` / ``table``) but expands each state's transitions only
-    when the product search first asks for them, memoising terms exactly
-    like the eager compiler -- so the reachable fragment it builds is
-    state-for-state the prefix of the eager LTS the search actually touches,
-    and verdicts and counterexamples come out identical.  Expanded edges are
-    appended to two shared flat ``array('q')`` buffers with per-state
-    ``(start, end)`` bounds, matching the kernel's CSR layout (states land
-    in expansion rather than id order, which the span view hides).  Raises
-    :class:`StateSpaceLimitExceeded` when expansion would pass *max_states*
-    distinct terms, mirroring ``compile_lts``.
-    """
-
-    #: obs metric this implementation reports its expansion count under
-    expansion_metric = "lazy.states_expanded"
-
-    def __init__(
-        self,
-        process: Process,
-        env: Optional[Environment] = None,
-        table: Optional[AlphabetTable] = None,
-        max_states: int = DEFAULT_STATE_LIMIT,
-    ) -> None:
-        self.env = env or Environment()
-        self.table = table if table is not None else AlphabetTable()
-        self.max_states = max_states
-        self.initial: StateId = 0
-        self._terms: List[Process] = [process]
-        self._index: Dict[Process, StateId] = {process: 0}
-        self._events: array = array("q")
-        self._targets: array = array("q")
-        self._bounds: List[Optional[Tuple[int, int]]] = [None]
-
-    @property
-    def state_count(self) -> int:
-        """States discovered so far (grows as the search explores)."""
-        return len(self._terms)
-
-    def term_of(self, state: StateId) -> Process:
-        return self._terms[state]
-
-    def successors_span(self, state: StateId) -> Tuple[array, array, int, int]:
-        """The state's edge range in the shared flat arrays (expands once)."""
-        bounds = self._bounds[state]
-        if bounds is None:
-            bounds = self._expand(state)
-        return self._events, self._targets, bounds[0], bounds[1]
-
-    def _expand(self, state: StateId) -> Tuple[int, int]:
-        intern = self.table.intern
-        index = self._index
-        terms = self._terms
-        events, targets = self._events, self._targets
-        start = len(events)
-        for event, successor in sos_transitions(terms[state], self.env):
-            target = index.get(successor)
-            if target is None:
-                if len(terms) >= self.max_states:
-                    raise StateSpaceLimitExceeded(self.max_states)
-                target = len(terms)
-                index[successor] = target
-                terms.append(successor)
-                self._bounds.append(None)
-            events.append(intern(event))
-            targets.append(target)
-        bounds = (start, len(events))
-        self._bounds[state] = bounds
-        return bounds
-
-    def successors_ids(self, state: StateId) -> List[Tuple[int, StateId]]:
-        events, targets, start, end = self.successors_span(state)
-        return [(events[i], targets[i]) for i in range(start, end)]
-
-    def successors(self, state: StateId) -> List[Tuple[Event, StateId]]:
-        event_of = self.table.event_of
-        return [(event_of(eid), t) for eid, t in self.successors_ids(state)]
-
-    def is_stable(self, state: StateId) -> bool:
-        events, _targets, start, end = self.successors_span(state)
-        for i in range(start, end):
-            if events[i] == TAU_ID:
-                return False
-        return True
-
-
 #: Anything the product search can drive on the implementation side: a
-#: compiled kernel, a lazy SOS expansion, or an on-the-fly product view.
-Implementation = Union[LTS, LazyImplementation, "object"]
+#: compiled kernel or an on-the-fly :class:`~repro.engine.product.ProductLTS`.
+Implementation = Union[LTS, "object"]
 
 
 def _attach_impl_state(
@@ -201,7 +108,7 @@ def _attach_impl_state(
     """Record the violating implementation term on the counterexample.
 
     Both implementation flavours can name the process term behind a state
-    (``term_of`` on the lazy expansion, ``terms`` on a compiled LTS); the
+    (``term_of`` on the on-the-fly product, ``terms`` on a compiled LTS); the
     pipeline maps any compressed-component leaves inside that term back to
     original states (see :func:`repro.engine.plan.component_provenance`).
     """

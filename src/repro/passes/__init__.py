@@ -25,7 +25,7 @@ from .base import (
     terminated_states,
 )
 from .normal import NormalPass
-from .reduce import DeadStatesPass, DiamondPass, TauLoopPass, tau_scc_of
+from .reduce import DeadStatesPass, DiamondPass, TauLoopPass
 from .sbisim import SbisimPass, bisimulation_classes, minimise, quotient
 
 __all__ = [
@@ -49,6 +49,5 @@ __all__ = [
     "quotient",
     "register_pass",
     "resolve_passes",
-    "tau_scc_of",
     "terminated_states",
 ]

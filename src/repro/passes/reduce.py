@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..csp.events import TAU_ID
+from ..csp.kernel import tau_scc_of
 from ..csp.lts import LTS, StateId
 from .base import LtsPass, bfs_renumber, register_pass, terminated_states
 
@@ -38,65 +39,6 @@ class DeadStatesPass(LtsPass):
 
     def rewrite(self, lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
         return bfs_renumber(lts)
-
-
-def tau_scc_of(lts: LTS) -> List[int]:
-    """Tarjan over tau transitions only: state -> tau-SCC id (iterative)."""
-    count = lts.state_count
-    unvisited = -1
-    index_of = [unvisited] * count
-    lowlink = [0] * count
-    on_stack = [False] * count
-    scc_of = [unvisited] * count
-    stack: List[StateId] = []
-    counter = 0
-    scc_count = 0
-
-    successors_span = lts.successors_span
-    for root in range(count):
-        if index_of[root] != unvisited:
-            continue
-        # (state, edge cursor) frames, unrolled to avoid recursion; the
-        # cursor is an absolute index into the kernel's flat arrays
-        # (-1 = first visit)
-        work: List[Tuple[StateId, int]] = [(root, -1)]
-        while work:
-            state, position = work.pop()
-            events, targets, lo, hi = successors_span(state)
-            if position < 0:
-                index_of[state] = lowlink[state] = counter
-                counter += 1
-                stack.append(state)
-                on_stack[state] = True
-                position = lo
-            advanced = False
-            while position < hi:
-                eid = events[position]
-                target = targets[position]
-                position += 1
-                if eid != TAU_ID:
-                    continue
-                if index_of[target] == unvisited:
-                    work.append((state, position))
-                    work.append((target, -1))
-                    advanced = True
-                    break
-                if on_stack[target]:
-                    lowlink[state] = min(lowlink[state], index_of[target])
-            if advanced:
-                continue
-            if lowlink[state] == index_of[state]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    scc_of[member] = scc_count
-                    if member == state:
-                        break
-                scc_count += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-    return scc_of
 
 
 class TauLoopPass(LtsPass):

@@ -17,7 +17,7 @@ laws        an algebraic law of CSP fails on the trace semantics
 semantics   operational (LTS) and denotational trace sets diverge
 normalise   normalisation loses traces, nondeterminism, or determinism
 refinement  engine ``[T=`` verdict differs from the subset definition
-lazy-eager  on-the-fly and eager refinement disagree (verdict or cex)
+lazy-eager  on-the-fly and eager refinement disagree (verdict, cex or counts)
 kernel      the flat-array kernel diverges from the pre-refactor semantics
 spine       a materialised composition spine differs from compile_lts
 cache       a compilation-cache or trace-memo hit changes a verdict or cex
@@ -303,20 +303,36 @@ def _genuine_counterexample(spec: Process, impl: Process, result, label: str) ->
 
 
 def check_lazy_eager(value) -> None:
+    """The on-the-fly product and the eager LTS run the same search.
+
+    Under compression and without it, the two must agree on the verdict,
+    the counterexample and the explored-state and -transition counts (so
+    on the whole ``summary()``), and any counterexample must be genuine.
+    """
     spec, impl, model = value
     if model not in ("T", "F"):
         raise Discard
-    lazy = VerificationPipeline(on_the_fly=True).refinement(spec, impl, model)
-    eager = VerificationPipeline(on_the_fly=False).refinement(spec, impl, model)
-    if lazy.passed != eager.passed:
-        raise OracleViolation(
-            "{!r} [{}= {!r}: on-the-fly says {}, eager says {}".format(
-                spec, model, impl, lazy.passed, eager.passed
-            )
+    for passes in ("default", "none"):
+        lazy = VerificationPipeline(on_the_fly=True, passes=passes).refinement(
+            spec, impl, model
         )
-    if not lazy.passed:
-        _genuine_counterexample(spec, impl, lazy, "on-the-fly")
-        _genuine_counterexample(spec, impl, eager, "eager")
+        eager = VerificationPipeline(on_the_fly=False, passes=passes).refinement(
+            spec, impl, model
+        )
+        if (
+            lazy.summary() != eager.summary()
+            or lazy.states_explored != eager.states_explored
+            or lazy.transitions_explored != eager.transitions_explored
+        ):
+            raise OracleViolation(
+                "{!r} [{}= {!r} (passes {}): on-the-fly says {!r}, eager says "
+                "{!r}".format(
+                    spec, model, impl, passes, lazy.summary(), eager.summary()
+                )
+            )
+        if not lazy.passed:
+            _genuine_counterexample(spec, impl, lazy, "on-the-fly")
+            _genuine_counterexample(spec, impl, eager, "eager")
 
 
 # -- oracle: compilation cache ------------------------------------------------------
@@ -856,7 +872,7 @@ def check_spine(value) -> None:
     sos_side = VerificationPipeline(cache=shared)
     prepared = product_side.plan.prepare(term, model).term
     reference_term = sos_side.plan.prepare(term, model).term
-    if ProductLTS.for_term(prepared, product_side.table) is None:
+    if ProductLTS.for_term(prepared, product_side.table).sos:
         raise Discard
     limit = product_side.max_states
     materialised = product_side.compile(prepared, limit)
@@ -969,8 +985,10 @@ _register(
 _register(
     Oracle(
         "lazy-eager",
-        "on-the-fly and eager refinement agree on verdicts and counterexamples",
-        "repro.fdr.refine (LazyImplementation), repro.engine.pipeline",
+        "on-the-fly and eager refinement agree on verdicts, counterexamples "
+        "and explored counts",
+        "repro.engine.product (ProductLTS), repro.fdr.refine, "
+        "repro.engine.pipeline",
         _lazy_eager_input(),
         check_lazy_eager,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..csp.events import Alphabet, Event
+from ..csp.events import Alphabet, Event, event_from_json, fields_to_json
 from ..csp.process import (
     ExternalChoice,
     GenParallel,
@@ -45,11 +45,14 @@ class CorpusEncodingError(ValueError):
 
 
 def encode_event(event: Event) -> Dict[str, Any]:
-    return {"channel": event.channel, "fields": list(event.fields)}
+    return {"channel": event.channel, "fields": fields_to_json(event.fields)}
 
 
 def decode_event(doc: Dict[str, Any]) -> Event:
-    return Event(doc["channel"], tuple(doc["fields"]))
+    try:
+        return event_from_json(doc["channel"], doc["fields"])
+    except ValueError as error:
+        raise CorpusEncodingError(str(error)) from None
 
 
 def encode_alphabet(alphabet: Alphabet) -> List[Dict[str, Any]]:

@@ -7,8 +7,9 @@ import pytest
 from repro.batch import CheckSpec, dump_manifest
 from repro.batch.cli import main
 from repro.cli_common import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
-from repro.csp.events import Event
-from repro.csp.process import Prefix, Stop
+from repro.csp.events import Alphabet, Event
+from repro.csp.lts import TermNestingExceeded
+from repro.csp.process import Hiding, Prefix, ProcessRef, Stop
 
 A, B, C = Event("a"), Event("b"), Event("c")
 
@@ -109,6 +110,46 @@ def test_bad_manifest_exits_2(tmp_path, capsys):
         main([str(path)])
     assert excinfo.value.code == EXIT_USAGE
     assert "bad manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields", ['"ab"', "[1.5]", "[null]", '[{"u": []}]'], ids=["str", "float", "null", "tag"]
+)
+def test_malformed_event_manifest_exits_2(tmp_path, capsys, fields):
+    path = tmp_path / "bad-event.json"
+    path.write_text(
+        '{"format": 1, "checks": [{"kind": "trace", "spec": {"op": "stop"}, '
+        '"trace": [{"channel": "c", "fields": ' + fields + "}]}]}"
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(path)])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "bad manifest" in capsys.readouterr().err
+
+
+def test_recursion_through_hiding_is_one_error_at_any_jobs(
+    tmp_path, capsys, shallow_stack
+):
+    body = Hiding(Prefix(A, Prefix(B, ProcessRef("P"))), Alphabet([A, B]))
+    specs = [
+        CheckSpec.property_check(
+            ProcessRef("P"), "divergence free", check_id="div", bindings={"P": body}
+        ),
+        CheckSpec.refinement(
+            Stop(), ProcessRef("P"), "T", check_id="ref", bindings={"P": body}
+        ),
+    ]
+    path = write_manifest(tmp_path, specs)
+    outputs = []
+    with shallow_stack(160):
+        for jobs in ("0", "2"):
+            assert main([path, "--jobs", jobs, "--quiet"]) == EXIT_VIOLATION
+            outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = [json.loads(line) for line in outputs[0].splitlines()]
+    assert [line["verdict"] for line in lines] == ["ERROR", "ERROR"]
+    error = "TermNestingExceeded: {}".format(TermNestingExceeded())
+    assert [line["error"] for line in lines] == [error, error]
 
 
 def test_nesting_bomb_manifest_exits_2(tmp_path, capsys, nested_term_json):

@@ -129,6 +129,18 @@ class TestRunBatchPooled:
         pooled = run_batch(specs, jobs=2, timeout=120)
         assert canonical(pooled) == canonical(inline)
 
+    def test_tuple_valued_fields_cross_the_pipe(self):
+        sent = Event("send", (("enc", "k1", "m"),))
+        specs = [
+            CheckSpec.property_check(Prefix(sent, Stop()), "deadlock free"),
+            CheckSpec.trace_check(Prefix(sent, Stop()), [sent], check_id="t"),
+        ]
+        inline = run_batch(specs, jobs=0)
+        pooled = run_batch(specs, jobs=2, timeout=120)
+        assert canonical(pooled) == canonical(inline)
+        assert [r.verdict for r in pooled.results] == ["FAIL", "PASS"]
+        assert "send.(enc, k1, m)" in pooled.results[0].counterexample["description"]
+
     def test_results_come_back_in_input_order(self):
         # unequal job durations force out-of-order completion
         specs = [

@@ -93,6 +93,48 @@ class TestCheckSpecRoundTrip:
         with pytest.raises(ManifestError, match="undecodable"):
             CheckSpec.from_doc(doc)
 
+    def test_tuple_fields_round_trip(self):
+        sent = Event("send", (("enc", ("k1", 2, True)), "m"))
+        spec = CheckSpec.property_check(Prefix(sent, Stop()), "deadlock free")
+        doc = spec.to_doc()
+        assert doc["term"]["event"]["fields"] == [
+            {"t": ["enc", {"t": ["k1", 2, True]}]},
+            "m",
+        ]
+        assert CheckSpec.from_doc(doc).term == spec.term
+
+    def test_scalar_fields_keep_their_plain_encoding(self):
+        spec = CheckSpec.property_check(
+            Prefix(Event("c", ("x", 3, False)), Stop()), "deadlock free"
+        )
+        assert spec.to_doc()["term"]["event"] == {
+            "channel": "c",
+            "fields": ["x", 3, False],
+        }
+
+    @pytest.mark.parametrize(
+        "event_doc",
+        [
+            {"channel": 5, "fields": []},
+            {"channel": "", "fields": []},
+            {"channel": "c", "fields": "ab"},
+            {"channel": "c", "fields": [1.5]},
+            {"channel": "c", "fields": [None]},
+            {"channel": "c", "fields": [["a"]]},
+            {"channel": "c", "fields": [{"u": ["a"]}]},
+            {"channel": "c", "fields": [{"t": "ab"}]},
+            {"channel": "c", "fields": [{"t": [1.5]}]},
+        ],
+    )
+    def test_malformed_event_rejected(self, event_doc):
+        doc = {
+            "kind": "property",
+            "property": "deadlock free",
+            "term": {"op": "prefix", "event": event_doc, "next": {"op": "stop"}},
+        }
+        with pytest.raises(ManifestError, match="undecodable"):
+            CheckSpec.from_doc(doc)
+
 
 class TestJobResult:
     def test_doc_round_trip(self):
@@ -143,6 +185,19 @@ class TestManifest:
         buffer.seek(0)
         loaded = load_manifest(buffer)
         assert len(loaded) == 4
+
+    def test_tuple_fields_survive_a_file_round_trip(self, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        sent = Event("send", (("enc", "k1", "m"),))
+        specs = [
+            CheckSpec.property_check(Prefix(sent, Stop()), "deadlock free"),
+            CheckSpec.trace_check(Prefix(sent, Stop()), [sent], check_id="t"),
+        ]
+        dump_manifest(specs, path)
+        loaded = load_manifest(path)
+        assert [s.to_doc() for s in loaded] == [s.to_doc() for s in specs]
+        assert loaded[0].term == specs[0].term
+        assert tuple(loaded[1].trace) == (sent,)
 
     def test_nesting_bomb_rejected(self, tmp_path, nested_term_json):
         path = tmp_path / "bomb.json"

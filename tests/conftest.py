@@ -12,8 +12,10 @@ session seed and the shrunk input, so any red randomized test is
 reproducible from its output alone.
 """
 
+import contextlib
 import os
 import random
+import sys
 
 import pytest
 
@@ -120,6 +122,43 @@ def deep_property_spec():
         return CheckSpec.property_check(term, "deadlock free", check_id=check_id)
 
     return build
+
+
+#: ``P`` recurses through hiding: every unfolding nests its term one level
+#: deeper, until expanding it runs out of interpreter stack
+RUNAWAY_HIDING_SCRIPT = """channel a, b
+P = (a -> b -> P) \\ {a, b}
+assert P :[divergence free]
+assert STOP [T= P
+"""
+
+
+@pytest.fixture
+def shallow_stack():
+    """A context manager allowing *headroom* frames more than the caller's.
+
+    A term that nests deeper on every step costs time quadratic in the
+    depth at which its expansion runs out of stack, seconds at the default
+    limit.  The error reported for it must not depend on that depth, so
+    tests run it with little stack to spare.  Pool workers forked inside
+    the block inherit the limit.
+    """
+
+    @contextlib.contextmanager
+    def lowered(headroom=250):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + headroom)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(old)
+
+    return lowered
 
 
 @pytest.fixture

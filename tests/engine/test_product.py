@@ -1,15 +1,18 @@
-"""The on-the-fly product view: parity with the term-level path.
+"""The product generator: every shape explores what ``compile_lts`` builds.
 
-The :class:`~repro.engine.product.ProductLTS` replaces the SOS replay of
-compiled component leaves with direct kernel-span synthesis.  The claims
-pinned here:
+The :class:`~repro.engine.product.ProductLTS` is the one on-the-fly
+generator: the pipeline hands every ``[T=`` / ``[F=`` implementation to
+:meth:`~repro.engine.VerificationPipeline.lazy`.  The claims pinned here:
 
-* the product explores state-for-state and edge-for-edge exactly what the
-  term-level :class:`~repro.fdr.refine.LazyImplementation` explores (same
-  numbering, same event order, same terms behind the states),
-* pipeline verdicts, counterexamples and explored-state counts are
-  unchanged whether the product view or the lazy SOS path runs the check,
-* terms the product cannot synthesise fall back cleanly,
+* every term gets a product: a synthesised spine over compiled leaves, one
+  kernel leaf for a bare compiled process, or one SOS leaf for anything
+  else (no composition, a spine with a degraded component);
+* expanding a product in id order is breadth-first search, so each shape
+  explores state-for-state and edge-for-edge exactly the automaton
+  ``compile_lts`` builds from the same term (same numbering, same event
+  ids, same terms behind the states, same state budget);
+* pipeline verdicts, counterexamples and explored counts are the same on
+  the fly and eager, for every shape;
 * materialising a spine (eager compilation) builds exactly the automaton
   ``compile_lts`` builds -- arrays, event ids, budget and the terms behind
   counterexamples.
@@ -31,7 +34,7 @@ from repro.csp import (
     prefix,
     ref,
 )
-from repro.csp.lts import compile_lts
+from repro.csp.lts import TermNestingExceeded, compile_lts
 from repro.engine import (
     CompilationCache,
     ProductLTS,
@@ -51,44 +54,105 @@ def _composed_env():
     return env
 
 
-def _product_for(pipeline, term, model="T"):
-    prepared = pipeline.plan.prepare(term, model)
-    return prepared, pipeline.plan.product_view(prepared, 10_000)
+def _degraded_env():
+    """SYS's left component alone exceeds a budget of 5, SYS does not."""
+    env = Environment()
+    chain = Stop()
+    for _ in range(10):
+        chain = prefix(A, chain)
+    env.bind("LONG", chain)
+    env.bind("SHORT", prefix(A, prefix(A, Stop())))
+    env.bind("SYS", GenParallel(ref("LONG"), ref("SHORT"), Alphabet([A])))
+    return env
 
 
-def _explore_all(impl):
-    """Expand every discovered state; edges as (event name, target)."""
-    edges = {}
+def _boxed_env():
+    """TOP has a composition, but not on its spine: it compiles whole."""
+    env = _composed_env()
+    env.bind("TOP", prefix(C, ref("SYS")))
+    return env
+
+
+#: (environment, process name, state budget, expected product shape)
+_SHAPES = {
+    "spine": (_composed_env, "SYS", 10_000, "spine"),
+    "bare-leaf": (_boxed_env, "TOP", 10_000, "leaf"),
+    "degraded-spine": (_degraded_env, "SYS", 5, "sos"),
+    "uncomposed": (_composed_env, "P", 10_000, "sos"),
+}
+
+
+def _shape(view):
+    if view.sos:
+        return "sos"
+    return "leaf" if isinstance(view.term_of(0), CompiledProcess) else "spine"
+
+
+def _twins(env, name, max_states=10_000, model="T", cache=None):
+    """Two pipelines that prepared the same term independently."""
+    sides = []
+    for _ in range(2):
+        pipeline = VerificationPipeline(env, cache=cache, max_states=max_states)
+        sides.append((pipeline, pipeline.plan.prepare(ref(name), model).term))
+    return sides
+
+
+def _as_csr(view):
+    """Expand every state of *view* in id order; its edges as CSR lists."""
+    offsets, events, targets = [0], [], []
     state = 0
-    while state < impl.state_count:
-        edges[state] = [
-            (str(evt), target) for evt, target in impl.successors(state)
-        ]
+    while state < view.state_count:
+        for eid, target in view.successors_ids(state):
+            events.append(eid)
+            targets.append(target)
+        offsets.append(len(events))
         state += 1
-    return edges
+    return offsets, events, targets
+
+
+def _assert_explores_like_compile_lts(env, name, max_states=10_000, cache=None):
+    """``pipeline.lazy`` explores what ``compile_lts`` builds, tables included."""
+    (pipeline, term), (eager, eager_term) = _twins(
+        env, name, max_states, cache=cache
+    )
+    view = pipeline.lazy(term)
+    reference = compile_lts(eager_term, eager.env, max_states, table=eager.table)
+    assert _as_csr(view) == tuple(list(a) for a in reference.csr_arrays())
+    assert view.state_count == reference.state_count
+    assert pipeline.table.events() == eager.table.events()
+    assert [view.term_of(s) for s in range(view.state_count)] == list(
+        reference.terms
+    )
+    return view, term
 
 
 class TestQualification:
     def test_composed_term_gets_a_product_view(self):
         pipeline = VerificationPipeline(_composed_env())
-        _prepared, view = _product_for(pipeline, ref("SYS"))
-        assert isinstance(view, ProductLTS)
+        prepared = pipeline.plan.prepare(ref("SYS"), "T")
+        view = pipeline.lazy(prepared.term)
+        assert isinstance(view, ProductLTS) and not view.sos
+        assert len(view.component_states(0)) == 2
 
-    def test_uncompressed_term_has_no_view(self):
+    def test_uncompressed_term_gets_an_sos_view(self):
         env = Environment()
         env.bind("P", prefix(A, ref("P")))
         pipeline = VerificationPipeline(env)
         prepared = pipeline.plan.prepare(ref("P"), "T")
-        assert pipeline.plan.product_view(prepared, 10_000) is None
+        view = pipeline.lazy(prepared.term)
+        assert view.sos
+        assert view.component_states(0) == (ref("P"),)
 
-    def test_bare_compiled_leaf_has_no_view(self):
+    def test_bare_compiled_leaf_gets_a_kernel_view(self):
         pipeline = VerificationPipeline(_composed_env())
         prepared = pipeline.plan.prepare(ref("SYS"), "T")
         leaf = prepared.term.left
         assert isinstance(leaf, CompiledProcess)
-        assert ProductLTS.for_term(leaf, pipeline.table, 10_000) is None
+        view = ProductLTS.for_term(leaf, pipeline.table, 10_000)
+        assert not view.sos
+        assert view.component_states(0) == (leaf.state,)
 
-    def test_degraded_leaf_has_no_view(self):
+    def test_degraded_spine_gets_an_sos_view(self):
         env = _composed_env()
         pipeline = VerificationPipeline(env)
         prepared = pipeline.plan.prepare(ref("SYS"), "T")
@@ -96,26 +160,34 @@ class TestQualification:
         degraded = GenParallel(
             prepared.term.left, prefix(A, Stop()), Alphabet([A, B])
         )
-        assert ProductLTS.for_term(degraded, pipeline.table, 10_000) is None
+        view = ProductLTS.for_term(degraded, pipeline.table, 10_000, env)
+        assert view.sos
+        assert view.term_of(0) is degraded
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_the_plan_yields_each_shape(self, shape):
+        make_env, name, budget, expected = _SHAPES[shape]
+        pipeline = VerificationPipeline(make_env(), max_states=budget)
+        prepared = pipeline.plan.prepare(ref(name), "T")
+        assert _shape(pipeline.lazy(prepared.term)) == expected
+        if shape == "degraded-spine":
+            assert isinstance(prepared.term, GenParallel)
+            assert not isinstance(prepared.term.left, CompiledProcess)
+            assert isinstance(prepared.term.right, CompiledProcess)
 
 
 class TestLazyParity:
     def test_exploration_is_state_for_state_identical(self):
-        env = _composed_env()
-        pipeline = VerificationPipeline(env)
-        prepared, view = _product_for(pipeline, ref("SYS"))
-        lazy = pipeline.lazy(prepared.term)
-        assert _explore_all(view) == _explore_all(lazy)
-        assert view.state_count == lazy.state_count
+        view, _term = _assert_explores_like_compile_lts(_composed_env(), "SYS")
+        assert view.state_count == 2
 
     def test_terms_behind_states_match(self):
-        env = _composed_env()
-        pipeline = VerificationPipeline(env)
-        prepared, view = _product_for(pipeline, ref("SYS"))
-        lazy = pipeline.lazy(prepared.term)
-        _explore_all(view), _explore_all(lazy)
+        (pipeline, term), (eager, eager_term) = _twins(_composed_env(), "SYS")
+        view = pipeline.lazy(term)
+        reference = compile_lts(eager_term, eager.env, table=eager.table)
+        _as_csr(view)
         for state in range(view.state_count):
-            assert repr(view.term_of(state)) == repr(lazy.term_of(state))
+            assert repr(view.term_of(state)) == repr(reference.terms[state])
 
     def test_hiding_and_renaming_on_the_spine(self):
         env = _composed_env()
@@ -123,33 +195,66 @@ class TestLazyParity:
             "WRAPPED",
             Renaming(Hiding(ref("SYS"), Alphabet([B])), {A: C}),
         )
-        pipeline = VerificationPipeline(env)
-        prepared, view = _product_for(pipeline, ref("WRAPPED"))
-        assert isinstance(view, ProductLTS)
-        lazy = pipeline.lazy(prepared.term)
-        assert _explore_all(view) == _explore_all(lazy)
+        view, _term = _assert_explores_like_compile_lts(env, "WRAPPED")
+        assert not view.sos
 
     def test_interleave_on_the_spine(self):
         env = Environment()
         env.bind("L", prefix(A, prefix(B, Stop())))
         env.bind("R", prefix(C, prefix(D, Stop())))
         env.bind("SYS", Interleave(ref("L"), ref("R")))
-        pipeline = VerificationPipeline(env)
-        prepared, view = _product_for(pipeline, ref("SYS"))
-        assert isinstance(view, ProductLTS)
-        lazy = pipeline.lazy(prepared.term)
-        assert _explore_all(view) == _explore_all(lazy)
+        view, _term = _assert_explores_like_compile_lts(env, "SYS")
+        assert not view.sos
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_each_shape_explores_like_compile_lts(self, shape):
+        make_env, name, budget, _expected = _SHAPES[shape]
+        _assert_explores_like_compile_lts(make_env(), name, budget)
+
+    def test_bare_leaf_compiled_under_another_table(self):
+        env = _boxed_env()
+        shared = CompilationCache()
+        VerificationPipeline(env, cache=shared).plan.prepare(ref("TOP"), "T")
+        view, term = _assert_explores_like_compile_lts(env, "TOP", cache=shared)
+        assert _shape(view) == "leaf"
+        assert term.automaton.lts.table is not view.table
 
     def test_max_states_budget_trips_identically(self):
-        env = _composed_env()
-        pipeline = VerificationPipeline(env)
-        prepared = pipeline.plan.prepare(ref("SYS"), "T")
-        view = pipeline.plan.product_view(prepared, 1)
-        lazy = pipeline.lazy(prepared.term, 1)
-        with pytest.raises(StateSpaceLimitExceeded):
-            _explore_all(view)
-        with pytest.raises(StateSpaceLimitExceeded):
-            _explore_all(lazy)
+        for make_env, name, budget, _expected in _SHAPES.values():
+            env = make_env()
+            (pipeline, term), (eager, eager_term) = _twins(env, name, budget)
+            states = compile_lts(eager_term, env, budget).state_count
+            for limit in sorted({0, 1, states - 1, states}):
+                lazy = VerificationPipeline(env, table=pipeline.table)
+                try:
+                    _as_csr(lazy.lazy(term, limit))
+                    lazy_fits = True
+                except StateSpaceLimitExceeded:
+                    lazy_fits = False
+                try:
+                    compile_lts(eager_term, env, limit, eager.table)
+                    eager_fits = True
+                except StateSpaceLimitExceeded:
+                    eager_fits = False
+                assert lazy_fits == eager_fits == (limit >= states), name
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_on_the_fly_results_equal_eager_ones(self, shape):
+        make_env, name, budget, _expected = _SHAPES[shape]
+        env = make_env()
+        env.bind("SPEC", prefix(A, ref("SPEC")))
+        for model in ("T", "F"):
+            lazy = VerificationPipeline(env, max_states=budget).refinement(
+                ref("SPEC"), ref(name), model
+            )
+            eager = VerificationPipeline(
+                env, max_states=budget, on_the_fly=False
+            ).refinement(ref("SPEC"), ref(name), model)
+            assert lazy.summary() == eager.summary()
+            assert (lazy.states_explored, lazy.transitions_explored) == (
+                eager.states_explored,
+                eager.transitions_explored,
+            )
 
     def test_pipeline_verdicts_match_the_sos_paths(self):
         flawed = Environment()
@@ -179,6 +284,17 @@ class TestLazyParity:
                 )
 
 
+class TestRunawayTerms:
+    def test_both_explorers_raise_one_typed_error(self, shallow_stack):
+        env = Environment()
+        env.bind("P", Hiding(prefix(A, prefix(B, ref("P"))), Alphabet([A, B])))
+        with shallow_stack(120):
+            with pytest.raises(TermNestingExceeded):
+                _as_csr(VerificationPipeline(env).lazy(ref("P")))
+            with pytest.raises(TermNestingExceeded):
+                compile_lts(ref("P"), env)
+
+
 def _assert_same_automaton(pipeline, term, reference_pipeline, reference_term):
     """``pipeline.compile`` equals ``compile_lts``, tables included."""
     materialised = pipeline.compile(term)
@@ -195,16 +311,8 @@ def _assert_same_automaton(pipeline, term, reference_pipeline, reference_term):
 
 
 class TestMaterialise:
-    def _twins(self, env, name, model="FD", cache=None):
-        """Two pipelines that prepared the same term independently."""
-        sides = []
-        for _ in range(2):
-            pipeline = VerificationPipeline(env, cache=cache)
-            sides.append((pipeline, pipeline.plan.prepare(ref(name), model).term))
-        return sides
-
     def test_spine_compiles_to_the_sos_automaton(self):
-        (pipeline, term), (sos, sos_term) = self._twins(_composed_env(), "SYS")
+        (pipeline, term), (sos, sos_term) = _twins(_composed_env(), "SYS", model="FD")
         assert ProductLTS.for_term(term, pipeline.table) is not None
         lts = _assert_same_automaton(pipeline, term, sos, sos_term)
         assert lts.state_count == 2
@@ -217,7 +325,7 @@ class TestMaterialise:
         # when their first edge is emitted: c (from b) before d (from a),
         # although the renaming lists a first
         env.bind("WRAPPED", Renaming(ref("SYS"), {A: D, B: C}))
-        (pipeline, term), (sos, sos_term) = self._twins(env, "WRAPPED")
+        (pipeline, term), (sos, sos_term) = _twins(env, "WRAPPED", model="FD")
         assert pipeline.table.id_of(C) is None and pipeline.table.id_of(D) is None
         _assert_same_automaton(pipeline, term, sos, sos_term)
         assert pipeline.table.events()[-2:] == (C, D)
@@ -228,8 +336,8 @@ class TestMaterialise:
         shared = CompilationCache()
         donor = VerificationPipeline(env, cache=shared)
         donor.plan.prepare(ref("WRAPPED"), "FD")
-        (pipeline, term), (sos, sos_term) = self._twins(
-            env, "WRAPPED", cache=shared
+        (pipeline, term), (sos, sos_term) = _twins(
+            env, "WRAPPED", model="FD", cache=shared
         )
         leaf = term.process.left
         assert leaf.automaton.lts.table is not pipeline.table
@@ -238,7 +346,7 @@ class TestMaterialise:
         assert pipeline.table.id_of(B) is None
 
     def test_state_budget_trips_identically(self):
-        (pipeline, term), (sos, sos_term) = self._twins(_composed_env(), "SYS")
+        (pipeline, term), (sos, sos_term) = _twins(_composed_env(), "SYS", model="FD")
         states = compile_lts(sos_term, sos.env, 100, sos.table).state_count
         for budget in (0, 1, states - 1, states):
             fresh = VerificationPipeline(pipeline.env, table=pipeline.table)

@@ -300,6 +300,32 @@ def test_a_forked_child_writes_through_its_own_connection(cache):
     assert len(cache) == 2
 
 
+class _RecordingConnection:
+    """Stands in for a sqlite connection; counts the calls to close()."""
+
+    def __init__(self):
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+
+
+def test_close_leaves_a_connection_opened_by_another_process(cache):
+    inherited = _RecordingConnection()
+    cache._conn, cache._pid = inherited, os.getpid() + 1
+    cache.close()
+    assert inherited.closed == 0
+    assert cache._conn is inherited
+
+
+def test_close_closes_this_process_connection(cache):
+    ours = _RecordingConnection()
+    cache._conn, cache._pid = ours, os.getpid()
+    cache.close()
+    assert ours.closed == 1
+    assert cache._conn is None
+
+
 def test_clear_from_another_instance_reaches_open_connections(cache):
     doc = _spec().to_doc()
     cache.put(doc, _pass_result())

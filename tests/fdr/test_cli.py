@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.csp.lts import TermNestingExceeded
 from repro.cspm.prelude import SP02_FLAWED_SCRIPT, SP02_SCRIPT
 from repro.fdr.cli import main as cspcheck_main
+
+from ..conftest import RUNAWAY_HIDING_SCRIPT
 
 
 @pytest.fixture
@@ -109,6 +112,27 @@ class TestCspcheck:
         ]
         assert "Traceback" not in captured.err
         assert len(ResultCache(str(store))) == 1  # only the decided verdict
+
+    @pytest.mark.parametrize("mode", [[], ["--eager"]], ids=["lazy", "eager"])
+    def test_recursion_through_hiding_is_an_error_on_each_line(
+        self, tmp_path, capsys, shallow_stack, mode
+    ):
+        path = tmp_path / "runaway.csp"
+        path.write_text(RUNAWAY_HIDING_SCRIPT)
+        outputs = []
+        for headroom in (120, 160):
+            with shallow_stack(headroom):
+                assert cspcheck_main([str(path)] + mode) == 1
+            outputs.append(capsys.readouterr())
+        error = "ERROR -- TermNestingExceeded: {}".format(TermNestingExceeded())
+        assert outputs[0].out.splitlines() == [
+            "P :[divergence free]: " + error,
+            "STOP [T= P: " + error,
+            "0/2 assertions passed",
+        ]
+        assert "Traceback" not in outputs[0].err
+        # where the stack runs out does not show
+        assert outputs[1].out == outputs[0].out
 
     def test_two_state_tau_cycle_is_a_divergence(self, tmp_path, capsys):
         path = tmp_path / "livelock.csp"

@@ -356,6 +356,29 @@ class TestCspbatchServerMode:
         assert err.startswith("cspbatch: malformed server response")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag", [["--profile"], ["--trace-out", "trace.jsonl"]]
+    )
+    def test_observability_flags_are_refused_with_server(
+        self, tmp_path, manifest, fake_daemon, capsys, flag
+    ):
+        daemon = fake_daemon([http_reply(b"[]")])
+        argv = [manifest, "--server", daemon.url] + [
+            str(tmp_path / arg) if arg.endswith(".jsonl") else arg for arg in flag
+        ]
+        assert cspbatch_main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "cspbatch: {} cannot be used with --server\n".format(flag[0])
+        fleet = tmp_path / "fleet"
+        assert csprv_main(["--fleetgen", str(fleet), "--vehicles", "1", "--quiet"]) == EXIT_OK
+        capsys.readouterr()
+        rv_argv = [str(fleet / "manifest.json")] + argv[1:]
+        assert csprv_main(rv_argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "csprv: {} cannot be used with --server\n".format(flag[0])
+        assert daemon.accepted == 0
+        assert not (tmp_path / "trace.jsonl").exists()
+
     def test_csprv_against_a_daemon_answering_an_array_exits_2(
         self, tmp_path, fake_daemon, capsys
     ):
