@@ -6,7 +6,7 @@ seeded flaw.  The benchmark times both checks (the FDR stage).
 """
 
 from repro.csp import event
-from repro.fdr import trace_refinement
+from repro.api import check_refinement
 from repro.ota import build_paper_system
 
 
@@ -14,8 +14,12 @@ def run_checks():
     good = build_paper_system()
     bad = build_paper_system(flawed=True)
     return (
-        trace_refinement(good.sp02, good.system, good.env, "SP02 [T= SYSTEM"),
-        trace_refinement(bad.sp02, bad.system, bad.env, "SP02 [T= SYSTEM(flawed)"),
+        check_refinement(
+            good.sp02, good.system, "T", env=good.env, name="SP02 [T= SYSTEM"
+        ),
+        check_refinement(
+            bad.sp02, bad.system, "T", env=bad.env, name="SP02 [T= SYSTEM(flawed)"
+        ),
     )
 
 

@@ -33,16 +33,23 @@ Pass ``obs=Tracer()`` to any check to get a per-stage
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict, List, Optional, Union
 
-from .csp.lts import DEFAULT_STATE_LIMIT
+from .batch import requirement_specs, run_batch
+from .csp.lts import DEFAULT_STATE_LIMIT, compile_lts
 from .csp.process import Environment, Process
 from .engine.cache import CompilationCache
 from .engine.pipeline import VerificationPipeline
 from .exec.runtime import execute_cached, open_result_cache
 from .fdr.refine import CheckResult
 from .obs.trace import Tracer
+from .ota.requirements import check_requirement
 from .passes.base import PassSpec
+from .rv.check import check_trace_membership
+from .server.client import ServerClient
+from .translator.extractor import ExtractorConfig, ModelExtractor
+from .translator.rules import ChannelConvention
 
 #: version of the public surface declared by ``__all__`` below; bumped only
 #: when a documented entry point or :class:`Verdict`'s canonical JSON changes
@@ -210,10 +217,11 @@ def check_refinement(
 ) -> CheckResult:
     """Discharge ``spec [model= impl`` (*model* is ``"T"``, ``"F"`` or ``"FD"``).
 
-    The single entry point behind every refinement check in the repo: the
-    CSPm ``assert`` evaluator and the requirement checks of Table III all
-    come through here (directly or via a shared pipeline built the same
-    way).
+    One :class:`~repro.engine.pipeline.VerificationPipeline` built from the
+    options, then its :meth:`~repro.engine.pipeline.VerificationPipeline.
+    refinement`: the same call the CSPm ``assert`` evaluator, the executor
+    and the requirement checks of Table III make on pipelines they build
+    themselves.
     """
     pipeline = _pipeline(env, max_states, passes, on_the_fly, cache, table, obs)
     return pipeline.refinement(spec, impl, model, name, max_states)
@@ -274,9 +282,6 @@ def check_trace(
     provenance.  Membership is prefix-closed: a log cut off mid-session
     still passes.
     """
-    # deferred: repro.rv builds on this module's pipeline defaults
-    from .rv.check import check_trace_membership
-
     return check_trace_membership(
         spec,
         events,
@@ -325,12 +330,9 @@ def verify_requirement(
     """Discharge one requirement of the paper's Table III (``"R01"``..``"R05"``).
 
     Each requirement builds its session system and specification, then runs
-    through :func:`check_refinement` with the requirements module's shared
-    structural cache.
+    a trace refinement on a pipeline over the requirements module's shared
+    structural cache, as :func:`check_refinement` would.
     """
-    # deferred: repro.ota builds on this module's check functions
-    from .ota.requirements import check_requirement
-
     return check_requirement(req_id, passes=passes, obs=obs)
 
 
@@ -354,9 +356,6 @@ def verify_requirements(
     a :class:`~repro.batch.executor.BatchReport` whose results arrive in
     requirement order regardless of scheduling.
     """
-    # deferred: repro.batch builds on this module's check functions
-    from .batch import requirement_specs, run_batch
-
     return run_batch(
         requirement_specs(req_ids),
         jobs=jobs,
@@ -390,15 +389,15 @@ def verify_traces(
     calls and modes.  Returns one :class:`Verdict` per log **in manifest
     order** -- the same canonical bytes in every mode.
     """
-    # deferred: repro.rv pulls in ingestion and the batch machinery
-    import os as _os
-
+    # deferred: at module level, ``import repro`` would load repro.rv.cli
+    # and repro.batch.cli, and ``python -m`` of either CLI would then warn
+    # (runpy's RuntimeWarning) that the module is already in sys.modules
     from .rv.cli import load_rv_manifest, specs_from_manifest
 
     if isinstance(manifest, str):
         doc = load_rv_manifest(manifest)
         if base_dir is None:
-            base_dir = _os.path.dirname(manifest) or "."
+            base_dir = os.path.dirname(manifest) or "."
     else:
         doc = manifest
     specs = specs_from_manifest(doc, base_dir if base_dir is not None else ".")
@@ -406,8 +405,6 @@ def verify_traces(
         with server_client(server) as client:
             results = client.run_manifest(specs, tenant=tenant, timeout=timeout)
     else:
-        from .batch import run_batch
-
         results = run_batch(
             specs,
             jobs=jobs,
@@ -433,9 +430,6 @@ def server_client(url: str, *, http_timeout: Optional[float] = None):
     use it as a context manager (``with server_client(url) as client:``)
     or call ``client.close()`` when done.
     """
-    # deferred: most api callers never talk to a daemon
-    from .server.client import ServerClient
-
     return ServerClient(url, http_timeout=http_timeout)
 
 
@@ -453,10 +447,6 @@ def extract_model(
     ExtractionResult`; ``.script_text`` is the CSPm model, ``.load()``
     evaluates it for checking.
     """
-    # deferred: the translator package is heavy and most callers never extract
-    from .translator.extractor import ExtractorConfig, ModelExtractor
-    from .translator.rules import ChannelConvention
-
     config = ExtractorConfig(
         convention=ChannelConvention(in_channel, out_channel),
         include_timers=include_timers,
@@ -496,7 +486,7 @@ def learn_model(
     :class:`~repro.csp.kernel.CompactLTS` plus canonical fingerprint,
     query statistics, and ``.to_process()`` for the CheckSpec plumbing.
     """
-    # deferred: most api callers never learn
+    # deferred: ``import repro`` does not load repro.learn
     from .learn import (
         CaplSimulatorSUL,
         ReferenceTeacher,
@@ -518,8 +508,6 @@ def learn_model(
         out_channel=out_channel,
     )
     if teacher == "reference":
-        from .csp.lts import compile_lts
-
         model = extract_model(
             capl_source,
             node=node,

@@ -36,7 +36,7 @@ from ..csp.process import (
     external_choice,
     internal_choice,
 )
-from ..fdr.assertions import PropertyAssertion, RefinementAssertion
+from ..engine.pipeline import VerificationPipeline
 from ..fdr.refine import CheckResult
 from . import ast_nodes as ast
 from .parser import parse
@@ -146,8 +146,6 @@ class CspmModel:
         configures compress-before-compose when no pipeline is supplied
         ("default", "none", or a comma-separated pass list).
         """
-        from ..engine.pipeline import VerificationPipeline
-
         if pipeline is None:
             pipeline = VerificationPipeline(
                 self.env, max_states=max_states, passes=passes
@@ -163,16 +161,17 @@ class CspmModel:
         max_states: int = 200_000,
         pipeline=None,
     ) -> CheckResult:
+        if pipeline is None:
+            pipeline = VerificationPipeline(self.env, max_states=max_states)
         left = self.eval_process(decl.left, {})
         if decl.kind in ("T", "F", "FD"):
             right = self.eval_process(decl.right, {})
-            model = decl.kind
-            result = RefinementAssertion(left, right, model).check(
-                self.env, max_states, pipeline=pipeline
+            result = pipeline.refinement(
+                left, right, decl.kind, max_states=max_states
             )
         else:
-            result = PropertyAssertion(left, decl.kind).check(
-                self.env, max_states, pipeline=pipeline
+            result = pipeline.property_check(
+                left, decl.kind, max_states=max_states
             )
         if decl.negated:
             flipped = CheckResult(

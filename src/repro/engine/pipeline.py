@@ -44,6 +44,17 @@ _PROPERTY_CHECKS = {
 }
 
 
+def check_label(left: Process, kind: str, right: Optional[Process] = None) -> str:
+    """The name a check reports its result under when it is given none.
+
+    ``left [K= right`` for a refinement (*kind* ``T``, ``F`` or ``FD``),
+    ``left :[kind]`` for a property check (no *right*).
+    """
+    if right is None:
+        return "{!r} :[{}]".format(left, kind)
+    return "{!r} [{}= {!r}".format(left, kind, right)
+
+
 class VerificationPipeline:
     """A shared compile/normalise/refine pipeline over one environment."""
 
@@ -155,7 +166,7 @@ class VerificationPipeline:
                 "model must be 'T' (traces), 'F' (failures) or 'FD' "
                 "(failures-divergences)"
             )
-        label = name or "{!r} [{}= {!r}".format(spec, model, impl)
+        label = name or check_label(spec, model, impl)
         self.checks_run += 1
         obs = self.obs
         with obs.span("check", name=label, model=model) as root:
@@ -202,7 +213,7 @@ class VerificationPipeline:
                     property_name, sorted(_PROPERTY_CHECKS)
                 )
             ) from None
-        label = name or "{!r} :[{}]".format(process, property_name)
+        label = name or check_label(process, property_name)
         self.checks_run += 1
         obs = self.obs
         with obs.span("check", name=label, property=property_name) as root:

@@ -23,8 +23,12 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional
+from typing import Optional
 
+from ..csp.lts import DEFAULT_STATE_LIMIT
+from ..engine.cache import CompilationCache
+from ..engine.diskcache import DiskCache
+from ..engine.pipeline import VerificationPipeline
 from ..obs.metrics import Metrics
 from ..obs.trace import Tracer
 from .keys import spec_material
@@ -50,10 +54,6 @@ def execute_spec(
     (optionally layered over the shared disk store) -- so specs cannot
     interfere.
     """
-    from .. import api  # deferred: repro.api builds on this module
-    from ..engine.cache import CompilationCache
-    from ..engine.diskcache import DiskCache
-
     started = time.perf_counter()
     obs = Tracer() if profile else None
     cache = None
@@ -71,16 +71,8 @@ def execute_spec(
             )
             result = JobResult.of_check_result(index, spec.check_id, check)
         elif spec.kind == "refinement":
-            check = api.check_refinement(
-                spec.spec,
-                spec.impl,
-                spec.model,
-                env=spec.environment(),
-                name=spec.name,
-                passes=spec.passes,
-                cache=cache,
-                obs=obs,
-                **_budget(spec),
+            check = _pipeline(spec, cache, obs).refinement(
+                spec.spec, spec.impl, spec.model, spec.name
             )
             result = JobResult.of_check_result(index, spec.check_id, check)
         elif spec.kind == "trace":
@@ -92,22 +84,15 @@ def execute_spec(
                 env=spec.environment(),
                 name=spec.name,
                 lines=spec.trace_lines,
+                max_states=_limit(spec),
                 passes=spec.passes,
                 cache=cache,
                 obs=obs,
-                **_budget(spec),
             )
             result = JobResult.of_check_result(index, spec.check_id, check)
         else:
-            check = api.check_property(
-                spec.term,
-                spec.property_name,
-                env=spec.environment(),
-                name=spec.name,
-                passes=spec.passes,
-                cache=cache,
-                obs=obs,
-                **_budget(spec),
+            check = _pipeline(spec, cache, obs).property_check(
+                spec.term, spec.property_name, spec.name
             )
             result = JobResult.of_check_result(index, spec.check_id, check)
     except Exception as error:
@@ -125,8 +110,19 @@ def execute_spec(
     return result
 
 
-def _budget(spec: CheckSpec) -> Dict[str, Any]:
-    return {} if spec.max_states is None else {"max_states": spec.max_states}
+def _limit(spec: CheckSpec) -> int:
+    return DEFAULT_STATE_LIMIT if spec.max_states is None else spec.max_states
+
+
+def _pipeline(spec: CheckSpec, cache, obs) -> VerificationPipeline:
+    """A fresh pipeline over the spec's own bindings, state budget and passes."""
+    return VerificationPipeline(
+        spec.environment(),
+        cache=cache,
+        max_states=_limit(spec),
+        passes=spec.passes,
+        obs=obs,
+    )
 
 
 def _run_selftest(spec: CheckSpec, index: int, started: float) -> JobResult:

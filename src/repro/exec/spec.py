@@ -15,8 +15,8 @@ Five spec kinds:
 
 ``refinement``
     ``spec [model= impl`` with inline process terms (encoded with the
-    :mod:`repro.quickcheck.serialise` corpus codec) plus the named
-    equations both sides reference.
+    term codec below, :func:`encode_process`) plus the named equations
+    both sides reference.
 ``property``
     ``term :[deadlock free]`` / ``divergence free`` / ``deterministic``,
     same term encoding.
@@ -50,8 +50,26 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..csp.events import Event
-from ..csp.process import Environment, Process
+from ..csp.events import Alphabet, Event, event_from_json, fields_to_json
+from ..csp.process import (
+    Environment,
+    ExternalChoice,
+    GenParallel,
+    Hiding,
+    Interleave,
+    Interrupt,
+    InternalChoice,
+    Omega,
+    Prefix,
+    Process,
+    ProcessRef,
+    Renaming,
+    SKIP,
+    STOP,
+    SeqComp,
+    Skip,
+    Stop,
+)
 from ..fdr.refine import CheckResult
 
 #: manifest / wire format version
@@ -71,6 +89,156 @@ _KINDS = ("refinement", "property", "trace", "requirement", "selftest")
 
 class ManifestError(ValueError):
     """The manifest (or one spec document) is outside the batch schema."""
+
+
+class CorpusEncodingError(ValueError):
+    """A value (or JSON document) is outside the term codec's schema.
+
+    The fuzz corpus codec (:mod:`repro.quickcheck.serialise`) raises it for
+    the values it adds on top of this one.
+    """
+
+
+# -- the term codec: events and alphabets --------------------------------------
+
+
+def encode_event(event: Event) -> Dict[str, Any]:
+    return {"channel": event.channel, "fields": fields_to_json(event.fields)}
+
+
+def decode_event(doc: Dict[str, Any]) -> Event:
+    try:
+        return event_from_json(doc["channel"], doc["fields"])
+    except ValueError as error:
+        raise CorpusEncodingError(str(error)) from None
+
+
+def encode_alphabet(alphabet: Alphabet) -> List[Dict[str, Any]]:
+    return [encode_event(e) for e in alphabet]  # sorted by Alphabet.__iter__
+
+
+def decode_alphabet(doc: List[Dict[str, Any]]) -> Alphabet:
+    return Alphabet(decode_event(entry) for entry in doc)
+
+
+# -- the term codec: process terms ---------------------------------------------
+
+
+def encode_process(term: Process) -> Dict[str, Any]:
+    if isinstance(term, Stop):
+        return {"op": "stop"}
+    if isinstance(term, (Skip, Omega)):
+        return {"op": "skip"}
+    if isinstance(term, Prefix):
+        return {
+            "op": "prefix",
+            "event": encode_event(term.event),
+            "next": encode_process(term.continuation),
+        }
+    if isinstance(term, ExternalChoice):
+        return {
+            "op": "extchoice",
+            "left": encode_process(term.left),
+            "right": encode_process(term.right),
+        }
+    if isinstance(term, InternalChoice):
+        return {
+            "op": "intchoice",
+            "left": encode_process(term.left),
+            "right": encode_process(term.right),
+        }
+    if isinstance(term, SeqComp):
+        return {
+            "op": "seq",
+            "left": encode_process(term.first),
+            "right": encode_process(term.second),
+        }
+    if isinstance(term, Interleave):
+        return {
+            "op": "interleave",
+            "left": encode_process(term.left),
+            "right": encode_process(term.right),
+        }
+    if isinstance(term, Interrupt):
+        return {
+            "op": "interrupt",
+            "left": encode_process(term.primary),
+            "right": encode_process(term.handler),
+        }
+    if isinstance(term, GenParallel):
+        return {
+            "op": "parallel",
+            "left": encode_process(term.left),
+            "right": encode_process(term.right),
+            "sync": encode_alphabet(term.sync),
+        }
+    if isinstance(term, Hiding):
+        return {
+            "op": "hide",
+            "process": encode_process(term.process),
+            "hidden": encode_alphabet(term.hidden),
+        }
+    if isinstance(term, Renaming):
+        return {
+            "op": "rename",
+            "process": encode_process(term.process),
+            "mapping": [
+                [encode_event(source), encode_event(target)]
+                for source, target in term.mapping
+            ],
+        }
+    if isinstance(term, ProcessRef):
+        return {"op": "ref", "name": term.name}
+    raise CorpusEncodingError(
+        "cannot encode process term of type {}".format(type(term).__name__)
+    )
+
+
+def decode_process(doc: Dict[str, Any]) -> Process:
+    op = doc["op"]
+    if op == "stop":
+        return STOP
+    if op == "skip":
+        return SKIP
+    if op == "prefix":
+        return Prefix(decode_event(doc["event"]), decode_process(doc["next"]))
+    if op == "extchoice":
+        return ExternalChoice(
+            decode_process(doc["left"]), decode_process(doc["right"])
+        )
+    if op == "intchoice":
+        return InternalChoice(
+            decode_process(doc["left"]), decode_process(doc["right"])
+        )
+    if op == "seq":
+        return SeqComp(decode_process(doc["left"]), decode_process(doc["right"]))
+    if op == "interleave":
+        return Interleave(
+            decode_process(doc["left"]), decode_process(doc["right"])
+        )
+    if op == "interrupt":
+        return Interrupt(
+            decode_process(doc["left"]), decode_process(doc["right"])
+        )
+    if op == "parallel":
+        return GenParallel(
+            decode_process(doc["left"]),
+            decode_process(doc["right"]),
+            decode_alphabet(doc["sync"]),
+        )
+    if op == "hide":
+        return Hiding(decode_process(doc["process"]), decode_alphabet(doc["hidden"]))
+    if op == "rename":
+        return Renaming(
+            decode_process(doc["process"]),
+            {
+                decode_event(source): decode_event(target)
+                for source, target in doc["mapping"]
+            },
+        )
+    if op == "ref":
+        return ProcessRef(doc["name"])
+    raise CorpusEncodingError("unknown process op {!r}".format(op))
 
 
 def reachable_bindings(env, *terms, bindings=None):
@@ -236,8 +404,6 @@ class CheckSpec:
     # -- JSON ----------------------------------------------------------------
 
     def to_doc(self) -> Dict[str, Any]:
-        from ..quickcheck.serialise import encode_event, encode_process
-
         doc: Dict[str, Any] = {"kind": self.kind}
         if self.check_id is not None:
             doc["id"] = self.check_id
@@ -278,12 +444,6 @@ class CheckSpec:
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Any]) -> "CheckSpec":
-        from ..quickcheck.serialise import (
-            CorpusEncodingError,
-            decode_event,
-            decode_process,
-        )
-
         if not isinstance(doc, dict):
             raise ManifestError("a check entry must be a JSON object")
         kind = doc.get("kind")

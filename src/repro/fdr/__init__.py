@@ -31,15 +31,8 @@ from .refine import (
     check_trace_refinement,
     check_trace_refinement_from,
 )
-from .assertions import (
-    Assertion,
-    PropertyAssertion,
-    RefinementAssertion,
-    Session,
-)
 
 __all__ = [
-    "Assertion",
     "CheckResult",
     "Counterexample",
     "DeadlockCounterexample",
@@ -47,9 +40,6 @@ __all__ = [
     "FailureCounterexample",
     "NondeterminismCounterexample",
     "NormalisedSpec",
-    "PropertyAssertion",
-    "RefinementAssertion",
-    "Session",
     "TraceCounterexample",
     "check_deadlock_free",
     "check_deterministic",

@@ -41,10 +41,9 @@ from ..cli_common import (
 from ..csp.lts import StateSpaceLimitExceeded
 from ..cspm.evaluator import CspmEvaluationError, load_file
 from ..cspm.lexer import CspmSyntaxError
-from ..engine.pipeline import VerificationPipeline
+from ..engine.pipeline import VerificationPipeline, check_label
 from ..exec.runtime import open_result_cache
 from ..exec.spec import CheckSpec, JobResult, reachable_bindings
-from .assertions import PropertyAssertion, RefinementAssertion
 from .refine import CheckResult
 
 
@@ -158,11 +157,10 @@ class _ExceededBudget:
 def _assertion_label(model, decl) -> str:
     """The name a check of *decl* reports its result under."""
     left = model.eval_process(decl.left, {})
+    right = None
     if decl.kind in ("T", "F", "FD"):
         right = model.eval_process(decl.right, {})
-        label = RefinementAssertion(left, right, decl.kind).name
-    else:
-        label = PropertyAssertion(left, decl.kind).name
+    label = check_label(left, decl.kind, right)
     return "not ({})".format(label) if decl.negated else label
 
 

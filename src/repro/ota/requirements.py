@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from ..csp.events import Alphabet
 from ..csp.process import Environment, Hiding, Prefix, Process, ProcessRef, external_choice
-from ..engine import CompilationCache
+from ..engine import CompilationCache, VerificationPipeline
 from ..fdr.refine import CheckResult
 from ..security.properties import (
     alternates,
@@ -95,18 +95,13 @@ def _discharge(
     # composed session systems (ECUs, the VMG, an intruder where present)
     # run compress-before-compose; the ablation benchmark calls this with
     # passes="none" to measure the uncompressed product
-    from ..api import check_refinement  # deferred: repro.api builds on us
-
-    return check_refinement(
-        spec,
-        impl,
-        "T",
-        env=env,
-        name=name,
-        passes=passes,
+    pipeline = VerificationPipeline(
+        env,
         cache=cache if cache is not None else _CACHE,
+        passes=passes,
         obs=obs,
     )
+    return pipeline.refinement(spec, impl, "T", name)
 
 
 #: one builder per Table III row: the specification, the system under
@@ -189,11 +184,12 @@ def check_requirement(
     obs=None,
     cache: CompilationCache = None,
 ) -> CheckResult:
-    """Discharge one Table III requirement through the shared facade path.
+    """Discharge one Table III requirement.
 
     Every requirement is the same shape -- build (spec, system, env, label),
-    then trace refinement through :func:`repro.api.check_refinement` with
-    the module's shared cache -- so they all run through this one function.
+    then trace refinement on a :class:`~repro.engine.VerificationPipeline`
+    over the module's shared cache -- so they all run through this one
+    function.
     *cache* overrides that shared cache; batch workers pass one backed by
     the on-disk store so compiled session systems survive across processes.
     """

@@ -5,6 +5,9 @@ job uploads shrunk failures as artifacts, and ``tests/corpus/`` pins past
 failures as regression inputs.  This module gives every value an oracle
 input can contain -- process terms, events, alphabets, CAPL programs,
 stimulus lists, tuples, atoms -- a tagged JSON form with an exact inverse.
+Process terms, events and alphabets use the wire format's term codec
+(:mod:`repro.exec.spec`); this module adds CAPL programs and the tagged
+envelope around every value.
 
 The encoding is structural, not pickled: corpus files stay readable in a
 diff, stable across interpreter versions, and safe to load (no arbitrary
@@ -13,174 +16,20 @@ code execution on replay).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from ..csp.events import Alphabet, Event, event_from_json, fields_to_json
-from ..csp.process import (
-    ExternalChoice,
-    GenParallel,
-    Hiding,
-    Interleave,
-    Interrupt,
-    InternalChoice,
-    Omega,
-    Prefix,
-    Process,
-    ProcessRef,
-    Renaming,
-    SKIP,
-    STOP,
-    SeqComp,
-    Skip,
-    Stop,
+from ..csp.events import Alphabet, Event
+from ..csp.process import Process
+from ..exec.spec import (
+    CorpusEncodingError,
+    decode_alphabet,
+    decode_event,
+    decode_process,
+    encode_alphabet,
+    encode_event,
+    encode_process,
 )
 from .gen import CaplProgram
-
-
-class CorpusEncodingError(ValueError):
-    """Raised when a value (or JSON document) is outside the corpus schema."""
-
-
-# -- events and alphabets -----------------------------------------------------------
-
-
-def encode_event(event: Event) -> Dict[str, Any]:
-    return {"channel": event.channel, "fields": fields_to_json(event.fields)}
-
-
-def decode_event(doc: Dict[str, Any]) -> Event:
-    try:
-        return event_from_json(doc["channel"], doc["fields"])
-    except ValueError as error:
-        raise CorpusEncodingError(str(error)) from None
-
-
-def encode_alphabet(alphabet: Alphabet) -> List[Dict[str, Any]]:
-    return [encode_event(e) for e in alphabet]  # sorted by Alphabet.__iter__
-
-
-def decode_alphabet(doc: List[Dict[str, Any]]) -> Alphabet:
-    return Alphabet(decode_event(entry) for entry in doc)
-
-
-# -- process terms ------------------------------------------------------------------
-
-
-def encode_process(term: Process) -> Dict[str, Any]:
-    if isinstance(term, Stop):
-        return {"op": "stop"}
-    if isinstance(term, (Skip, Omega)):
-        return {"op": "skip"}
-    if isinstance(term, Prefix):
-        return {
-            "op": "prefix",
-            "event": encode_event(term.event),
-            "next": encode_process(term.continuation),
-        }
-    if isinstance(term, ExternalChoice):
-        return {
-            "op": "extchoice",
-            "left": encode_process(term.left),
-            "right": encode_process(term.right),
-        }
-    if isinstance(term, InternalChoice):
-        return {
-            "op": "intchoice",
-            "left": encode_process(term.left),
-            "right": encode_process(term.right),
-        }
-    if isinstance(term, SeqComp):
-        return {
-            "op": "seq",
-            "left": encode_process(term.first),
-            "right": encode_process(term.second),
-        }
-    if isinstance(term, Interleave):
-        return {
-            "op": "interleave",
-            "left": encode_process(term.left),
-            "right": encode_process(term.right),
-        }
-    if isinstance(term, Interrupt):
-        return {
-            "op": "interrupt",
-            "left": encode_process(term.primary),
-            "right": encode_process(term.handler),
-        }
-    if isinstance(term, GenParallel):
-        return {
-            "op": "parallel",
-            "left": encode_process(term.left),
-            "right": encode_process(term.right),
-            "sync": encode_alphabet(term.sync),
-        }
-    if isinstance(term, Hiding):
-        return {
-            "op": "hide",
-            "process": encode_process(term.process),
-            "hidden": encode_alphabet(term.hidden),
-        }
-    if isinstance(term, Renaming):
-        return {
-            "op": "rename",
-            "process": encode_process(term.process),
-            "mapping": [
-                [encode_event(source), encode_event(target)]
-                for source, target in term.mapping
-            ],
-        }
-    if isinstance(term, ProcessRef):
-        return {"op": "ref", "name": term.name}
-    raise CorpusEncodingError(
-        "cannot encode process term of type {}".format(type(term).__name__)
-    )
-
-
-def decode_process(doc: Dict[str, Any]) -> Process:
-    op = doc["op"]
-    if op == "stop":
-        return STOP
-    if op == "skip":
-        return SKIP
-    if op == "prefix":
-        return Prefix(decode_event(doc["event"]), decode_process(doc["next"]))
-    if op == "extchoice":
-        return ExternalChoice(
-            decode_process(doc["left"]), decode_process(doc["right"])
-        )
-    if op == "intchoice":
-        return InternalChoice(
-            decode_process(doc["left"]), decode_process(doc["right"])
-        )
-    if op == "seq":
-        return SeqComp(decode_process(doc["left"]), decode_process(doc["right"]))
-    if op == "interleave":
-        return Interleave(
-            decode_process(doc["left"]), decode_process(doc["right"])
-        )
-    if op == "interrupt":
-        return Interrupt(
-            decode_process(doc["left"]), decode_process(doc["right"])
-        )
-    if op == "parallel":
-        return GenParallel(
-            decode_process(doc["left"]),
-            decode_process(doc["right"]),
-            decode_alphabet(doc["sync"]),
-        )
-    if op == "hide":
-        return Hiding(decode_process(doc["process"]), decode_alphabet(doc["hidden"]))
-    if op == "rename":
-        return Renaming(
-            decode_process(doc["process"]),
-            {
-                decode_event(source): decode_event(target)
-                for source, target in doc["mapping"]
-            },
-        )
-    if op == "ref":
-        return ProcessRef(doc["name"])
-    raise CorpusEncodingError("unknown process op {!r}".format(op))
 
 
 # -- CAPL statement trees -----------------------------------------------------------

@@ -57,13 +57,16 @@ from ..cli_common import (
     add_seed_arg,
     add_stats_arg,
 )
-from ..exec.spec import CheckSpec, ManifestError
+from ..exec.spec import (
+    CheckSpec,
+    CorpusEncodingError,
+    ManifestError,
+    decode_process,
+)
+from .fleetgen import RV_MANIFEST_FORMAT, write_fleet
 from .ingest import read_log
 from .mapping import EventMapping
 from .specs import OTA_DBC_PATH, builtin_spec
-
-#: rv manifest format version understood by this tool
-RV_MANIFEST_FORMAT = 1
 
 #: ``"dbc"`` values that name a bundled database instead of a file
 BUILTIN_DATABASES = {"builtin:ota": OTA_DBC_PATH}
@@ -188,8 +191,6 @@ def load_rv_manifest(source) -> Dict[str, Any]:
 
 def _resolve_spec(doc: Dict[str, Any]) -> Tuple[Any, Dict[str, Any]]:
     """The manifest's specification as ``(term, bindings)``."""
-    from ..quickcheck.serialise import CorpusEncodingError, decode_process
-
     spec = doc["spec"]
     if isinstance(spec, str):
         return builtin_spec(spec)
@@ -272,8 +273,6 @@ def specs_from_manifest(
 
 
 def _run_fleetgen(args, parser: argparse.ArgumentParser) -> int:
-    from .fleetgen import write_fleet
-
     if args.vehicles < 0:
         parser.exit(EXIT_USAGE, "csprv: --vehicles must be >= 0\n")
     if not 0.0 <= args.fault_rate <= 1.0:

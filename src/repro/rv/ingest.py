@@ -11,8 +11,9 @@ Two wire formats, auto-detected per file:
   identifier (extended ids are written with more than 3 hex digits) and a
   hex payload.  A trailing ``R`` marks a remote frame.  An optional
   ``node:NAME`` token after the payload carries a sender name -- our
-  extension, written by :mod:`repro.rv.fleetgen` so the sender-aware event
-  mappings survive the round trip through the textual format.
+  extension, so the sender-aware event mappings can read a textual log.
+  Nothing in this repository writes it (:mod:`repro.rv.fleetgen` writes
+  tracelog JSONL); the parser still accepts it.
 
 * **tracelog JSONL** -- one JSON object per line, the canonical export of
   :meth:`repro.canbus.tracelog.TraceLog.to_jsonl`::

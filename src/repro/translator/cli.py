@@ -26,6 +26,7 @@ from ..cli_common import (
     finish_observability,
     tracer_from_args,
 )
+from ..engine.pipeline import VerificationPipeline
 from .extractor import ExtractorConfig, ModelExtractor
 from .rules import ChannelConvention, TranslationError
 
@@ -79,13 +80,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(result.script_text)
         if args.check:
-            from ..api import check_deadlock
-
             model = result.load()
-            outcome = check_deadlock(
-                model.process(result.process_name),
-                env=model.env,
-                obs=tracer,
+            pipeline = VerificationPipeline(model.env, obs=tracer)
+            outcome = pipeline.property_check(
+                model.process(result.process_name), "deadlock free"
             )
             sys.stderr.write(outcome.summary() + "\n")
             if not outcome.passed:

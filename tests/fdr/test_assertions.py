@@ -1,4 +1,4 @@
-"""Unit tests for the assertion layer and FDR-style sessions."""
+"""Unit tests for assertion checks on the verification pipeline."""
 
 import pytest
 
@@ -14,7 +14,7 @@ from repro.csp import (
 )
 import repro.fdr
 from repro import api
-from repro.fdr import PropertyAssertion, RefinementAssertion, Session
+from repro.engine.pipeline import VerificationPipeline
 
 A, B = event("a"), event("b")
 
@@ -22,67 +22,39 @@ A, B = event("a"), event("b")
 class TestRefinementAssertion:
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
-            RefinementAssertion(STOP, STOP, model="X")
+            VerificationPipeline().refinement(STOP, STOP, model="X")
 
     def test_trace_model(self):
-        assertion = RefinementAssertion(Prefix(A, STOP), STOP, model="T")
-        assert assertion.check(Environment()).passed
+        assert VerificationPipeline().refinement(Prefix(A, STOP), STOP, "T").passed
 
     def test_failures_model(self):
         spec = ExternalChoice(Prefix(A, STOP), Prefix(B, STOP))
         impl = InternalChoice(Prefix(A, STOP), Prefix(B, STOP))
-        assert RefinementAssertion(spec, impl, "T").check(Environment()).passed
-        assert not RefinementAssertion(spec, impl, "F").check(Environment()).passed
+        assert VerificationPipeline().refinement(spec, impl, "T").passed
+        assert not VerificationPipeline().refinement(spec, impl, "F").passed
 
     def test_custom_name_in_summary(self):
-        assertion = RefinementAssertion(STOP, STOP, name="my check")
-        assert "my check" in assertion.check(Environment()).summary()
+        result = VerificationPipeline().refinement(STOP, STOP, name="my check")
+        assert "my check" in result.summary()
 
 
 class TestPropertyAssertion:
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError):
-            PropertyAssertion(STOP, "sparkly")
+            VerificationPipeline().property_check(STOP, "sparkly")
 
     @pytest.mark.parametrize(
         "property_name", ["deadlock free", "divergence free", "deterministic"]
     )
     def test_known_properties_run(self, property_name):
         env = Environment().bind("P", Prefix(A, ref("P")))
-        result = PropertyAssertion(ref("P"), property_name).check(env)
+        result = VerificationPipeline(env).property_check(ref("P"), property_name)
         assert result.passed
 
 
-class TestSession:
-    def test_define_and_report(self):
-        session = Session()
-        session.define("SPEC", Prefix(A, ref("SPEC")))
-        session.define("IMPL", Prefix(A, ref("IMPL")))
-        session.assert_refinement(ref("SPEC"), ref("IMPL"), name="SPEC [T= IMPL")
-        session.assert_property(ref("IMPL"), "deadlock free")
-        results = session.run()
-        assert all(result.passed for result in results)
-        report = session.report()
-        assert "2/2 assertions passed" in report
-
-    def test_failed_assertion_does_not_raise(self):
-        session = Session()
-        session.define("SPEC", Prefix(A, STOP))
-        session.define("IMPL", Prefix(B, STOP))
-        session.assert_refinement(ref("SPEC"), ref("IMPL"))
-        results = session.run()
-        assert len(results) == 1 and not results[0].passed
-
-    def test_report_counts_failures(self):
-        session = Session()
-        session.define("P", sequence(A, B))
-        session.assert_property(ref("P"), "deadlock free")  # fails: ends in STOP
-        assert "0/1 assertions passed" in session.report()
-
-
 class TestApiOneShots:
-    # The deprecated one-shot wrappers of repro.fdr.assertions are gone;
-    # their behaviour lives on the repro.api facade, pinned here.
+    # The one-shot wrappers and the assertion classes of repro.fdr are gone;
+    # their behaviour lives on the repro.api facade and the pipeline.
     def test_wrappers_removed(self):
         for gone in (
             "trace_refinement",
@@ -91,6 +63,10 @@ class TestApiOneShots:
             "deadlock_free",
             "divergence_free",
             "deterministic",
+            "Assertion",
+            "RefinementAssertion",
+            "PropertyAssertion",
+            "Session",
         ):
             assert not hasattr(repro.fdr, gone)
             assert gone not in repro.fdr.__all__
