@@ -25,13 +25,15 @@ The engine's hot paths never materialise ``(event, target)`` tuples: they
 call :meth:`CompactLTS.successors_span` and walk the shared arrays by index
 (see ``fdr.refine``, ``fdr.normalise`` and the passes).  ``transition_count``
 and ``alphabet()`` are cached -- both sit on stats/obs paths that used to
-rescan every edge per call.
+rescan every edge per call -- and so are the divergent states
+(:func:`tau_cycle_states`), which ``[FD=``, ``:[divergence free]`` and
+normalisation all read from the same automaton.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .events import AlphabetTable, Event, TAU_ID, TICK_ID
@@ -56,6 +58,7 @@ class CompactLTS:
         "_targets",
         "_pending",
         "_alphabet",
+        "_divergent",
     )
 
     def __init__(self, table: Optional[AlphabetTable] = None) -> None:
@@ -69,6 +72,8 @@ class CompactLTS:
         #: per-state edge buffers while building; None once packed
         self._pending: Optional[List[List[Tuple[int, StateId]]]] = []
         self._alphabet: Optional[FrozenSet[Event]] = None
+        #: the states on a tau cycle, once :func:`tau_cycle_states` asked
+        self._divergent: Optional[FrozenSet[StateId]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -87,6 +92,7 @@ class CompactLTS:
             self._thaw()
         self._pending[source].append((eid, target))
         self._alphabet = None
+        self._divergent = None
 
     def _thaw(self) -> None:
         """Unpack the CSR arrays back into per-state build buffers."""
@@ -99,6 +105,7 @@ class CompactLTS:
             for state in range(len(offsets) - 1)
         ]
         self._alphabet = None
+        self._divergent = None
 
     def _freeze(self) -> None:
         """Pack the build buffers into the three flat arrays."""
@@ -363,3 +370,27 @@ def tau_scc_of(lts: CompactLTS) -> List[int]:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[state])
     return scc_of
+
+
+def tau_cycle_states(lts: CompactLTS) -> FrozenSet[StateId]:
+    """States lying on a cycle of tau transitions (divergent states).
+
+    A state diverges if its tau-SCC has two or more members, or if it has
+    a tau self-loop.  Computed once per automaton and kept on it until the
+    next mutation.
+    """
+    cached = lts._divergent
+    if cached is not None:
+        return cached
+    scc_of = tau_scc_of(lts)
+    sizes = Counter(scc_of)
+    divergent: Set[StateId] = set()
+    for state, scc in enumerate(scc_of):
+        if sizes[scc] > 1:
+            divergent.add(state)
+            continue
+        events, targets, lo, hi = lts.successors_span(state)
+        if any(events[i] == TAU_ID and targets[i] == state for i in range(lo, hi)):
+            divergent.add(state)
+    result = lts._divergent = frozenset(divergent)
+    return result

@@ -11,10 +11,10 @@ implementation per iteration while the specification side stays put).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Type
 
 from ..csp.events import AlphabetTable
-from ..csp.lts import LTS, StateSpaceLimitExceeded
+from ..csp.lts import LTS, StateSpaceLimitExceeded, TermNestingExceeded
 from ..csp.process import Environment, Process
 from ..fdr.normalise import NormalisedSpec
 from ..obs.trace import NULL_TRACER, Tracer
@@ -79,6 +79,10 @@ class CompilationCache:
     stored LTS is written through, so compilation results are shared across
     processes and sessions.  Normalised and compressed entries stay
     memory-only -- both rebuild deterministically from a disk-cached LTS.
+
+    A compile that exceeded its budget is remembered too, per structural
+    key and budget and in memory only, so a component that is too large
+    on its own is explored once, not once per assertion that prepares it.
     """
 
     def __init__(self, disk: Optional[DiskCache] = None) -> None:
@@ -88,6 +92,10 @@ class CompilationCache:
         #: config) -- the same component checked under different pass lists
         #: gets distinct entries (see repro.engine.plan.CompilationPlan)
         self._compressed: Dict[CompressedKey, object] = {}
+        #: compiles that failed: (key, budget) -> (exception type, limit)
+        self._failures: Dict[
+            Tuple[CacheKey, int], Tuple[Type[StateSpaceLimitExceeded], Optional[int]]
+        ] = {}
         self.lts_hits = 0
         self.lts_misses = 0
         self.normalised_hits = 0
@@ -138,6 +146,29 @@ class CompilationCache:
         if self.disk is not None:
             self.disk.put_lts(key, lts)
 
+    def put_failure(
+        self, key: CacheKey, max_states: int, error: StateSpaceLimitExceeded
+    ) -> None:
+        """Remember that compiling *key* under *max_states* raised *error*."""
+        self._failures[(key, max_states)] = (type(error), error.limit)
+
+    def get_failure(
+        self, key: CacheKey, max_states: int
+    ) -> Optional[StateSpaceLimitExceeded]:
+        """A fresh copy of the failure recorded for *key*, or None.
+
+        Only the type and the limit are kept, never the exception itself,
+        so no traceback (and none of the frames it holds) outlives the
+        compile that raised it.
+        """
+        failure = self._failures.get((key, max_states))
+        if failure is None:
+            return None
+        kind, limit = failure
+        if issubclass(kind, TermNestingExceeded):
+            return kind()
+        return kind(limit)
+
     def get_normalised(
         self, key: CacheKey, max_states: int
     ) -> Optional[NormalisedSpec]:
@@ -178,6 +209,7 @@ class CompilationCache:
         self._lts.clear()
         self._normalised.clear()
         self._compressed.clear()
+        self._failures.clear()
 
     def stats(self) -> Dict[str, int]:
         stats = {

@@ -7,10 +7,12 @@ builds), a :class:`CompilationCache` (one compile per distinct term), and the
 choice between the on-the-fly search (default for ``[T=`` / ``[F=``: the
 implementation is a :class:`~repro.engine.product.ProductLTS` whose states
 unfold on demand, and the search exits on the first violation) and the eager
-search (full LTS on both sides; always used for ``[FD=``, which needs the
-implementation's complete tau graph).  Eager compilation materialises the
-product of a term with a compiled spine or a bare compiled leaf; any other
-term goes through the SOS compiler.
+search (the implementation fully compiled; always used for ``[FD=``, which
+needs the implementation's complete tau graph).  Every refinement model
+takes its specification from :meth:`VerificationPipeline.normalised`, so a
+specification is normalised once per pipeline whatever the model.  Eager
+compilation materialises the product of a term with a compiled spine or a
+bare compiled leaf; any other term goes through the SOS compiler.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..csp.events import AlphabetTable
-from ..csp.lts import DEFAULT_STATE_LIMIT, LTS, compile_lts
+from ..csp.lts import (
+    DEFAULT_STATE_LIMIT,
+    LTS,
+    StateSpaceLimitExceeded,
+    compile_lts,
+)
 from ..csp.process import Environment, Process
 from ..fdr.normalise import NormalisedSpec, normalise
 from ..fdr.refine import (
@@ -36,6 +43,12 @@ from ..passes.base import PassSpec, resolve_passes
 from .cache import CompilationCache, structural_key
 from .plan import CompilationPlan, PreparedTerm, component_provenance
 from .product import ProductLTS
+
+_REFINEMENTS = {
+    "T": check_trace_refinement_from,
+    "F": check_failures_refinement_from,
+    "FD": check_fd_refinement,
+}
 
 _PROPERTY_CHECKS = {
     "deadlock free": check_deadlock_free,
@@ -86,22 +99,34 @@ class VerificationPipeline:
     # -- compilation ---------------------------------------------------------
 
     def compile(self, process: Process, max_states: Optional[int] = None) -> LTS:
-        """Compile *process* through the cache, in the pipeline's id space."""
+        """Compile *process* through the cache, in the pipeline's id space.
+
+        A compile that exceeded the budget is recorded in the cache, and a
+        repeat under the same budget raises the same error at once.
+        """
         limit = self.max_states if max_states is None else max_states
         key = structural_key(process, self.env)
         cached = self.cache.get_lts(key, limit, table=self.table)
         if cached is not None:
             return cached
+        failure = self.cache.get_failure(key, limit)
+        if failure is not None:
+            raise failure
         obs = self.obs
-        if obs.enabled:
-            with obs.span("compile") as span:
+        try:
+            if obs.enabled:
+                with obs.span("compile") as span:
+                    lts = self._generate(process, limit)
+                    span.set_tag("states", lts.state_count)
+            else:
                 lts = self._generate(process, limit)
-                span.set_tag("states", lts.state_count)
+        except StateSpaceLimitExceeded as error:
+            self.cache.put_failure(key, limit, error)
+            raise
+        if obs.enabled:
             metrics = obs.metrics
             metrics.counter("compile.states").inc(lts.state_count)
             metrics.counter("compile.transitions").inc(lts.transition_count)
-        else:
-            lts = self._generate(process, limit)
         self.cache.put_lts(key, lts)
         return lts
 
@@ -161,7 +186,7 @@ class VerificationPipeline:
         ``on_the_fly=False``; ``FD`` always materialises the implementation
         (divergence detection needs its full tau graph).
         """
-        if model not in ("T", "F", "FD"):
+        if model not in _REFINEMENTS:
             raise ValueError(
                 "model must be 'T' (traces), 'F' (failures) or 'FD' "
                 "(failures-divergences)"
@@ -173,28 +198,15 @@ class VerificationPipeline:
             with obs.span("plan"):
                 prepared_spec = self.plan.prepare(spec, model, max_states)
                 prepared_impl = self.plan.prepare(impl, model, max_states)
-            if model == "FD":
-                spec_lts = self.compile(prepared_spec.term, max_states)
-                impl_lts = self.compile(prepared_impl.term, max_states)
-                # the FD check normalises its spec internally, so that
-                # normalisation's wall time lands in the refine stage
-                with obs.span("refine", model=model):
-                    result = check_fd_refinement(spec_lts, impl_lts, label, obs)
+            normalised_spec = self.normalised(prepared_spec.term, max_states)
+            if model != "FD" and self.on_the_fly:
+                implementation = self.lazy(prepared_impl.term, max_states)
             else:
-                normalised_spec = self.normalised(prepared_spec.term, max_states)
-                if self.on_the_fly:
-                    implementation = self.lazy(prepared_impl.term, max_states)
-                else:
-                    implementation = self.compile(prepared_impl.term, max_states)
-                with obs.span("refine", model=model):
-                    if model == "T":
-                        result = check_trace_refinement_from(
-                            normalised_spec, implementation, label, obs
-                        )
-                    else:
-                        result = check_failures_refinement_from(
-                            normalised_spec, implementation, label, obs
-                        )
+                implementation = self.compile(prepared_impl.term, max_states)
+            with obs.span("refine", model=model):
+                result = _REFINEMENTS[model](
+                    normalised_spec, implementation, label, obs
+                )
         return self._finish(result, root, prepared_spec, prepared_impl)
 
     def property_check(

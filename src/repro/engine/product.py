@@ -2,8 +2,8 @@
 
 :class:`ProductLTS` is the one generator the refinement search drives on
 the implementation side, and the one eager compilation materialises for
-any term with a compiled spine.  A product state is the tuple of its
-leaves' states; a state's successors are numbered in discovery order and
+any term with a compiled spine.  A product state is one int that encodes
+its leaves' states; a state's successors are numbered in discovery order and
 its edges appended to two shared flat ``array('q')`` buffers, under a
 ``max_states`` budget enforced at discovery time.  Expanding states in id
 order is breadth-first search, the order ``compile_lts`` numbers states
@@ -16,7 +16,7 @@ id-for-id the automaton ``compile_lts`` builds from the same term.
   :class:`~repro.csp.process.CompiledProcess` handles -- what the
   compilation plan emits when every component compiled.  A state's
   successors are synthesised from the components' flat CSR spans: no term
-  objects, no SOS dispatch, tuple hashing instead of term hashing.  The
+  objects, no SOS dispatch, integer hashing instead of term hashing.  The
   synthesis mirrors the SOS rules move for move (left non-sync moves
   first, then right non-sync, then synchronised pairs in left-major order;
   hiding maps to tau in place; renaming relabels ids);
@@ -40,13 +40,20 @@ It serves two uses:
   a counterexample asks for one.  The pipeline compiles the third shape
   with ``compile_lts``, which builds the same automaton faster.
 
-Moves are synthesised as *deltas*: each node returns
-``(event id, ((leaf position, new leaf state), ...))``, naming only the
-leaves the move changes.  A compiled leaf caches its move list per kernel
-state, and so does any other subtree whose leaves span few state
-combinations (a synchronised VMG/ECU pair, say), so most of the synthesis
-is list lookups; the successor tuple is built once per move that survives
-synchronisation.
+The code of a product state is mixed-radix, ``sum(s_k * R_k)`` over the
+leaf states ``s_k`` in spine order, where ``R_k`` is the product of the
+state counts of the leaves before leaf ``k``.  Moves are synthesised
+as *offsets*: each node returns ``(event id, offset)`` pairs, and a
+move's successor is ``code + offset``.  A compiled leaf caches, per
+kernel state ``s``, the offset ``(t - s) * R_k`` of each edge to ``t``; a
+synchronised pair adds the offsets of its two halves, which own disjoint
+digits.  So most of the synthesis is list lookups, and a move costs one
+addition and one int-keyed index probe.  The leaf states behind a code
+are decoded with ``divmod`` only when a counterexample or a test asks
+(:meth:`ProductLTS.component_states`, :meth:`ProductLTS.term_of`).  Python
+ints have no width limit: a spine whose code passes ``2**63`` still
+works, with slower arithmetic.  An SOS leaf numbers its terms in
+discovery order, and that number is its code.
 
 Events the pipeline's table has not interned yet (renaming targets, events
 of a leaf compiled under another pipeline's table, events an SOS leaf
@@ -79,11 +86,8 @@ from ..csp.process import (
 )
 from ..csp.semantics import transitions as sos_transitions
 
-#: the leaf positions one move changes, each with its new leaf state (a
-#: kernel state, or the successor term of an SOS leaf)
-Delta = Tuple[Tuple[int, object], ...]
-#: one synthesised move: (event id, delta)
-_Move = Tuple[int, Delta]
+#: one synthesised move: (event id, offset added to the product code)
+_Move = Tuple[int, int]
 
 #: ids from here up stand for events the table had not interned when the
 #: spine was built; each is swapped for its table id as its edge is emitted
@@ -91,7 +95,7 @@ _DEFERRED = 1 << 62
 
 #: a subtree whose leaves span at most this many state combinations keeps
 #: its move lists per combination: so small a subtree recurs in many
-#: product states, and its memo stays small
+#: product states, and its memo stays small (it is a list of that length)
 _MEMO_STATES = 4096
 
 
@@ -133,13 +137,15 @@ class _Leaf:
     ``remap`` translates the kernel's event ids into the pipeline's ids
     when the component was compiled under a different pipeline (shared
     compressed cache); None means the kernel already lives in the
-    pipeline's id space.  Each kernel state's move list is built once.
+    pipeline's id space.  ``radix`` is the leaf's digit weight in the
+    product code.  Each kernel state's move list is built once.
     """
 
-    __slots__ = ("position", "lts", "remap", "alphabet", "_moves")
+    __slots__ = ("radix", "size", "lts", "remap", "alphabet", "_moves")
 
-    def __init__(self, position: int, lts, remap: Optional[Dict[int, int]]) -> None:
-        self.position = position
+    def __init__(self, radix: int, lts, remap: Optional[Dict[int, int]]) -> None:
+        self.radix = radix
+        self.size: int = lts.state_count
         self.lts = lts
         self.remap = remap
         _offsets, events, _targets = lts.csr_arrays()
@@ -147,17 +153,20 @@ class _Leaf:
         self.alphabet: FrozenSet[int] = frozenset(
             set(events) if remap is None else map(remap.__getitem__, set(events))
         )
-        self._moves: List[Optional[List[_Move]]] = [None] * lts.state_count
+        self._moves: List[Optional[List[_Move]]] = [None] * self.size
 
-    def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
-        state = tup[self.position]
+    def moves(self, code: int) -> List[_Move]:
+        state = code // self.radix % self.size
         moves = self._moves[state]
         if moves is None:
             events, targets, lo, hi = self.lts.successors_span(state)
-            k = self.position
+            radix = self.radix
             remap = self.remap
             moves = [
-                (events[i] if remap is None else remap[events[i]], ((k, targets[i]),))
+                (
+                    events[i] if remap is None else remap[events[i]],
+                    (targets[i] - state) * radix,
+                )
                 for i in range(lo, hi)
             ]
             self._moves[state] = moves
@@ -167,33 +176,45 @@ class _Leaf:
 class _Sos:
     """A whole term as one leaf, expanded through the SOS on demand.
 
-    The leaf's state is its process term, so the product index numbers
-    terms in discovery order, as ``compile_lts`` does.  Each state is
-    expanded once (the product's root is never memoised), so its moves are
-    not kept.
+    The leaf numbers its terms in discovery order, and a term's number is
+    the product code, so the product index numbers terms as
+    ``compile_lts`` does.  Each state is expanded once (the product's root
+    is never memoised), so its moves are not kept.
     """
 
-    __slots__ = ("env", "ids")
+    __slots__ = ("env", "ids", "terms", "_numbers")
 
-    def __init__(self, env: Environment, ids: _Ids) -> None:
+    def __init__(self, env: Environment, ids: _Ids, initial: Process) -> None:
         self.env = env
         self.ids = ids
+        #: the terms met so far, in discovery order
+        self.terms: List[Process] = [initial]
+        self._numbers: Dict[Process, int] = {initial: 0}
 
-    def moves(self, tup: Tuple[Process]) -> List[_Move]:
+    def moves(self, code: int) -> List[_Move]:
         intern = self.ids.intern
         try:
-            steps = sos_transitions(tup[0], self.env)
+            steps = sos_transitions(self.terms[code], self.env)
         except RecursionError:
             raise TermNestingExceeded() from None
-        return [(intern(event), ((0, successor),)) for event, successor in steps]
+        terms = self.terms
+        numbers = self._numbers
+        moves = []
+        for event, successor in steps:
+            number = numbers.get(successor)
+            if number is None:
+                number = numbers[successor] = len(terms)
+                terms.append(successor)
+            moves.append((intern(event), number - code))
+        return moves
 
 
 class _Par:
     """Generalised parallel (interleave = empty sync set).
 
     ``sync`` holds every id that must synchronise: the sync set's ids plus
-    tick, never tau.  The subtrees own disjoint leaf positions, so a
-    synchronised pair's delta is the left delta followed by the right one.
+    tick, never tau.  The subtrees own disjoint digits of the product code,
+    so a synchronised pair's offset is the sum of its two halves'.
     When neither subtree can carry a sync id (interleaving processes that
     never terminate), every move passes through unpaired.
     """
@@ -207,19 +228,19 @@ class _Par:
         self.alphabet: FrozenSet[int] = left.alphabet | right.alphabet
         self.independent = not (self.alphabet & sync)
 
-    def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
-        left = self.left.moves(tup)
-        right = self.right.moves(tup)
+    def moves(self, code: int) -> List[_Move]:
+        left = self.left.moves(code)
+        right = self.right.moves(code)
         if self.independent:
             return left + right
         sync = self.sync
         result = [move for move in left if move[0] not in sync]
         result += [move for move in right if move[0] not in sync]
-        for eid, left_delta in left:
+        for eid, left_offset in left:
             if eid in sync:
-                for right_eid, right_delta in right:
+                for right_eid, right_offset in right:
                     if right_eid == eid:
-                        result.append((eid, left_delta + right_delta))
+                        result.append((eid, left_offset + right_offset))
         return result
 
 
@@ -235,11 +256,11 @@ class _Hide:
             TAU_ID if eid in hidden_ids else eid for eid in child.alphabet
         )
 
-    def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
+    def moves(self, code: int) -> List[_Move]:
         hidden = self.hidden_ids
         return [
-            (TAU_ID, delta) if eid in hidden else (eid, delta)
-            for eid, delta in self.child.moves(tup)
+            (TAU_ID, offset) if eid in hidden else (eid, offset)
+            for eid, offset in self.child.moves(code)
         ]
 
 
@@ -255,32 +276,36 @@ class _Rename:
             id_map.get(eid, eid) for eid in child.alphabet
         )
 
-    def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
+    def moves(self, code: int) -> List[_Move]:
         id_map = self.id_map
-        return [(id_map.get(eid, eid), delta) for eid, delta in self.child.moves(tup)]
+        return [
+            (id_map.get(eid, eid), offset) for eid, offset in self.child.moves(code)
+        ]
 
 
 class _Memo:
     """A small subtree's moves, kept per state of the leaves it spans.
 
-    The subtree owns the leaf positions ``lo`` to ``hi - 1``, so its moves
-    depend on that slice of the product tuple only.
+    The subtree owns ``span`` consecutive digits' worth of the product
+    code, from weight ``radix`` up, so its moves depend on
+    ``code // radix % span`` only: offsets are relative, so one move list
+    serves every product state that agrees on those digits.
     """
 
-    __slots__ = ("child", "lo", "hi", "alphabet", "_moves")
+    __slots__ = ("child", "radix", "span", "alphabet", "_moves")
 
-    def __init__(self, child, lo: int, hi: int) -> None:
+    def __init__(self, child, radix: int, span: int) -> None:
         self.child = child
-        self.lo = lo
-        self.hi = hi
+        self.radix = radix
+        self.span = span
         self.alphabet: FrozenSet[int] = child.alphabet
-        self._moves: Dict[Tuple[StateId, ...], List[_Move]] = {}
+        self._moves: List[Optional[List[_Move]]] = [None] * span
 
-    def moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
-        key = tup[self.lo : self.hi]
-        moves = self._moves.get(key)
+    def moves(self, code: int) -> List[_Move]:
+        key = code // self.radix % self.span
+        moves = self._moves[key]
         if moves is None:
-            moves = self._moves[key] = self.child.moves(tup)
+            moves = self._moves[key] = self.child.moves(code)
         return moves
 
 
@@ -288,7 +313,7 @@ class ProductLTS:
     """The product of a term's leaves (span protocol).
 
     Drives :class:`~repro.fdr.refine._ProductSearch` through ``initial`` /
-    ``successors_span`` / ``is_stable`` / ``table`` / ``term_of``, with
+    ``successors_span`` / ``table`` / ``term_of``, with
     states numbered in discovery order and a ``max_states`` budget enforced
     at discovery time -- or expands everything at once through
     :meth:`materialise`.
@@ -318,9 +343,14 @@ class ProductLTS:
         self._node = node
         self._kernels = kernels
         self._ids = ids
-        start = (template,) if self.sos else _initial_tuple(template)
-        self._tuples: List[Tuple] = [start]
-        self._index: Optional[Dict[Tuple, StateId]] = {start: 0}
+        #: the leaf state counts in spine order: the radices of the code
+        self._sizes: Tuple[int, ...] = tuple(lts.state_count for lts in kernels)
+        #: an SOS leaf's terms by number (its numbers are the codes)
+        self._sos_terms: Optional[List[Process]] = node.terms if self.sos else None
+        start = 0 if self.sos else _encode(_initial_tuple(template), self._sizes)
+        #: state id -> product code, and back
+        self._codes: List[int] = [start]
+        self._index: Optional[Dict[int, StateId]] = {start: 0}
         self._events: array = array("q")
         self._targets: array = array("q")
         self._bounds: List[Optional[Tuple[int, int]]] = [None]
@@ -345,7 +375,7 @@ class ProductLTS:
         if node is None:
             kernels = []
             ids = _Ids(table)
-            node = _Sos(env if env is not None else Environment(), ids)
+            node = _Sos(env if env is not None else Environment(), ids, term)
         return cls(term, node, kernels, ids, max_states)
 
     # -- the automaton protocol ----------------------------------------------
@@ -353,22 +383,29 @@ class ProductLTS:
     @property
     def state_count(self) -> int:
         """States discovered so far (grows as the search explores)."""
-        return len(self._tuples)
+        return len(self._codes)
 
     def component_states(self, state: StateId) -> Tuple:
-        """The leaf states behind one product state."""
-        return self._tuples[state]
+        """The leaf states behind one product state, decoded from its code."""
+        code = self._codes[state]
+        if self.sos:
+            return (self._sos_terms[code],)
+        leaf_states = []
+        for size in self._sizes:
+            code, leaf_state = divmod(code, size)
+            leaf_states.append(leaf_state)
+        return tuple(leaf_states)
 
     def term_of(self, state: StateId) -> Process:
         """The process term this product state corresponds to.
 
         Byte-compatible with the term the SOS path would have evolved: an
         SOS leaf's state is that term, and a synthesised spine is rebuilt
-        unchanged around fresh ``CompiledProcess`` leaves at the tuple's
-        states, which is exactly what the parallel/hiding/renaming rules
-        produce.
+        unchanged around fresh ``CompiledProcess`` leaves at the decoded
+        leaf states, which is exactly what the parallel/hiding/renaming
+        rules produce.
         """
-        tup = self._tuples[state]
+        tup = self.component_states(state)
         if self.sos:
             return tup[0]
         position = [0]
@@ -397,7 +434,7 @@ class ProductLTS:
             start = len(self._events)
             self._emit(state)
             bounds = (start, len(self._events))
-            self._bounds.extend([None] * (len(self._tuples) - len(self._bounds)))
+            self._bounds.extend([None] * (len(self._codes) - len(self._bounds)))
             self._bounds[state] = bounds
         return self._events, self._targets, bounds[0], bounds[1]
 
@@ -406,14 +443,14 @@ class ProductLTS:
 
         The edge buffers fill state by state, so they are the CSR arrays
         as they stand.  The state index and the synthesis nodes are
-        dropped afterwards; the automaton's ``terms`` keep the state tuples
+        dropped afterwards; the automaton's ``terms`` keep the state codes
         alive to rebuild the term behind a state on demand.  Call on a
         product nothing has explored.
         """
         events = self._events
         offsets = array("q", [0])
         state = 0
-        while state < len(self._tuples):
+        while state < len(self._codes):
             self._emit(state)
             offsets.append(len(events))
             state += 1
@@ -428,25 +465,22 @@ class ProductLTS:
 
     def _emit(self, state: StateId) -> None:
         """Append the state's edges to the buffers, numbering new states."""
-        tup = self._tuples[state]
-        moves = self._node.moves(tup)
+        code = self._codes[state]
+        moves = self._node.moves(code)
         index = self._index
-        tuples = self._tuples
+        codes = self._codes
+        max_states = self.max_states
         events, targets = self._events, self._targets
         start = len(events)
         try:
-            for eid, delta in moves:
-                slots = list(tup)
-                for k, leaf_state in delta:
-                    slots[k] = leaf_state
-                new_tup = tuple(slots)
-                target = index.get(new_tup)
+            for eid, offset in moves:
+                successor = code + offset
+                target = index.get(successor)
                 if target is None:
-                    if len(tuples) >= self.max_states:
-                        raise StateSpaceLimitExceeded(self.max_states)
-                    target = len(tuples)
-                    index[new_tup] = target
-                    tuples.append(new_tup)
+                    if len(codes) >= max_states:
+                        raise StateSpaceLimitExceeded(max_states)
+                    target = index[successor] = len(codes)
+                    codes.append(successor)
                 events.append(eid)
                 targets.append(target)
         finally:
@@ -473,24 +507,17 @@ class ProductLTS:
         event_of = self.table.event_of
         return [(event_of(eid), t) for eid, t in self.successors_ids(state)]
 
-    def is_stable(self, state: StateId) -> bool:
-        events, _targets, start, end = self.successors_span(state)
-        for i in range(start, end):
-            if events[i] == TAU_ID:
-                return False
-        return True
-
     def __repr__(self) -> str:
         return "ProductLTS({} components, {} states discovered)".format(
-            len(self._kernels), len(self._tuples)
+            len(self._kernels), len(self._codes)
         )
 
 
 class _SpineTerms(Sequence):
     """The ``terms`` of a materialised product, rebuilt on demand.
 
-    The automaton holds one leaf-state tuple per state instead of one
-    process term; counterexample provenance asks for the few it needs.
+    The automaton holds one product code per state instead of one process
+    term; counterexample provenance asks for the few it needs.
     """
 
     __slots__ = ("_product",)
@@ -524,6 +551,24 @@ def _initial_tuple(term: Process) -> Tuple[StateId, ...]:
     return tuple(order)
 
 
+def _encode(leaf_states: Tuple[StateId, ...], sizes: Tuple[int, ...]) -> int:
+    """The product code of one state per leaf (the inverse of the decode)."""
+    code = 0
+    radix = 1
+    for leaf_state, size in zip(leaf_states, sizes):
+        code += leaf_state * radix
+        radix *= size
+    return code
+
+
+def _radix(kernels: List) -> int:
+    """The digit weight of the next leaf: the product of the sizes so far."""
+    radix = 1
+    for lts in kernels:
+        radix *= lts.state_count
+    return radix
+
+
 def _translation(lts, ids: _Ids) -> Dict[int, int]:
     """Foreign kernel event ids -> pipeline ids.
 
@@ -546,12 +591,12 @@ def _subtree(term: Process, kernels: List, ids: _Ids):
     node = _build(term, kernels, ids)
     if node is None or isinstance(node, _Leaf):
         return node
-    combinations = 1
+    span = 1
     for lts in kernels[lo:]:
-        combinations *= lts.state_count
-    if combinations > _MEMO_STATES:
+        span *= lts.state_count
+    if span > _MEMO_STATES:
         return node
-    return _Memo(node, lo, len(kernels))
+    return _Memo(node, _radix(kernels[:lo]), span)
 
 
 def _build(term: Process, kernels: List, ids: _Ids):
@@ -575,8 +620,9 @@ def _build(term: Process, kernels: List, ids: _Ids):
             # it can produce into the pipeline's ids, which is exactly the
             # decode-and-reintern the SOS replay performs per move
             remap = _translation(lts, ids)
+        leaf = _Leaf(_radix(kernels), lts, remap)
         kernels.append(lts)
-        return _Leaf(len(kernels) - 1, lts, remap)
+        return leaf
     if isinstance(term, (GenParallel, Interleave)):
         left = _subtree(term.left, kernels, ids)
         if left is None:

@@ -24,8 +24,12 @@ it.  ``SIGTERM`` goes back to its default action: a worker forked after
 that handler, and the server's ``terminate()`` of an overrunning worker
 would only set an event.  And the worker closes its copy of the server's
 end of its own pipe, so it reads EOF -- and exits -- once the server is
-gone, even after a ``SIGKILL``.  (A younger worker holds copies of its
-older siblings' ends; when it exits they see EOF in turn.)
+gone, even after a ``SIGKILL``.  It then drops every other socket it
+inherited: under ``cspserve --http`` a fork copies the frontend's listening
+socket and each HTTP connection open at that moment, which would keep the
+port bound after the daemon stops, and its older siblings' pipe ends.
+Pipes stay open: the ``multiprocessing`` sentinel the server joins on is
+one.
 
 With a result-cache directory, :func:`execute_material` writes each
 verdict through to the :class:`~repro.exec.resultcache.ResultCache` on
@@ -44,7 +48,9 @@ environment, not the check.
 from __future__ import annotations
 
 import json
+import os
 import signal
+import stat
 from typing import Optional
 
 from .resultcache import ResultCache
@@ -87,6 +93,34 @@ def execute_material(
     return result
 
 
+def _drop_inherited_sockets(keep: int) -> None:
+    """Close every socket above fd 2 but *keep* (Linux: reads ``/proc``).
+
+    Each one is pointed at ``/dev/null`` rather than closed outright: the
+    fork also copied the Python objects that own those descriptors, and
+    one of them that is collected later would close whatever file had
+    reused its number.
+    """
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return
+    null = None
+    for fd in map(int, names):
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if not stat.S_ISSOCK(os.fstat(fd).st_mode):
+                continue
+        except OSError:
+            continue  # the listing's own descriptor, closed by now
+        if null is None:
+            null = os.open(os.devnull, os.O_RDWR)
+        os.dup2(null, fd, inheritable=False)
+    if null is not None:
+        os.close(null)
+
+
 def persistent_worker_main(
     conn,
     cache_dir: Optional[str],
@@ -104,6 +138,7 @@ def persistent_worker_main(
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if server_end is not None:
         server_end.close()
+    _drop_inherited_sockets(conn.fileno())
     result_cache = open_result_cache(result_cache_dir)
     try:
         while True:

@@ -20,11 +20,11 @@ decode through the table, so existing callers see the same API as before.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..csp.events import AlphabetTable, Event, TAU_ID
-from ..csp.kernel import tau_scc_of
+from ..csp.kernel import tau_cycle_states
 from ..csp.lts import LTS, StateId
 
 NodeId = int
@@ -92,9 +92,10 @@ class NormalisedSpec:
 
     def allows_stable_refusal_bits(self, node: NodeId, offered_bits: int) -> bool:
         """Bitset form of :meth:`allows_stable_refusal` (the engine hot path)."""
-        return any(
-            bits & ~offered_bits == 0 for bits in self.acceptance_bits[node]
-        )
+        for bits in self.acceptance_bits[node]:
+            if bits & ~offered_bits == 0:
+                return True
+        return False
 
     def as_lts(self) -> LTS:
         """View the normalised automaton as a (deterministic, tau-free) LTS.
@@ -139,25 +140,6 @@ def minimal_bitsets(sets: Set[int], table: AlphabetTable) -> Tuple[int, ...]:
         if not any(existing & ~candidate == 0 for existing in kept):
             kept.append(candidate)
     return tuple(kept)
-
-
-def tau_cycle_states(lts: LTS) -> FrozenSet[StateId]:
-    """States lying on a cycle of tau transitions (divergent states).
-
-    A state diverges if its tau-SCC has two or more members, or if it has
-    a tau self-loop.
-    """
-    scc_of = tau_scc_of(lts)
-    sizes = Counter(scc_of)
-    divergent: Set[StateId] = set()
-    for state, scc in enumerate(scc_of):
-        if sizes[scc] > 1:
-            divergent.add(state)
-            continue
-        events, targets, lo, hi = lts.successors_span(state)
-        if any(events[i] == TAU_ID and targets[i] == state for i in range(lo, hi)):
-            divergent.add(state)
-    return frozenset(divergent)
 
 
 def normalise(lts: LTS, obs=None) -> NormalisedSpec:

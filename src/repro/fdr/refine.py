@@ -6,10 +6,13 @@ normalised specification: breadth-first search over pairs
 ``(implementation state, specification node)``; any implementation event the
 specification node cannot match is a violation, and the BFS parent pointers
 reconstruct the shortest counterexample trace -- the "insecure trace" of the
-paper's workflow.
+paper's workflow.  The search holds each pair as one int,
+``impl_state * node_count + node``, so its visited set, parent map and
+queue hash and store plain ints; a popped pair is decoded once with
+``divmod``.
 
 The implementation side is anything exposing the small automaton protocol
-(``initial``, ``successors_span``, ``is_stable``, ``table``): a fully
+(``initial``, ``successors_span``, ``table``): a fully
 compiled :class:`~repro.csp.kernel.CompactLTS` (the eager path) or the
 on-the-fly :class:`~repro.engine.product.ProductLTS`, whose states unfold
 on demand so the search can exit on the first violation without
@@ -28,6 +31,7 @@ Supported checks:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..csp.events import AlphabetTable, Event, TAU_ID, TICK_ID
@@ -44,6 +48,7 @@ from .counterexample import (
 from .normalise import NodeId, NormalisedSpec, normalise, tau_cycle_states
 
 Trace = Tuple[Event, ...]
+#: a decoded search pair, as ``violation_pair`` reports it
 Pair = Tuple[StateId, NodeId]
 
 _MISSING = object()
@@ -139,10 +144,30 @@ def _emit_search_metrics(obs: Tracer, search: "_ProductSearch") -> None:
         metrics.counter(metric).inc(search.impl.state_count)
 
 
+def _finished(
+    search: "_ProductSearch",
+    violation: Optional[Counterexample],
+    name: str,
+    obs: Tracer,
+) -> CheckResult:
+    """The result of a finished search, with the violating term attached."""
+    state = search.violation_pair[0] if search.violation_pair else None
+    violation = _attach_impl_state(violation, search.impl, state)
+    _emit_search_metrics(obs, search)
+    return CheckResult(
+        name,
+        violation is None,
+        violation,
+        states_explored=len(search.parents),
+        transitions_explored=search.transitions_explored,
+    )
+
+
 class _ProductSearch:
     """BFS over (implementation state, spec node) pairs with trace rebuild.
 
-    Works on interned ids throughout; when the implementation and the
+    A pair is encoded as the int ``impl_state * node_count + node``.  Works
+    on interned ids throughout; when the implementation and the
     specification share one :class:`AlphabetTable` (the pipeline's normal
     case) no per-transition translation happens at all, otherwise ids are
     translated lazily through a memo.
@@ -161,7 +186,8 @@ class _ProductSearch:
             TAU_ID: TAU_ID,
             TICK_ID: TICK_ID,
         }
-        self.parents: Dict[Pair, Tuple[Optional[Pair], Optional[int]]] = {}
+        #: encoded pair -> (encoded parent pair, event id into it)
+        self.parents: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         self.transitions_explored = 0
         #: the product pair at which run() found its violation, if any --
         #: provenance threading reads the implementation state out of it
@@ -173,8 +199,6 @@ class _ProductSearch:
 
     def _spec_id(self, eid: int) -> Optional[int]:
         """Translate an impl-table event id to the spec table (None = unknown)."""
-        if self.shared_table:
-            return eid
         cached = self._translate.get(eid, _MISSING)
         if cached is not _MISSING:
             return cached  # type: ignore[return-value]
@@ -188,20 +212,29 @@ class _ProductSearch:
         events, _targets, start, end = self.impl.successors_span(impl_state)
         return frozenset(event_of(events[i]) for i in range(start, end))
 
-    def offered_spec_bits(self, impl_state: StateId) -> int:
-        """The same offer as a bitset in the spec table's id space."""
-        bits = 0
+    def stable_offer(self, impl_state: StateId) -> Optional[int]:
+        """The state's offer as a bitset in the spec table's id space.
+
+        None when the state is unstable (it has a tau move): only stable
+        states refuse, so only they are checked against acceptances.
+        """
         events, _targets, start, end = self.impl.successors_span(impl_state)
+        shared = self.shared_table
+        bits = 0
         for i in range(start, end):
-            sid = self._spec_id(events[i])
+            eid = events[i]
+            if eid == TAU_ID:
+                return None
+            sid = eid if shared else self._spec_id(eid)
             if sid is not None:
                 bits |= 1 << sid
         return bits
 
-    def trace_to(self, pair: Pair) -> Trace:
+    def trace_to(self, pair: int) -> Trace:
+        """The visible trace that reaches the encoded *pair*."""
         event_of = self.impl.table.event_of
         events: List[Event] = []
-        cursor: Optional[Pair] = pair
+        cursor: Optional[int] = pair
         while cursor is not None:
             parent, eid = self.parents[cursor]
             if eid is not None and eid != TAU_ID:
@@ -213,17 +246,21 @@ class _ProductSearch:
     def run(self, on_pair=None, prune=None) -> Optional[Counterexample]:
         """Explore the product; return the first violation found (or None).
 
-        *on_pair* is an optional callback ``(pair, trace_builder) -> Counterexample|None``
-        used by the failures/determinism checks to impose extra per-pair
-        conditions.  *prune* is an optional predicate: pairs it accepts are
-        checked but not expanded (used by the FD check, where a divergent
-        specification node permits every continuation).
+        *on_pair* is an optional callback ``(impl_state, node, pair) ->
+        Counterexample|None`` used by the failures/determinism checks to
+        impose extra per-pair conditions; *pair* is the encoded pair, for
+        :meth:`trace_to`.  *prune* is an optional predicate on the spec
+        node: pairs it accepts are checked but not expanded (used by the FD
+        check, where a divergent specification node permits every
+        continuation).
         """
         afters_ids = self.spec.afters_ids
-        event_of = self.impl.table.event_of
+        nodes = len(afters_ids)
+        shared = self.shared_table
+        spec_id = self._spec_id
         successors_span = self.impl.successors_span
         parents = self.parents
-        start: Pair = (self.impl.initial, self.spec.initial)
+        start = self.impl.initial * nodes + self.spec.initial
         parents[start] = (None, None)
         work: deque = deque([start])
         track = self._track
@@ -232,37 +269,35 @@ class _ProductSearch:
         try:
             while work:
                 pair = work.popleft()
-                impl_state, node = pair
+                impl_state, node = divmod(pair, nodes)
                 if on_pair is not None:
-                    violation = on_pair(pair, self.trace_to)
+                    violation = on_pair(impl_state, node, pair)
                     if violation is not None:
-                        self.violation_pair = pair
+                        self.violation_pair = (impl_state, node)
                         return violation
-                if prune is not None and prune(pair):
+                if prune is not None and prune(node):
                     continue
                 # walk the state's edge range in the impl's flat arrays --
                 # the innermost loop of every refinement check
                 events, targets, lo, hi = successors_span(impl_state)
                 transitions += hi - lo
+                row = afters_ids[node]
                 for i in range(lo, hi):
                     eid = events[i]
                     if eid == TAU_ID:
-                        next_pair: Pair = (targets[i], node)
+                        next_pair = targets[i] * nodes + node
                     else:
-                        sid = self._spec_id(eid)
-                        next_node = (
-                            afters_ids[node].get(sid) if sid is not None else None
-                        )
+                        next_node = row.get(eid if shared else spec_id(eid))
                         if next_node is None:
                             # count the edges scanned up to the violation,
                             # matching the per-edge counting this loop used
                             # before it went span-based
                             transitions -= hi - (i + 1)
-                            self.violation_pair = pair
+                            self.violation_pair = (impl_state, node)
                             return TraceCounterexample(
-                                self.trace_to(pair), event_of(eid)
+                                self.trace_to(pair), self.impl.table.event_of(eid)
                             )
-                        next_pair = (targets[i], next_node)
+                        next_pair = targets[i] * nodes + next_node
                     if next_pair not in parents:
                         parents[next_pair] = (pair, eid)
                         work.append(next_pair)
@@ -283,19 +318,7 @@ def check_trace_refinement_from(
 ) -> CheckResult:
     """Decide ``Spec ⊑T Impl`` against an already-normalised specification."""
     search = _ProductSearch(impl, normalised, obs)
-    violation = _attach_impl_state(
-        search.run(),
-        impl,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
-    )
+    return _finished(search, search.run(), name, obs)
 
 
 def check_failures_refinement_from(
@@ -306,35 +329,8 @@ def check_failures_refinement_from(
 ) -> CheckResult:
     """Decide ``Spec ⊑F Impl`` against an already-normalised specification."""
     search = _ProductSearch(impl, normalised, obs)
-
-    def stable_check(pair: Pair, trace_to) -> Optional[Counterexample]:
-        impl_state, node = pair
-        if not search.impl.is_stable(impl_state):
-            return None
-        if normalised.allows_stable_refusal_bits(
-            node, search.offered_spec_bits(impl_state)
-        ):
-            return None
-        offered = search.offered_events(impl_state)
-        acceptances = normalised.acceptances[node]
-        required = (
-            frozenset().union(*acceptances) if acceptances else frozenset()
-        )
-        return FailureCounterexample(trace_to(pair), offered, required - offered)
-
-    violation = _attach_impl_state(
-        search.run(on_pair=stable_check),
-        impl,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
-    )
+    violation = search.run(on_pair=partial(_stable_failure, search, normalised))
+    return _finished(search, violation, name, obs)
 
 
 def check_trace_refinement(spec: LTS, impl: LTS, name: str = "Spec [T= Impl") -> CheckResult:
@@ -352,57 +348,58 @@ def check_failures_refinement(spec: LTS, impl: LTS, name: str = "Spec [F= Impl")
 
 
 def check_fd_refinement(
-    spec: LTS,
+    normalised: NormalisedSpec,
     impl: LTS,
     name: str = "Spec [FD= Impl",
     obs: Tracer = NULL_TRACER,
 ) -> CheckResult:
     """Decide ``Spec ⊑FD Impl`` in the failures-divergences model.
 
-    Beyond the stable-failures conditions, the implementation may only
-    diverge where the specification itself diverges; where the spec node is
-    divergent it behaves chaotically and permits everything (so the search
-    prunes there, exactly as FDR does).  Divergence detection needs the full
-    implementation tau graph, so this check always runs eagerly.
+    *normalised* is the specification, already normalised (the pipeline
+    hands over its cached copy).  Beyond the stable-failures conditions,
+    the implementation may only diverge where the specification itself
+    diverges; where the spec node is divergent it behaves chaotically and
+    permits everything (so the search prunes there, exactly as FDR does).
+    Divergence detection needs the full implementation tau graph, so this
+    check always runs eagerly.
     """
-    normalised = normalise(spec, obs=obs)
     impl_divergent = tau_cycle_states(impl)
+    spec_divergent = normalised.divergent
     search = _ProductSearch(impl, normalised, obs)
 
-    def fd_check(pair: Pair, trace_to) -> Optional[Counterexample]:
-        impl_state, node = pair
-        if normalised.divergent[node]:
+    def fd_check(
+        impl_state: StateId, node: NodeId, pair: int
+    ) -> Optional[Counterexample]:
+        if spec_divergent[node]:
             return None  # spec diverges here: chaotic, anything goes
         if impl_state in impl_divergent:
-            return DivergenceCounterexample(trace_to(pair))
-        if not search.impl.is_stable(impl_state):
-            return None
-        if normalised.allows_stable_refusal_bits(
-            node, search.offered_spec_bits(impl_state)
-        ):
-            return None
-        offered = search.offered_events(impl_state)
-        acceptances = normalised.acceptances[node]
-        required = (
-            frozenset().union(*acceptances) if acceptances else frozenset()
-        )
-        return FailureCounterexample(trace_to(pair), offered, required - offered)
+            return DivergenceCounterexample(search.trace_to(pair))
+        return _stable_failure(search, normalised, impl_state, node, pair)
 
-    violation = _attach_impl_state(
-        search.run(
-            on_pair=fd_check, prune=lambda pair: normalised.divergent[pair[1]]
-        ),
-        impl,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
-    )
+    violation = search.run(on_pair=fd_check, prune=spec_divergent.__getitem__)
+    return _finished(search, violation, name, obs)
+
+
+def _stable_failure(
+    search: _ProductSearch,
+    normalised: NormalisedSpec,
+    impl_state: StateId,
+    node: NodeId,
+    pair: int,
+) -> Optional[Counterexample]:
+    """The stable-failures violation at a pair, or None.
+
+    A stable implementation state must offer a superset of some minimal
+    acceptance of the matching specification node; an unstable one
+    refuses nothing.
+    """
+    offer = search.stable_offer(impl_state)
+    if offer is None or normalised.allows_stable_refusal_bits(node, offer):
+        return None
+    offered = search.offered_events(impl_state)
+    acceptances = normalised.acceptances[node]
+    required = frozenset().union(*acceptances) if acceptances else frozenset()
+    return FailureCounterexample(search.trace_to(pair), offered, required - offered)
 
 
 def _bfs_with_parents(lts: LTS):
@@ -514,26 +511,15 @@ def check_deterministic(
     normalised = normalise(lts, obs=obs)
     search = _ProductSearch(lts, normalised, obs)
 
-    def stable_check(pair: Pair, trace_to) -> Optional[Counterexample]:
-        impl_state, node = pair
+    def stable_check(
+        impl_state: StateId, node: NodeId, pair: int
+    ) -> Optional[Counterexample]:
         if not lts.is_stable(impl_state):
             return None
         offered = frozenset(event for event, _ in lts.successors(impl_state))
         for event in sorted(normalised.events(node), key=str):
             if event not in offered:
-                return NondeterminismCounterexample(trace_to(pair), event)
+                return NondeterminismCounterexample(search.trace_to(pair), event)
         return None
 
-    violation = _attach_impl_state(
-        search.run(on_pair=stable_check),
-        lts,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
-    )
+    return _finished(search, search.run(on_pair=stable_check), name, obs)

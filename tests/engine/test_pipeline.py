@@ -14,19 +14,27 @@ import pathlib
 
 import pytest
 
+import repro.csp.kernel as kernel_module
+import repro.engine.pipeline as pipeline_module
+import repro.fdr.refine as refine_module
 from repro.csp import (
     TAU,
     TAU_ID,
     TICK,
     TICK_ID,
+    Alphabet,
     AlphabetTable,
     Environment,
     Event,
+    GenParallel,
+    Hiding,
     Prefix,
     ProcessRef,
+    StateSpaceLimitExceeded,
     Stop,
     external_choice,
 )
+from repro.csp.lts import TermNestingExceeded
 from repro.engine import CompilationCache, VerificationPipeline, structural_key
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.scenario import extract_system
@@ -100,8 +108,6 @@ def test_cache_misses_when_a_reachable_binding_differs():
 
 
 def test_cached_lts_respects_smaller_budgets():
-    from repro.csp.lts import StateSpaceLimitExceeded
-
     pipeline = VerificationPipeline(Environment())
     chain = Prefix(Event("c", (0,)), Prefix(Event("c", (1,)), Prefix(Event("c", (2,)), Stop())))
     pipeline.compile(chain)
@@ -172,3 +178,137 @@ def test_on_the_fly_stops_before_full_state_space():
     result = check_trace_refinement_from(pipeline.normalised(ProcessRef("SPEC")), impl)
     assert not result.passed
     assert impl.state_count < 30
+
+
+# -- failed compiles -----------------------------------------------------------------
+
+
+def _generated(monkeypatch, pipeline):
+    """The processes whose compile reaches the state-space generator."""
+    reached = []
+    generate = pipeline._generate
+
+    def counting(process, limit):
+        reached.append(process)
+        return generate(process, limit)
+
+    monkeypatch.setattr(pipeline, "_generate", counting)
+    return reached
+
+
+def _chain(length, name="c"):
+    process = Stop()
+    for step in range(length):
+        process = Prefix(Event(name, (step,)), process)
+    return process
+
+
+def test_a_failed_compile_is_remembered_per_budget(monkeypatch):
+    pipeline = VerificationPipeline(Environment())
+    reached = _generated(monkeypatch, pipeline)
+    chain = _chain(5)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(StateSpaceLimitExceeded) as caught:
+            pipeline.compile(chain, max_states=3)
+        errors.append(caught.value)
+    assert len(reached) == 1
+    # a fresh exception each time, of the same type and text
+    assert errors[1] is not errors[0]
+    assert type(errors[1]) is type(errors[0])
+    assert str(errors[1]) == str(errors[0])
+    assert not any("fail" in key for key in pipeline.stats())
+    # another budget is another compile, and clear() forgets the failure
+    assert pipeline.compile(chain, max_states=10).state_count == 6
+    pipeline.cache.clear()
+    with pytest.raises(StateSpaceLimitExceeded):
+        pipeline.compile(chain, max_states=3)
+    assert len(reached) == 3
+
+
+def test_a_term_nesting_failure_is_remembered(monkeypatch, shallow_stack):
+    a, b = Event("c", ("a",)), Event("c", ("b",))
+    env = Environment()
+    env.bind("P", Hiding(Prefix(a, Prefix(b, ProcessRef("P"))), Alphabet([a, b])))
+    pipeline = VerificationPipeline(env)
+    reached = _generated(monkeypatch, pipeline)
+    texts = []
+    with shallow_stack(120):
+        for _ in range(2):
+            with pytest.raises(TermNestingExceeded) as caught:
+                pipeline.compile(ProcessRef("P"))
+            texts.append(str(caught.value))
+    assert len(reached) == 1
+    assert texts[0] == texts[1]
+
+
+def test_a_component_over_budget_is_explored_once_across_assertions(monkeypatch):
+    # LONG alone exceeds the budget, so each assertion's plan leaves it in
+    # SOS form; the second plan must not explore it again to find that out
+    a = Event("c", ("a",))
+    env = Environment()
+    env.bind("LONG", _chain(10, "a"))
+    env.bind("SHORT", Prefix(Event("a", (0,)), Prefix(Event("a", (1,)), Stop())))
+    env.bind(
+        "SYS",
+        GenParallel(ProcessRef("LONG"), ProcessRef("SHORT"), Alphabet([a])),
+    )
+    pipeline = VerificationPipeline(env, max_states=5)
+    reached = _generated(monkeypatch, pipeline)
+    results = [
+        pipeline.refinement(ProcessRef("SHORT"), ProcessRef("SYS"), model)
+        for model in ("T", "F")
+    ]
+    assert reached.count(ProcessRef("LONG")) == 1
+    # the degraded term is still searched on the fly, not short-circuited
+    assert all(result.states_explored > 0 for result in results)
+
+
+# -- what [FD= shares with the other checks ------------------------------------------
+
+
+def test_a_second_fd_check_reuses_the_normalised_spec(monkeypatch):
+    env = Environment()
+    spec = _server(env)
+    pipeline = VerificationPipeline(env)
+    first = pipeline.refinement(spec, spec, "FD")
+    hits = pipeline.cache.normalised_hits
+    calls = []
+    for module in (pipeline_module, refine_module):
+        original = module.normalise
+        monkeypatch.setattr(
+            module,
+            "normalise",
+            lambda *args, _original=original, **kwargs: calls.append(args)
+            or _original(*args, **kwargs),
+        )
+    second = pipeline.refinement(spec, Prefix(Event("c", ("a",)), Stop()), "FD")
+    assert first.passed and not second.passed
+    assert pipeline.cache.normalised_hits == hits + 1
+    assert calls == []
+
+
+def test_divergent_states_are_found_once_per_automaton(monkeypatch):
+    a, b = Event("c", ("a",)), Event("c", ("b",))
+    env = Environment()
+    env.bind("Q", Prefix(a, Prefix(b, ProcessRef("Q"))))
+    env.bind("R", Prefix(a, Prefix(b, ProcessRef("R"))))
+    env.bind(
+        "SYS",
+        Hiding(
+            GenParallel(ProcessRef("Q"), ProcessRef("R"), Alphabet([a, b])),
+            Alphabet([a, b]),
+        ),
+    )
+    seen = []
+    original = kernel_module.tau_scc_of
+    monkeypatch.setattr(
+        kernel_module, "tau_scc_of", lambda lts: seen.append(lts) or original(lts)
+    )
+    pipeline = VerificationPipeline(env)
+    fd = pipeline.refinement(Stop(), ProcessRef("SYS"), "FD")
+    divergence = pipeline.property_check(ProcessRef("SYS"), "divergence free")
+    assert not fd.passed and not divergence.passed
+    system = pipeline.compile(pipeline.plan.prepare(ProcessRef("SYS"), "FD").term)
+    assert sum(lts is system for lts in seen) == 1
+    assert len({id(lts) for lts in seen}) == len(seen)

@@ -24,6 +24,7 @@ from repro.csp import (
     Alphabet,
     CompiledProcess,
     Environment,
+    Event,
     GenParallel,
     Hiding,
     Interleave,
@@ -31,6 +32,9 @@ from repro.csp import (
     Stop,
     StateSpaceLimitExceeded,
     event,
+    external_choice,
+    interleave_all,
+    internal_choice,
     prefix,
     ref,
 )
@@ -380,3 +384,58 @@ class TestMaterialise:
         assert violation.impl_term == expected.impl_term
         assert violation.provenance == component_provenance(expected.impl_term)
         assert [entry.label for entry in violation.provenance] == ["P", "Q"]
+
+
+class TestWideSpine:
+    """A product code is an unbounded int: past ``2**64`` nothing changes."""
+
+    LEAVES = 70
+
+    def _env(self):
+        env = Environment()
+        allowed = []
+        for i in range(self.LEAVES):
+            a, b = Event("a", (i,)), Event("b", (i,))
+            env.bind("L{}".format(i), prefix(a, prefix(b, ref("L{}".format(i)))))
+            allowed.append(a)
+            if i != self.LEAVES - 1:
+                allowed.append(b)
+        # every trace but the last leaf's b (violated after <a.69>), and
+        # every refusal, so [F= fails where [T= does
+        env.bind(
+            "SPEC",
+            internal_choice(
+                Stop(), external_choice(*(prefix(e, ref("SPEC")) for e in allowed))
+            ),
+        )
+        return env
+
+    def _system(self):
+        return interleave_all(*(ref("L{}".format(i)) for i in range(self.LEAVES)))
+
+    def test_the_last_leaf_weighs_more_than_64_bits(self):
+        pipeline = VerificationPipeline(self._env())
+        view = pipeline.lazy(pipeline.plan.prepare(self._system(), "T").term)
+        assert not view.sos
+        moves = view.successors(0)
+        assert str(moves[-1][0]) == "a.69"
+        last = view.component_states(moves[-1][1])
+        assert last == (0,) * (self.LEAVES - 1) + (1,)
+        assert 2 ** (self.LEAVES - 1) > 2**64
+
+    @pytest.mark.parametrize("model", ["T", "F"])
+    def test_same_result_as_the_sos_leaf(self, model):
+        env = self._env()
+        spine = VerificationPipeline(env).refinement(
+            ref("SPEC"), self._system(), model
+        )
+        sos = VerificationPipeline(env, passes="none").refinement(
+            ref("SPEC"), self._system(), model
+        )
+        assert not spine.passed
+        assert [str(e) for e in spine.counterexample.trace] == ["a.69"]
+        assert spine.counterexample.describe() == sos.counterexample.describe()
+        assert (spine.states_explored, spine.transitions_explored) == (
+            sos.states_explored,
+            sos.transitions_explored,
+        )

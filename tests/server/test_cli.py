@@ -294,6 +294,53 @@ class TestWorkerLifecycle:
             wait_until(lambda: not any(alive(pid) for pid in workers), timeout=5.0)
 
 
+    def test_a_respawned_worker_holds_none_of_the_daemon_sockets(self):
+        # the replacement is forked while the frontend listens and the
+        # client's connection is open; it keeps only its own pipe
+        with http_daemon(1) as (daemon, url):
+            with ServerClient(url) as client:
+                assert client.check(selftest("exit:3", "crash")).verdict == "ERROR"
+                assert client.check(selftest("pass", "after")).verdict == "PASS"
+                (worker,) = [pid for pid in children(daemon.pid) if alive(pid)]
+                listening = listening_inodes() & socket_inodes(daemon.pid)
+                held = socket_inodes(worker)
+        assert listening
+        assert len(held) == 1
+        assert not held & listening
+
+
+def socket_inodes(pid):
+    """The inodes of the sockets *pid* holds above fd 2."""
+    found = set()
+    directory = "/proc/{}/fd".format(pid)
+    for name in os.listdir(directory):
+        if int(name) <= 2:
+            continue
+        try:
+            target = os.readlink(os.path.join(directory, name))
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            found.add(int(target[len("socket:[") : -1]))
+    return found
+
+
+def listening_inodes():
+    """The inodes of every listening TCP socket, from ``/proc/net``."""
+    found = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table, encoding="ascii") as handle:
+                rows = handle.read().splitlines()[1:]
+        except OSError:
+            continue
+        for row in rows:
+            fields = row.split()
+            if fields[3] == "0A":  # TCP_LISTEN
+                found.add(int(fields[9]))
+    return found
+
+
 class TestCspbatchServerMode:
     @pytest.fixture
     def manifest(self, tmp_path):
