@@ -15,6 +15,7 @@ module provides:
 
 from __future__ import annotations
 
+import itertools
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 Value = Union[str, int, bool, Tuple["Value", ...]]
@@ -210,14 +211,9 @@ class Channel:
 
     def events(self) -> Iterator[Event]:
         """Enumerate every event this channel can carry (the channel's extensions)."""
-        def expand(prefix: Tuple[Value, ...], remaining: int) -> Iterator[Event]:
-            if remaining == len(self.field_domains):
-                yield Event(self.name, prefix)
-                return
-            for value in self.field_domains[remaining]:
-                yield from expand(prefix + (value,), remaining + 1)
-
-        yield from expand((), 0)
+        name = self.name
+        for fields in itertools.product(*self.field_domains):
+            yield Event(name, fields)
 
     def alphabet(self) -> "Alphabet":
         """The set of all events on this channel as an :class:`Alphabet`."""

@@ -11,6 +11,11 @@ Loading a script performs, in order:
    how FDR compiles them,
 4. ``assert`` declarations are collected and can be discharged against the
    refinement engine with :meth:`CspmModel.check_assertions`.
+
+A loaded model keeps of the syntax only what it still needs: the assertions
+and the parameterised equations.  Declared sizes are checked before anything
+is built: a set range, and the events of all channel declarations together,
+may not exceed :data:`DECLARATION_BUDGET`.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ from .parser import parse
 
 SetValue = Union[Alphabet, FrozenSet[Value]]
 
+#: the most values one set range, and the most events all channel
+#: declarations together, may declare
+DECLARATION_BUDGET = 2**20
+
 
 class CspmEvaluationError(RuntimeError):
     """Raised when a script is well-formed but cannot be evaluated."""
@@ -52,47 +61,50 @@ class CspmModel:
     """A fully loaded CSPm script: types, channels, processes, assertions."""
 
     def __init__(self, script: ast.Script) -> None:
-        self.script = script
         self.env = Environment()
         self.channels: Dict[str, Channel] = {}
         self.datatypes: Dict[str, Tuple[str, ...]] = {}
         self.nametypes: Dict[str, Tuple[Value, ...]] = {}
         #: constructor name -> owning datatype
         self.constructors: Dict[str, str] = {}
+        #: process equation name -> number of parameters
+        self.arities: Dict[str, int] = {}
         #: parameterised definitions kept as AST for on-demand instantiation
         self.templates: Dict[str, ast.ProcessDef] = {}
         self.assertions: List[ast.AssertDecl] = []
         self._instantiating: Set[str] = set()
-        self._value_defs: Dict[str, ast.Expr] = {}
-        self._load()
+        self._declared_events = 0
+        self._load(script)
 
     # -- loading ----------------------------------------------------------------
 
-    def _load(self) -> None:
+    def _load(self, script: ast.Script) -> None:
         # types and channels first: process bodies need the domains
-        for decl in self.script.declarations:
+        for decl in script.declarations:
             if isinstance(decl, ast.DatatypeDecl):
                 self._load_datatype(decl)
             elif isinstance(decl, ast.NametypeDecl):
                 self.nametypes[decl.name] = tuple(
                     sorted(self.eval_value_set(decl.definition, {}), key=str)
                 )
-        for decl in self.script.declarations:
+        for decl in script.declarations:
             if isinstance(decl, ast.ChannelDecl):
                 self._load_channel(decl)
         # register every process definition before evaluating any body, so
         # mutually recursive equations resolve to ProcessRefs
-        for decl in self.script.process_defs():
-            if decl.params:
-                self.templates[decl.name] = decl
-            else:
-                self.templates[decl.name] = decl
-        for decl in self.script.process_defs():
+        definitions = script.process_defs()
+        for decl in definitions:
+            self.arities[decl.name] = len(decl.params)
+            self.templates[decl.name] = decl
+        for decl in definitions:
             if not decl.params:
                 self.env.bind(decl.name, self.eval_process(decl.body, {}))
-        for decl in self.script.declarations:
-            if isinstance(decl, ast.AssertDecl):
-                self.assertions.append(decl)
+        # every equation without parameters is bound now: its name and arity
+        # are all that is left to look up
+        self.templates = {
+            name: decl for name, decl in self.templates.items() if decl.params
+        }
+        self.assertions = script.assertions()
 
     def _load_datatype(self, decl: ast.DatatypeDecl) -> None:
         if decl.name in self.datatypes:
@@ -109,6 +121,20 @@ class CspmModel:
         domains: List[Tuple[Value, ...]] = []
         for field_type in decl.field_types:
             domains.append(tuple(sorted(self.eval_value_set(field_type, {}), key=str)))
+        count = len(decl.names)
+        for domain in domains:
+            count *= len(domain)
+        self._declared_events += count
+        if self._declared_events > DECLARATION_BUDGET:
+            raise CspmEvaluationError(
+                "channel {} declares {} events ({} in all), more than the "
+                "budget of {}".format(
+                    ", ".join(decl.names),
+                    count,
+                    self._declared_events,
+                    DECLARATION_BUDGET,
+                )
+            )
         for name in decl.names:
             if name in self.channels:
                 raise CspmEvaluationError("duplicate channel {!r}".format(name))
@@ -124,13 +150,12 @@ class CspmModel:
         """A reference to a defined process, instantiating parameters if given."""
         if args:
             return self._instantiate(name, tuple(args))
-        if name not in self.templates:
+        arity = self.arities.get(name)
+        if arity is None:
             raise CspmEvaluationError("undefined process {!r}".format(name))
-        if self.templates[name].params:
+        if arity:
             raise CspmEvaluationError(
-                "process {!r} needs {} argument(s)".format(
-                    name, len(self.templates[name].params)
-                )
+                "process {!r} needs {} argument(s)".format(name, arity)
             )
         return ProcessRef(name)
 
@@ -276,16 +301,14 @@ class CspmModel:
             raise CspmEvaluationError(
                 "variable {!r} holds a value, not a process".format(ident)
             )
-        if ident in self.templates:
-            template = self.templates[ident]
-            if template.params:
-                raise CspmEvaluationError(
-                    "process {!r} used without its {} argument(s)".format(
-                        ident, len(template.params)
-                    )
-                )
-            return ProcessRef(ident)
-        raise CspmEvaluationError("undefined process {!r}".format(ident))
+        arity = self.arities.get(ident)
+        if arity is None:
+            raise CspmEvaluationError("undefined process {!r}".format(ident))
+        if arity:
+            raise CspmEvaluationError(
+                "process {!r} used without its {} argument(s)".format(ident, arity)
+            )
+        return ProcessRef(ident)
 
     def _eval_prefix(self, expr: ast.PrefixExpr, scope: Dict[str, Value]) -> Process:
         channel = self.channels.get(expr.channel)
@@ -352,31 +375,29 @@ class CspmModel:
         if not isinstance(expr.function, ast.Name):
             raise CspmEvaluationError("only named processes can be applied")
         name = expr.function.ident
-        template = self.templates.get(name)
-        if template is None:
-            raise CspmEvaluationError("undefined process {!r}".format(name))
-        if len(expr.args) != len(template.params):
-            raise CspmEvaluationError(
-                "process {!r} expects {} argument(s), got {}".format(
-                    name, len(template.params), len(expr.args)
-                )
-            )
+        self._check_arity(name, len(expr.args))
         args = tuple(self.eval_value(arg, scope) for arg in expr.args)
         return self._instantiate(name, args)
 
-    def _instantiate(self, name: str, args: Tuple[Value, ...]) -> Process:
-        template = self.templates.get(name)
-        if template is None:
+    def _check_arity(self, name: str, count: int) -> None:
+        arity = self.arities.get(name)
+        if arity is None:
             raise CspmEvaluationError("undefined process {!r}".format(name))
-        if len(args) != len(template.params):
+        if count != arity:
             raise CspmEvaluationError(
                 "process {!r} expects {} argument(s), got {}".format(
-                    name, len(template.params), len(args)
+                    name, arity, count
                 )
             )
+
+    def _instantiate(self, name: str, args: Tuple[Value, ...]) -> Process:
+        self._check_arity(name, len(args))
         key = "{}({})".format(name, ",".join(str(a) for a in args)) if args else name
         if key in self.env or key in self._instantiating:
             return ProcessRef(key)
+        # an equation without parameters is bound once loading is done, so
+        # only loading and parameterised equations get this far
+        template = self.templates[name]
         self._instantiating.add(key)
         try:
             bound = dict(zip(template.params, args))
@@ -486,6 +507,16 @@ class CspmModel:
         if isinstance(expr, ast.SetRange):
             low = self.eval_value(expr.low, scope)
             high = self.eval_value(expr.high, scope)
+            if not (isinstance(low, int) and isinstance(high, int)):
+                raise CspmEvaluationError(
+                    "set range {{{}..{}}} needs integer bounds".format(low, high)
+                )
+            count = max(0, high + 1 - low)
+            if count > DECLARATION_BUDGET:
+                raise CspmEvaluationError(
+                    "set {{{}..{}}} has {} values, more than the budget of "
+                    "{}".format(low, high, count, DECLARATION_BUDGET)
+                )
             return frozenset(range(low, high + 1))
         if isinstance(expr, ast.BinOp) and expr.op in ("union", "inter", "diff"):
             left = self.eval_value_set(expr.left, scope)

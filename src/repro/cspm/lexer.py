@@ -9,7 +9,8 @@ enumerated-channel-set syntax, ``assert`` statements and comments.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from bisect import bisect_left
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class CspmSyntaxError(SyntaxError):
@@ -107,63 +108,123 @@ _OPERATORS = [
 ]
 
 
-#: every token class, tried in this order at each position.  Whitespace,
-#: closed block comments and ``--`` comments are skipped; a ``{-`` that no
-#: ``-}`` closes is an error at its start.  A name continues with
-#: ``str.isalnum`` characters, ``_`` and ``'`` (``\w`` is ``isalnum`` or
-#: ``_``); it must start with a letter or ``_``, which ``tokenize`` checks,
-#: because ``[^\W\d]`` also admits non-letters such as ``²``.  Operators
-#: go longest first.
+#: one token, after any whitespace, closed block comments and ``--``
+#: comments that a newline ends, which the leading group skips.  The token
+#: is group 1: a name, an ASCII integer literal, the end of the source (with
+#: a ``--`` comment that runs to it), a ``{-`` that no ``-}`` closes (it
+#: must win over the ``{`` operator, and takes the rest of the source, so
+#: no later ``{-`` is searched for a close again), an operator (longest
+#: first), or any other character.  A name continues with ``str.isalnum`` characters, ``_``
+#: and ``'`` (``\w`` is ``isalnum`` or ``_``); it must start with a letter
+#: or ``_``, which :func:`lex` checks, because ``[^\W\d]`` also admits
+#: non-letters such as ``²``.
 _TOKEN = re.compile(
-    r"(?P<SKIP>[ \t\r\n]+|\{-.*?-\})"
-    r"|(?P<COMMENT>--[^\n]*)"
-    r"|(?P<OPEN_COMMENT>\{-)"
-    r"|(?P<NUMBER>[0-9]+)"
-    r"|(?P<NAME>[^\W\d][\w']*)"
-    r"|(?P<OPERATOR>" + "|".join(re.escape(symbol) for symbol, _ in _OPERATORS)
-    + r")|(?P<BAD>.)",
+    r"(?:[ \t\r\n]+|\{-.*?-\}|--[^\n]*(?=\n))*"
+    r"([^\W\d][\w']*|[0-9]+|(?:--[^\n]*)?\Z|\{-.*|"
+    + "|".join(re.escape(symbol) for symbol, _ in _OPERATORS)
+    + r"|.)",
     re.DOTALL,
 )
-_OPERATOR_KINDS = dict(_OPERATORS)
+
+#: the kind of every token text that has one fixed kind: an operator's
+#: name, a keyword's own text, ``UNDERSCORE`` for the wildcard ``_``
+_FIXED_KINDS: Dict[str, str] = dict(_OPERATORS)
+_FIXED_KINDS.update((keyword, keyword) for keyword in KEYWORDS)
+
+
+class _Kinds(dict):
+    """Token text -> kind, learning each name and literal on first sight."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        first = text[:1]
+        if "0" <= first <= "9":
+            kind = "NUMBER"
+        elif first.isalpha() or first == "_":
+            kind = "IDENT"
+        elif not first or first == "-":
+            kind = "EOF"  # the end, or a ``--`` comment that runs to it
+        elif text.startswith("{-"):
+            kind = "OPEN_COMMENT"
+        else:
+            kind = "BAD"
+        self[text] = kind
+        return kind
+
+
+class TokenStream:
+    """A lexed source: parallel lists of token kinds and texts, then EOF.
+
+    A keyword's kind is its own text (``"channel"``, ``"if"``); every other
+    kind is a name such as ``IDENT``, ``NUMBER`` or ``ARROW``.  The EOF
+    token's text is empty.  Start offsets, and line and column from them,
+    are computed only when asked for: for an error, or for
+    :func:`tokenize`.
+    """
+
+    __slots__ = ("source", "kinds", "texts", "_starts", "_newlines")
+
+    def __init__(self, source: str, kinds: List[str], texts: List[str]) -> None:
+        self.source = source
+        self.kinds = kinds
+        self.texts = texts
+        self._starts: Optional[List[int]] = None
+        self._newlines: List[int] = []
+
+    def position(self, index: int) -> Tuple[int, int]:
+        """The 1-based line and column at which token *index* starts."""
+        if self._starts is None:
+            # the same scan as :func:`lex`, so the matches line up
+            self._starts = [match.start(1) for match in _TOKEN.finditer(self.source)]
+            self._newlines = [
+                match.start() for match in re.finditer("\n", self.source)
+            ]
+        offset = self._starts[index]
+        line = bisect_left(self._newlines, offset)
+        line_start = self._newlines[line - 1] + 1 if line else 0
+        return line + 1, offset - line_start + 1
+
+    def error(self, message: str, index: int) -> CspmSyntaxError:
+        """A :class:`CspmSyntaxError` located at token *index*."""
+        return CspmSyntaxError(message, *self.position(index))
+
+
+def lex(source: str) -> TokenStream:
+    """Lex CSPm source into a :class:`TokenStream` ending with EOF.
+
+    Raises :class:`CspmSyntaxError` at the first character that cannot start
+    a token and at a ``{-`` that no ``-}`` closes.  Both ``--`` line
+    comments and ``{- -}`` block comments are stripped; a ``--`` comment
+    that ends the source puts EOF at its start.  Integer literals are ASCII
+    ``0-9`` only.
+    """
+    texts = _TOKEN.findall(source)
+    kinds = list(map(_Kinds(_FIXED_KINDS).__getitem__, texts))
+    end = kinds.index("EOF")
+    del kinds[end + 1 :], texts[end + 1 :]
+    texts[end] = ""
+    stream = TokenStream(source, kinds, texts)
+    if "BAD" in kinds or "OPEN_COMMENT" in kinds:
+        index = min(
+            kinds.index(kind) for kind in ("BAD", "OPEN_COMMENT") if kind in kinds
+        )
+        if kinds[index] == "OPEN_COMMENT":
+            raise stream.error("unterminated block comment", index)
+        message = "unexpected character {!r}".format(texts[index][0])
+        raise stream.error(message, index)
+    return stream
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenise CSPm source into a list of tokens ending with EOF.
+    """Tokenise CSPm source into a list of :class:`Token` ending with EOF.
 
-    Raises :class:`CspmSyntaxError` on any character that cannot start a
-    token.  Both ``--`` line comments and ``{- -}`` block comments are
-    stripped; a ``--`` comment that ends the source puts EOF at its start.
-    Integer literals are ASCII ``0-9`` only.
+    The tokens of :func:`lex`, each with its line and column; a keyword's
+    kind is ``KEYWORD``.  Raises :class:`CspmSyntaxError` as :func:`lex`
+    does.
     """
-    tokens: List[Token] = []
-    line, line_start, end = 1, 0, len(source)
-    for match in _TOKEN.finditer(source):
-        kind, text, start = match.lastgroup, match.group(), match.start()
-        if kind == "SKIP":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rfind("\n") + 1
-            continue
-        column = start - line_start + 1
-        if kind == "COMMENT":
-            if match.end() == end:
-                end = start
-            continue
-        if kind == "NAME":
-            if not (text[0].isalpha() or text[0] == "_"):
-                kind, text = "BAD", text[0]
-            elif text == "_":
-                kind = "UNDERSCORE"  # the wildcard, not an identifier
-            else:
-                kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-        elif kind == "OPERATOR":
-            kind = _OPERATOR_KINDS[text]
-        if kind == "BAD":
-            message = "unexpected character {!r}".format(text)
-            raise CspmSyntaxError(message, line, column)
-        if kind == "OPEN_COMMENT":
-            raise CspmSyntaxError("unterminated block comment", line, column)
-        tokens.append(Token(kind, text, line, column))
-    tokens.append(Token("EOF", "", line, end - line_start + 1))
-    return tokens
+    stream = lex(source)
+    return [
+        Token("KEYWORD" if kind in KEYWORDS else kind, text, *stream.position(index))
+        for index, (kind, text) in enumerate(zip(stream.kinds, stream.texts))
+    ]

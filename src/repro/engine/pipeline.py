@@ -88,13 +88,22 @@ class VerificationPipeline:
         self.max_states = max_states
         self.on_the_fly = on_the_fly
         self.passes = resolve_passes(passes)
-        self.plan = CompilationPlan(self, self.passes)
         self.checks_run = 0
         #: the observability sink; the null tracer unless the caller opts in
         self.obs: Tracer = ensure_tracer(obs)
         if self.obs.enabled:
             # mirror cache hit/miss counts into the tracer's metrics
             self.cache.obs = self.obs
+
+    @property
+    def plan(self) -> CompilationPlan:
+        """The compress-before-compose plan over this pipeline.
+
+        Built on each access: a plan holds its pipeline, so a stored one
+        would make every pipeline a reference cycle, kept (with its caches,
+        compiled automata and terms) until the next full collection.
+        """
+        return CompilationPlan(self, self.passes)
 
     # -- compilation ---------------------------------------------------------
 
@@ -196,8 +205,9 @@ class VerificationPipeline:
         obs = self.obs
         with obs.span("check", name=label, model=model) as root:
             with obs.span("plan"):
-                prepared_spec = self.plan.prepare(spec, model, max_states)
-                prepared_impl = self.plan.prepare(impl, model, max_states)
+                plan = self.plan
+                prepared_spec = plan.prepare(spec, model, max_states)
+                prepared_impl = plan.prepare(impl, model, max_states)
             normalised_spec = self.normalised(prepared_spec.term, max_states)
             if model != "FD" and self.on_the_fly:
                 implementation = self.lazy(prepared_impl.term, max_states)

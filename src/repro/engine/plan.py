@@ -202,7 +202,12 @@ def component_provenance(term: Process) -> Tuple[ComponentProvenance, ...]:
 
 
 class CompilationPlan:
-    """Decompose along composition boundaries, compress each component."""
+    """Decompose along composition boundaries, compress each component.
+
+    Holds nothing but its pipeline and passes, and
+    :attr:`VerificationPipeline.plan` builds one on each access, so no
+    pipeline refers to a plan that refers back to it.
+    """
 
     def __init__(self, pipeline, passes: Sequence[LtsPass]) -> None:
         self.pipeline = pipeline

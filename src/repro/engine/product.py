@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..csp.events import AlphabetTable, Event, TAU_ID, TICK_ID
 from ..csp.kernel import CompactLTS
@@ -408,24 +408,7 @@ class ProductLTS:
         tup = self.component_states(state)
         if self.sos:
             return tup[0]
-        position = [0]
-
-        def subst(term: Process) -> Process:
-            if isinstance(term, CompiledProcess):
-                k = position[0]
-                position[0] += 1
-                if term.state == tup[k]:
-                    return term
-                return CompiledProcess(term.automaton, tup[k])
-            if isinstance(term, GenParallel):
-                return GenParallel(subst(term.left), subst(term.right), term.sync)
-            if isinstance(term, Interleave):
-                return Interleave(subst(term.left), subst(term.right))
-            if isinstance(term, Hiding):
-                return Hiding(subst(term.process), term.hidden)
-            return Renaming(subst(term.process), dict(term.mapping))
-
-        return subst(self._template)
+        return _with_leaf_states(self._template, iter(tup))
 
     def successors_span(self, state: StateId) -> Tuple[array, array, int, int]:
         """The state's edge range in the shared flat arrays (expands once)."""
@@ -537,18 +520,40 @@ class _SpineTerms(Sequence):
 def _initial_tuple(term: Process) -> Tuple[StateId, ...]:
     """The compiled-leaf states of the template, in leaf order."""
     order: List[StateId] = []
-
-    def walk(current: Process) -> None:
-        if isinstance(current, CompiledProcess):
-            order.append(current.state)
-        elif isinstance(current, (GenParallel, Interleave)):
-            walk(current.left)
-            walk(current.right)
-        else:
-            walk(current.process)
-
-    walk(term)
+    _collect_leaf_states(term, order)
     return tuple(order)
+
+
+def _collect_leaf_states(term: Process, order: List[StateId]) -> None:
+    if isinstance(term, CompiledProcess):
+        order.append(term.state)
+    elif isinstance(term, (GenParallel, Interleave)):
+        _collect_leaf_states(term.left, order)
+        _collect_leaf_states(term.right, order)
+    else:
+        _collect_leaf_states(term.process, order)
+
+
+def _with_leaf_states(term: Process, states: Iterator[StateId]) -> Process:
+    """The spine *term* with its compiled leaves at the next *states*, in leaf order."""
+    if isinstance(term, CompiledProcess):
+        state = next(states)
+        if term.state == state:
+            return term
+        return CompiledProcess(term.automaton, state)
+    if isinstance(term, GenParallel):
+        return GenParallel(
+            _with_leaf_states(term.left, states),
+            _with_leaf_states(term.right, states),
+            term.sync,
+        )
+    if isinstance(term, Interleave):
+        return Interleave(
+            _with_leaf_states(term.left, states), _with_leaf_states(term.right, states)
+        )
+    if isinstance(term, Hiding):
+        return Hiding(_with_leaf_states(term.process, states), term.hidden)
+    return Renaming(_with_leaf_states(term.process, states), dict(term.mapping))
 
 
 def _encode(leaf_states: Tuple[StateId, ...], sizes: Tuple[int, ...]) -> int:

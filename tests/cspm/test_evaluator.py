@@ -200,6 +200,10 @@ class TestErrors:
         with pytest.raises(CspmEvaluationError):
             load("channel c : {0..1}\nchannel c : {0..1}")
 
+    def test_range_over_constructors(self):
+        with pytest.raises(CspmEvaluationError, match=r"^set range \{x\.\.y\} needs integer bounds$"):
+            load("datatype m = x | y\nchannel c : {x..y}")
+
 
 class TestAssertions:
     def test_paper_script_passes(self):
