@@ -224,7 +224,7 @@ def check_refinement(
     themselves.
     """
     pipeline = _pipeline(env, max_states, passes, on_the_fly, cache, table, obs)
-    return pipeline.refinement(spec, impl, model, name, max_states)
+    return pipeline.refinement(spec, impl, model, name)
 
 
 def check_property(
@@ -242,7 +242,7 @@ def check_property(
     """Discharge ``term :[property]`` -- ``"deadlock free"``,
     ``"divergence free"`` or ``"deterministic"``."""
     pipeline = _pipeline(env, max_states, passes, True, cache, table, obs)
-    return pipeline.property_check(term, property_name, name, max_states)
+    return pipeline.property_check(term, property_name, name)
 
 
 def check_deadlock(term: Process, **kwargs) -> CheckResult:

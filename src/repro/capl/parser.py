@@ -92,10 +92,6 @@ class Parser:
     def current(self) -> Token:
         return self._tokens[self._pos]
 
-    def peek(self, offset: int = 1) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
     def _error(self, message: str) -> CaplSyntaxError:
         token = self.current
         return CaplSyntaxError(

@@ -13,19 +13,17 @@ with per-state edge order preserved exactly as inserted.  Insertion order is
 load-bearing: BFS exploration order, counterexample tie-breaking and the
 golden conformance pins all depend on it, so the kernel never sorts edges.
 
-Construction happens through the same mutating API the old per-state
-tuple-list representation offered (``add_state`` / ``add_transition`` /
-``add_transition_id``); appends land in a per-state build buffer and the
-first query packs it into the three flat arrays.  Mutating after a query
-thaws the arrays back into the buffer, so the rare build-read-build pattern
-(e.g. tests extending a queried automaton) still works; steady-state
-consumers pay one ``is None`` check per query.
+An automaton is immutable once built.  Its constructor adopts finished CSR
+arrays, with the initial state and the per-state terms passed in; producers
+that hold their edges as per-state ``(event id, target)`` lists build with
+:meth:`CompactLTS.from_edges`.  Nothing changes an automaton afterwards, so
+every query reads the arrays as they stand and a value computed from them
+stays valid for the automaton's lifetime.
 
 The engine's hot paths never materialise ``(event, target)`` tuples: they
 call :meth:`CompactLTS.successors_span` and walk the shared arrays by index
-(see ``fdr.refine``, ``fdr.normalise`` and the passes).  ``transition_count``
-and ``alphabet()`` are cached -- both sit on stats/obs paths that used to
-rescan every edge per call -- and so are the divergent states
+(see ``fdr.refine``, ``fdr.normalise`` and the passes).  ``alphabet()`` is
+computed once and kept, and so are the divergent states
 (:func:`tau_cycle_states`), which ``[FD=``, ``:[divergence free]`` and
 normalisation all read from the same automaton.
 """
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import AlphabetTable, Event, TAU_ID, TICK_ID
 from .process import Process
@@ -56,72 +54,59 @@ class CompactLTS:
         "_offsets",
         "_events",
         "_targets",
-        "_pending",
         "_alphabet",
         "_divergent",
     )
 
-    def __init__(self, table: Optional[AlphabetTable] = None) -> None:
-        self.initial: StateId = 0
+    def __init__(
+        self,
+        table: Optional[AlphabetTable],
+        initial: StateId,
+        offsets: array,
+        events: array,
+        targets: array,
+        terms: Optional[Sequence[Optional[Process]]] = None,
+    ) -> None:
+        """Adopt packed CSR arrays; treat them as read-only from here on.
+
+        *terms* maps each state back to the process term it came from
+        (``None`` entries when no term is recorded, the default).
+        """
+        state_count = len(offsets) - 1
+        if state_count < 0:
+            raise ValueError("offsets array must have at least one entry")
+        if len(events) != len(targets) or offsets[-1] != len(events):
+            raise ValueError("CSR arrays are inconsistent")
+        self.initial: StateId = initial
         self.table: AlphabetTable = table if table is not None else AlphabetTable()
-        #: optional mapping back to the process term each state came from
-        self.terms: List[Optional[Process]] = []
-        self._offsets: array = array("q", [0])
-        self._events: array = array("q")
-        self._targets: array = array("q")
-        #: per-state edge buffers while building; None once packed
-        self._pending: Optional[List[List[Tuple[int, StateId]]]] = []
+        self.terms: Sequence[Optional[Process]] = (
+            terms if terms is not None else [None] * state_count
+        )
+        self._offsets: array = offsets
+        self._events: array = events
+        self._targets: array = targets
         self._alphabet: Optional[FrozenSet[Event]] = None
         #: the states on a tau cycle, once :func:`tau_cycle_states` asked
         self._divergent: Optional[FrozenSet[StateId]] = None
 
-    # -- construction --------------------------------------------------------
-
-    def add_state(self, term: Optional[Process] = None) -> StateId:
-        if self._pending is None:
-            self._thaw()
-        self._pending.append([])
-        self.terms.append(term)
-        return len(self.terms) - 1
-
-    def add_transition(self, source: StateId, event: Event, target: StateId) -> None:
-        self.add_transition_id(source, self.table.intern(event), target)
-
-    def add_transition_id(self, source: StateId, eid: int, target: StateId) -> None:
-        if self._pending is None:
-            self._thaw()
-        self._pending[source].append((eid, target))
-        self._alphabet = None
-        self._divergent = None
-
-    def _thaw(self) -> None:
-        """Unpack the CSR arrays back into per-state build buffers."""
-        offsets, events, targets = self._offsets, self._events, self._targets
-        self._pending = [
-            [
-                (events[i], targets[i])
-                for i in range(offsets[state], offsets[state + 1])
-            ]
-            for state in range(len(offsets) - 1)
-        ]
-        self._alphabet = None
-        self._divergent = None
-
-    def _freeze(self) -> None:
-        """Pack the build buffers into the three flat arrays."""
-        pending = self._pending
+    @classmethod
+    def from_edges(
+        cls,
+        table: Optional[AlphabetTable],
+        initial: StateId,
+        edges: Iterable[Iterable[Tuple[int, StateId]]],
+        terms: Optional[Sequence[Optional[Process]]] = None,
+    ) -> "CompactLTS":
+        """Pack per-state ``(event id, target)`` lists, in order, into CSR form."""
         offsets = array("q", [0])
         events = array("q")
         targets = array("q")
-        total = 0
-        for edges in pending:
-            total += len(edges)
-            offsets.append(total)
-            if edges:
-                events.extend(eid for eid, _ in edges)
-                targets.extend(target for _, target in edges)
-        self._offsets, self._events, self._targets = offsets, events, targets
-        self._pending = None
+        for state_edges in edges:
+            for eid, target in state_edges:
+                events.append(eid)
+                targets.append(target)
+            offsets.append(len(events))
+        return cls(table, initial, offsets, events, targets, terms)
 
     # -- the kernel's raw views ----------------------------------------------
 
@@ -131,58 +116,24 @@ class CompactLTS:
         The hot-path accessor: returns ``(events, targets, start, end)`` --
         no tuples are materialised, callers index the arrays directly.
         """
-        if self._pending is not None:
-            self._freeze()
         offsets = self._offsets
         return self._events, self._targets, offsets[state], offsets[state + 1]
 
     def csr_arrays(self) -> Tuple[array, array, array]:
-        """The packed ``(offsets, events, targets)`` arrays (freezes first).
+        """The packed ``(offsets, events, targets)`` arrays.
 
         The disk cache serialises these directly; treat them as read-only.
         """
-        if self._pending is not None:
-            self._freeze()
         return self._offsets, self._events, self._targets
-
-    @classmethod
-    def from_csr(
-        cls,
-        table: Optional[AlphabetTable],
-        initial: StateId,
-        offsets: array,
-        events: array,
-        targets: array,
-    ) -> "CompactLTS":
-        """Adopt already-packed CSR arrays (the warm disk-cache load path)."""
-        state_count = len(offsets) - 1
-        if state_count < 0:
-            raise ValueError("offsets array must have at least one entry")
-        if len(events) != len(targets) or (
-            state_count >= 0 and offsets[-1] != len(events)
-        ):
-            raise ValueError("CSR arrays are inconsistent")
-        lts = cls(table)
-        lts.initial = initial
-        lts.terms = [None] * state_count
-        lts._offsets = offsets
-        lts._events = events
-        lts._targets = targets
-        lts._pending = None
-        return lts
 
     # -- queries -------------------------------------------------------------
 
     @property
     def state_count(self) -> int:
-        return len(self.terms)
+        return len(self._offsets) - 1
 
     @property
     def transition_count(self) -> int:
-        """Total edge count -- O(1) once packed (cached by representation)."""
-        pending = self._pending
-        if pending is not None:
-            return sum(len(edges) for edges in pending)
         return len(self._events)
 
     def successors(self, state: StateId) -> List[Tuple[Event, StateId]]:
@@ -200,20 +151,6 @@ class CompactLTS:
         """
         events, targets, start, end = self.successors_span(state)
         return [(events[i], targets[i]) for i in range(start, end)]
-
-    def visible_successors(self, state: StateId) -> List[Tuple[Event, StateId]]:
-        """Transitions on events other than tau (tick included: it is observable)."""
-        events, targets, start, end = self.successors_span(state)
-        event_of = self.table.event_of
-        return [
-            (event_of(events[i]), targets[i])
-            for i in range(start, end)
-            if events[i] != TAU_ID
-        ]
-
-    def tau_successors(self, state: StateId) -> List[StateId]:
-        events, targets, start, end = self.successors_span(state)
-        return [targets[i] for i in range(start, end) if events[i] == TAU_ID]
 
     def initials(self, state: StateId) -> FrozenSet[Event]:
         events, _targets, start, end = self.successors_span(state)
@@ -235,8 +172,6 @@ class CompactLTS:
 
     def tau_closure(self, states: FrozenSet[StateId]) -> FrozenSet[StateId]:
         """All states reachable from *states* by zero or more tau steps."""
-        if self._pending is not None:
-            self._freeze()
         offsets, events, targets = self._offsets, self._events, self._targets
         seen: Set[StateId] = set(states)
         work = deque(states)
@@ -255,8 +190,6 @@ class CompactLTS:
         cached = self._alphabet
         if cached is not None:
             return cached
-        if self._pending is not None:
-            self._freeze()
         ids: Set[int] = set(self._events)
         ids.discard(TAU_ID)
         ids.discard(TICK_ID)
@@ -295,7 +228,7 @@ class CompactLTS:
         return current
 
     def iter_states(self) -> Iterator[StateId]:
-        return iter(range(len(self.terms)))
+        return iter(range(self.state_count))
 
     def to_dot(self, name: str = "lts") -> str:
         """Render the LTS in Graphviz dot format (FDR-style visualisation)."""

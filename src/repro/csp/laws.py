@@ -88,11 +88,6 @@ def law_parallel_commutative(
     return GenParallel(p, q, sync), GenParallel(q, p, sync)
 
 
-def law_parallel_stop(p: Process, sync: Alphabet) -> Tuple[Process, Process]:
-    """If every event of P is in A, then P [|A|] STOP =T STOP."""
-    return GenParallel(p, STOP, sync), STOP
-
-
 def law_seq_skip_left_unit(p: Process) -> Tuple[Process, Process]:
     """SKIP ; P  =T  P"""
     return SeqComp(SKIP, p), p

@@ -129,9 +129,7 @@ def compile_lts(
                 work.append(successor)
         offsets.append(len(events))
 
-    lts = CompactLTS.from_csr(table, 0, offsets, events, targets)
-    lts.terms = terms
-    return lts
+    return CompactLTS(table, 0, offsets, events, targets, terms)
 
 
 def reachable_visible_traces(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .events import Alphabet, Event
+from .events import Alphabet, AlphabetTable, Event
 from .lts import LTS
 from .process import (
     Environment,
@@ -198,16 +198,16 @@ def tockify_lts(lts: LTS) -> LTS:
     The blunt 'time may always pass' conversion of an untimed LTS, useful
     for composing untimed components with timed specifications.
     """
-    timed = LTS()
+    table = AlphabetTable()
+    edges = []
     for state in lts.iter_states():
-        timed.add_state(lts.terms[state])
-    timed.initial = lts.initial
-    for state in lts.iter_states():
+        out = []
         has_tock = False
         for event, target in lts.successors(state):
-            timed.add_transition(state, event, target)
+            out.append((table.intern(event), target))
             if event == TOCK:
                 has_tock = True
         if not has_tock:
-            timed.add_transition(state, TOCK, state)
-    return timed
+            out.append((table.intern(TOCK), state))
+        edges.append(out)
+    return LTS.from_edges(table, lts.initial, edges, lts.terms)

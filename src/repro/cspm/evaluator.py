@@ -14,8 +14,8 @@ Loading a script performs, in order:
 
 A loaded model keeps of the syntax only what it still needs: the assertions
 and the parameterised equations.  Declared sizes are checked before anything
-is built: a set range, and the events of all channel declarations together,
-may not exceed :data:`DECLARATION_BUDGET`.
+is built: a set range, a set union, and the events of all channel
+declarations together, may not exceed :data:`DECLARATION_BUDGET`.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .parser import parse
 
 SetValue = Union[Alphabet, FrozenSet[Value]]
 
-#: the most values one set range, and the most events all channel
-#: declarations together, may declare
+#: the most values one set range or set union, and the most events all
+#: channel declarations together, may declare
 DECLARATION_BUDGET = 2**20
 
 
@@ -167,9 +167,10 @@ class CspmModel:
         All assertions share one verification pipeline, so a process term
         appearing on several assert lines compiles and normalises once.  Pass
         a preconfigured :class:`~repro.engine.VerificationPipeline` to
-        control eager/lazy search or reuse a cache across scripts; *passes*
-        configures compress-before-compose when no pipeline is supplied
-        ("default", "none", or a comma-separated pass list).
+        control eager/lazy search or reuse a cache across scripts; a pipeline
+        passed in checks under its own state budget, and *max_states* and
+        *passes* ("default", "none", or a comma-separated pass list)
+        configure only the pipeline built when none is supplied.
         """
         if pipeline is None:
             pipeline = VerificationPipeline(
@@ -177,7 +178,7 @@ class CspmModel:
             )
         results = []
         for decl in self.assertions:
-            results.append(self.check_assertion(decl, max_states, pipeline))
+            results.append(self.check_assertion(decl, pipeline=pipeline))
         return results
 
     def check_assertion(
@@ -186,18 +187,19 @@ class CspmModel:
         max_states: int = 200_000,
         pipeline=None,
     ) -> CheckResult:
+        """Discharge one ``assert`` declaration of the script.
+
+        A *pipeline* passed in checks under its own state budget;
+        *max_states* is the budget of the pipeline built when none is.
+        """
         if pipeline is None:
             pipeline = VerificationPipeline(self.env, max_states=max_states)
         left = self.eval_process(decl.left, {})
         if decl.kind in ("T", "F", "FD"):
             right = self.eval_process(decl.right, {})
-            result = pipeline.refinement(
-                left, right, decl.kind, max_states=max_states
-            )
+            result = pipeline.refinement(left, right, decl.kind)
         else:
-            result = pipeline.property_check(
-                left, decl.kind, max_states=max_states
-            )
+            result = pipeline.property_check(left, decl.kind)
         if decl.negated:
             flipped = CheckResult(
                 "not ({})".format(result.name),
@@ -522,13 +524,40 @@ class CspmModel:
             left = self.eval_value_set(expr.left, scope)
             right = self.eval_value_set(expr.right, scope)
             if expr.op == "union":
-                return left | right
+                union = left | right
+                if len(union) > DECLARATION_BUDGET:
+                    raise CspmEvaluationError(
+                        "set {} has {} values, more than the budget of "
+                        "{}".format(
+                            self._set_text(expr, scope),
+                            len(union),
+                            DECLARATION_BUDGET,
+                        )
+                    )
+                return union
             if expr.op == "inter":
                 return left & right
             return left - right
         raise CspmEvaluationError(
             "cannot evaluate {!r} as a value set".format(type(expr).__name__)
         )
+
+    def _set_text(self, expr: ast.Expr, scope: Dict[str, Value]) -> str:
+        """A value-set expression as CSPm text, for error messages."""
+        if isinstance(expr, ast.Name):
+            return expr.ident
+        if isinstance(expr, ast.SetRange):
+            return "{{{}..{}}}".format(
+                self.eval_value(expr.low, scope), self.eval_value(expr.high, scope)
+            )
+        if isinstance(expr, ast.BinOp):
+            return "{}({}, {})".format(
+                expr.op,
+                self._set_text(expr.left, scope),
+                self._set_text(expr.right, scope),
+            )
+        values = sorted(self.eval_value_set(expr, scope), key=str)
+        return "{" + ", ".join(str(value) for value in values) + "}"
 
     def eval_event_set(self, expr: ast.Expr, scope: Dict[str, Value]) -> Alphabet:
         """Evaluate a set of *events* (sync sets, hiding sets)."""

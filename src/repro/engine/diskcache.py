@@ -166,7 +166,7 @@ def _lts_of(
     for target in targets:
         if not 0 <= target < states:
             raise ValueError("target state out of range")
-    return CompactLTS.from_csr(table, initial, offsets, local_events, targets)
+    return CompactLTS(table, initial, offsets, local_events, targets)
 
 
 class DiskCache:

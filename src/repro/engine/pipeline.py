@@ -107,30 +107,30 @@ class VerificationPipeline:
 
     # -- compilation ---------------------------------------------------------
 
-    def compile(self, process: Process, max_states: Optional[int] = None) -> LTS:
+    def compile(self, process: Process) -> LTS:
         """Compile *process* through the cache, in the pipeline's id space.
 
         A compile that exceeded the budget is recorded in the cache, and a
-        repeat under the same budget raises the same error at once.
+        repeat under the same budget (from any pipeline sharing the cache)
+        raises the same error at once.
         """
-        limit = self.max_states if max_states is None else max_states
         key = structural_key(process, self.env)
-        cached = self.cache.get_lts(key, limit, table=self.table)
+        cached = self.cache.get_lts(key, self.max_states, table=self.table)
         if cached is not None:
             return cached
-        failure = self.cache.get_failure(key, limit)
+        failure = self.cache.get_failure(key, self.max_states)
         if failure is not None:
             raise failure
         obs = self.obs
         try:
             if obs.enabled:
                 with obs.span("compile") as span:
-                    lts = self._generate(process, limit)
+                    lts = self._generate(process)
                     span.set_tag("states", lts.state_count)
             else:
-                lts = self._generate(process, limit)
+                lts = self._generate(process)
         except StateSpaceLimitExceeded as error:
-            self.cache.put_failure(key, limit, error)
+            self.cache.put_failure(key, self.max_states, error)
             raise
         if obs.enabled:
             metrics = obs.metrics
@@ -139,7 +139,7 @@ class VerificationPipeline:
         self.cache.put_lts(key, lts)
         return lts
 
-    def _generate(self, process: Process, limit: int) -> LTS:
+    def _generate(self, process: Process) -> LTS:
         """The full state space of *process*, in the pipeline's id space.
 
         A composition spine over compiled leaves, or a bare compiled leaf,
@@ -147,21 +147,20 @@ class VerificationPipeline:
         SOS leaf, which ``compile_lts`` expands to the same automaton
         faster.
         """
-        product = ProductLTS.for_term(process, self.table, limit, self.env)
+        product = ProductLTS.for_term(
+            process, self.table, self.max_states, self.env
+        )
         if product.sos:
-            return compile_lts(process, self.env, limit, self.table)
+            return compile_lts(process, self.env, self.max_states, self.table)
         return product.materialise()
 
-    def normalised(
-        self, process: Process, max_states: Optional[int] = None
-    ) -> NormalisedSpec:
+    def normalised(self, process: Process) -> NormalisedSpec:
         """The normalised automaton of *process*, through the cache."""
-        limit = self.max_states if max_states is None else max_states
         key = structural_key(process, self.env)
-        cached = self.cache.get_normalised(key, limit)
+        cached = self.cache.get_normalised(key, self.max_states)
         if cached is not None:
             return cached
-        lts = self.compile(process, limit)
+        lts = self.compile(process)
         obs = self.obs
         if obs.enabled:
             with obs.span("normalise", states=lts.state_count) as span:
@@ -172,12 +171,9 @@ class VerificationPipeline:
         self.cache.put_normalised(key, spec)
         return spec
 
-    def lazy(
-        self, process: Process, max_states: Optional[int] = None
-    ) -> ProductLTS:
+    def lazy(self, process: Process) -> ProductLTS:
         """An on-the-fly expansion of *process* in the pipeline's id space."""
-        limit = self.max_states if max_states is None else max_states
-        return ProductLTS.for_term(process, self.table, limit, self.env)
+        return ProductLTS.for_term(process, self.table, self.max_states, self.env)
 
     # -- checks --------------------------------------------------------------
 
@@ -187,7 +183,6 @@ class VerificationPipeline:
         impl: Process,
         model: str = "T",
         name: Optional[str] = None,
-        max_states: Optional[int] = None,
     ) -> CheckResult:
         """Discharge ``spec [model= impl``.
 
@@ -206,13 +201,13 @@ class VerificationPipeline:
         with obs.span("check", name=label, model=model) as root:
             with obs.span("plan"):
                 plan = self.plan
-                prepared_spec = plan.prepare(spec, model, max_states)
-                prepared_impl = plan.prepare(impl, model, max_states)
-            normalised_spec = self.normalised(prepared_spec.term, max_states)
+                prepared_spec = plan.prepare(spec, model)
+                prepared_impl = plan.prepare(impl, model)
+            normalised_spec = self.normalised(prepared_spec.term)
             if model != "FD" and self.on_the_fly:
-                implementation = self.lazy(prepared_impl.term, max_states)
+                implementation = self.lazy(prepared_impl.term)
             else:
-                implementation = self.compile(prepared_impl.term, max_states)
+                implementation = self.compile(prepared_impl.term)
             with obs.span("refine", model=model):
                 result = _REFINEMENTS[model](
                     normalised_spec, implementation, label, obs
@@ -224,7 +219,6 @@ class VerificationPipeline:
         process: Process,
         property_name: str,
         name: Optional[str] = None,
-        max_states: Optional[int] = None,
     ) -> CheckResult:
         """Discharge ``process :[property]`` (deadlock/divergence/determinism)."""
         try:
@@ -242,8 +236,8 @@ class VerificationPipeline:
             # property checks observe failures and divergences, so only
             # FD-preserving passes may rewrite the process
             with obs.span("plan"):
-                prepared = self.plan.prepare(process, "FD", max_states)
-            lts = self.compile(prepared.term, max_states)
+                prepared = self.plan.prepare(process, "FD")
+            lts = self.compile(prepared.term)
             with obs.span("refine", property=property_name):
                 result = checker(lts, label, obs)
         return self._finish(result, root, prepared)

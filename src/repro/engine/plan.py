@@ -213,28 +213,22 @@ class CompilationPlan:
         self.pipeline = pipeline
         self.passes: Tuple[LtsPass, ...] = tuple(passes)
 
-    def prepare(
-        self,
-        term: Process,
-        model: str = "FD",
-        max_states: Optional[int] = None,
-    ) -> PreparedTerm:
+    def prepare(self, term: Process, model: str = "FD") -> PreparedTerm:
         """Rebuild *term* with compressed component leaves.
 
         *model* is the semantic model of the check about to run; passes that
         are not equivalences in that model are skipped.  Terms without a
         composition boundary are returned untouched -- compression buys
         nothing there, and the SOS path preserves every existing behaviour
-        (lazy early exit included) exactly.
+        (lazy early exit included) exactly.  Components compile under the
+        pipeline's state budget.
         """
         passes = passes_for_model(self.passes, model)
         if not passes or not self._has_boundary(term):
             return PreparedTerm(term, (), ())
         stats: List[PassStats] = []
         components: List[CompiledAutomaton] = []
-        rebuilt = self._rebuild(
-            term, passes, frozenset(), max_states, stats, components
-        )
+        rebuilt = self._rebuild(term, passes, frozenset(), stats, components)
         return PreparedTerm(rebuilt, tuple(stats), tuple(components))
 
     # -- decomposition -------------------------------------------------------
@@ -274,7 +268,6 @@ class CompilationPlan:
         term: Process,
         passes: Tuple[LtsPass, ...],
         unwinding: frozenset,
-        max_states: Optional[int],
         stats: List[PassStats],
         components: List[CompiledAutomaton],
     ) -> Process:
@@ -287,45 +280,32 @@ class CompilationPlan:
                     self.pipeline.env.resolve(term.name),
                     passes,
                     unwinding | {term.name},
-                    max_states,
                     stats,
                     components,
                 )
-            return self._component(term, passes, max_states, stats, components)
+            return self._component(term, passes, stats, components)
         if isinstance(term, GenParallel):
             return GenParallel(
-                self._rebuild(
-                    term.left, passes, unwinding, max_states, stats, components
-                ),
-                self._rebuild(
-                    term.right, passes, unwinding, max_states, stats, components
-                ),
+                self._rebuild(term.left, passes, unwinding, stats, components),
+                self._rebuild(term.right, passes, unwinding, stats, components),
                 term.sync,
             )
         if isinstance(term, Interleave):
             return Interleave(
-                self._rebuild(
-                    term.left, passes, unwinding, max_states, stats, components
-                ),
-                self._rebuild(
-                    term.right, passes, unwinding, max_states, stats, components
-                ),
+                self._rebuild(term.left, passes, unwinding, stats, components),
+                self._rebuild(term.right, passes, unwinding, stats, components),
             )
         if isinstance(term, Hiding):
             return Hiding(
-                self._rebuild(
-                    term.process, passes, unwinding, max_states, stats, components
-                ),
+                self._rebuild(term.process, passes, unwinding, stats, components),
                 term.hidden,
             )
         if isinstance(term, Renaming):
             return Renaming(
-                self._rebuild(
-                    term.process, passes, unwinding, max_states, stats, components
-                ),
+                self._rebuild(term.process, passes, unwinding, stats, components),
                 dict(term.mapping),
             )
-        return self._component(term, passes, max_states, stats, components)
+        return self._component(term, passes, stats, components)
 
     # -- component compilation ----------------------------------------------
 
@@ -333,7 +313,6 @@ class CompilationPlan:
         self,
         term: Process,
         passes: Tuple[LtsPass, ...],
-        max_states: Optional[int],
         stats: List[PassStats],
         components: List[CompiledAutomaton],
     ) -> Process:
@@ -346,7 +325,7 @@ class CompilationPlan:
         automaton = pipeline.cache.get_compressed(key, pass_names)
         if automaton is None:
             try:
-                source = pipeline.compile(term, max_states)
+                source = pipeline.compile(term)
             except _COMPONENT_FAILURES:
                 # the component alone is too big (composition may restrict
                 # it) or not compilable: keep the SOS leaf, degrade gracefully

@@ -440,11 +440,14 @@ class ProductLTS:
         self._index = None
         self._node = None
         self._bounds = []
-        lts = CompactLTS.from_csr(
-            self.table, self.initial, offsets, events, self._targets
+        return CompactLTS(
+            self.table,
+            self.initial,
+            offsets,
+            events,
+            self._targets,
+            _SpineTerms(self),
         )
-        lts.terms = _SpineTerms(self)
-        return lts
 
     def _emit(self, state: StateId) -> None:
         """Append the state's edges to the buffers, numbering new states."""

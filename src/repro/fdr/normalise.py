@@ -21,11 +21,12 @@ decode through the table, so existing callers see the same API as before.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..csp.events import AlphabetTable, Event, TAU_ID
 from ..csp.kernel import tau_cycle_states
 from ..csp.lts import LTS, StateId
+from ..csp.process import Process
 
 NodeId = int
 
@@ -97,21 +98,21 @@ class NormalisedSpec:
                 return True
         return False
 
-    def as_lts(self) -> LTS:
+    def as_lts(self, terms: Optional[Sequence[Optional[Process]]] = None) -> LTS:
         """View the normalised automaton as a (deterministic, tau-free) LTS.
 
-        Shares this spec's alphabet table.  Used by the quickcheck oracle
-        that checks normalisation is idempotent at the trace level:
-        re-normalising ``as_lts()`` must not change the trace behaviour.
+        Shares this spec's alphabet table; *terms*, if given, names the
+        process term behind each node.  Used by the ``normal`` pass and by
+        the quickcheck oracle that checks normalisation is idempotent at the
+        trace level: re-normalising ``as_lts()`` must not change the trace
+        behaviour.
         """
-        lts = LTS(self.table)
-        for _ in range(self.node_count):
-            lts.add_state()
-        for node, row in enumerate(self.afters_ids):
-            for eid, target in row.items():
-                lts.add_transition_id(node, eid, target)
-        lts.initial = self.initial
-        return lts
+        return LTS.from_edges(
+            self.table,
+            self.initial,
+            [list(row.items()) for row in self.afters_ids],
+            terms,
+        )
 
 
 def minimal_sets(sets: Set[FrozenSet[Event]]) -> Tuple[FrozenSet[Event], ...]:

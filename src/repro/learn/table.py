@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..csp.events import Event
+from ..csp.events import AlphabetTable, Event
 from ..csp.kernel import CompactLTS
 from .sul import Word
 
@@ -99,13 +99,16 @@ class Hypothesis:
     ) -> None:
         self.access = access
         self.delta = delta
-        lts = CompactLTS(table)
-        for _ in access:
-            lts.add_state()
-        for source, edges in enumerate(delta):
-            for event in sorted(edges, key=str):
-                lts.add_transition(source, event, edges[event])
-        self.lts = lts
+        table = table if table is not None else AlphabetTable()
+        intern = table.intern
+        self.lts = CompactLTS.from_edges(
+            table,
+            0,
+            [
+                [(intern(event), edges[event]) for event in sorted(edges, key=str)]
+                for edges in delta
+            ],
+        )
 
     @property
     def state_count(self) -> int:

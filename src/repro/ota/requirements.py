@@ -201,31 +201,6 @@ def check_requirement(
     return _discharge(spec, impl, env, name, passes=passes, obs=obs, cache=cache)
 
 
-def check_r01() -> CheckResult:
-    """First session event is the inventory request."""
-    return check_requirement("R01")
-
-
-def check_r02() -> CheckResult:
-    """SP02 on the inventory exchange (the paper's worked property)."""
-    return check_requirement("R02")
-
-
-def check_r03() -> CheckResult:
-    """No update result without a prior apply request."""
-    return check_requirement("R03")
-
-
-def check_r04() -> CheckResult:
-    """Apply request and update result strictly alternate."""
-    return check_requirement("R04")
-
-
-def check_r05() -> CheckResult:
-    """Shared-key MACs stop unauthorised-update injection."""
-    return check_requirement("R05")
-
-
 def check_all() -> List[Tuple[Requirement, CheckResult]]:
     """Discharge every Table III requirement; the T3 benchmark's payload."""
     return [(row, check_requirement(row.req_id)) for row in TABLE_III]

@@ -26,6 +26,7 @@ across runs and interpreter hash seeds.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -65,10 +66,6 @@ class PassStats(NamedTuple):
     states_after: int
     transitions_after: int
     wall_ms: float
-
-    @property
-    def states_removed(self) -> int:
-        return self.states_before - self.states_after
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -217,12 +214,11 @@ def bfs_renumber(
     ``rep_of``), merging duplicates in favour of the first occurrence.
 
     Returns the new LTS and the new-to-old map (each new state maps to the
-    representative it was built from).
+    representative it was built from).  New states are expanded in id
+    order, so their edges are appended to the CSR arrays as they are found.
     """
-    renumbered = LTS(lts.table)
     if lts.state_count == 0:
-        renumbered.add_state(None)
-        return renumbered, (0,)
+        return LTS(lts.table, 0, array("q", [0, 0]), array("q"), array("q")), (0,)
 
     if rep_of is None:
         rep_of = range(lts.state_count)
@@ -230,37 +226,43 @@ def bfs_renumber(
     #: representative old id -> new id, assigned in BFS discovery order
     index: Dict[StateId, StateId] = {}
     new_to_old: List[StateId] = []
+    source_terms = lts.terms
+    terms: List = []
+    offsets = array("q", [0])
+    events = array("q")
+    targets = array("q")
 
     def state_of(old: StateId) -> StateId:
         rep = rep_of[old]
         existing = index.get(rep)
         if existing is not None:
             return existing
-        new = renumbered.add_state(lts.terms[rep])
-        index[rep] = new
+        new = index[rep] = len(new_to_old)
         new_to_old.append(rep)
+        terms.append(source_terms[rep])
         return new
 
-    renumbered.initial = state_of(lts.initial)
+    state_of(lts.initial)
     work: deque = deque([rep_of[lts.initial]])
     while work:
         rep = work.popleft()
-        source = index[rep]
         seen_edges = set()
-        events, targets, lo, hi = lts.successors_span(rep)
+        old_events, old_targets, lo, hi = lts.successors_span(rep)
         for i in range(lo, hi):
-            eid = events[i]
-            target_rep = rep_of[targets[i]]
+            eid = old_events[i]
+            target_rep = rep_of[old_targets[i]]
             discovered = target_rep in index
-            new_target = state_of(targets[i])
+            new_target = state_of(old_targets[i])
             edge = (eid, new_target)
             if edge in seen_edges:
                 continue
             seen_edges.add(edge)
-            renumbered.add_transition_id(source, eid, new_target)
+            events.append(eid)
+            targets.append(new_target)
             if not discovered:
                 work.append(target_rep)
-    return renumbered, tuple(new_to_old)
+        offsets.append(len(events))
+    return LTS(lts.table, 0, offsets, events, targets, terms), tuple(new_to_old)
 
 
 # -- the registry -------------------------------------------------------------------

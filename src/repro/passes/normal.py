@@ -32,9 +32,9 @@ class NormalPass(LtsPass):
         from ..fdr.normalise import normalise
 
         spec = normalise(lts)
-        determinised = spec.as_lts()
-        for node, members in enumerate(spec.members):
-            determinised.terms[node] = lts.terms[min(members)]
+        determinised = spec.as_lts(
+            [lts.terms[min(members)] for members in spec.members]
+        )
         renumbered, new_to_node = bfs_renumber(determinised)
         return renumbered, tuple(
             min(spec.members[node]) for node in new_to_node

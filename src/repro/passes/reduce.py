@@ -51,31 +51,23 @@ class TauLoopPass(LtsPass):
         if lts.state_count == 0:
             return bfs_renumber(lts)
         scc_of = tau_scc_of(lts)
-
-        # smallest member represents its component (ids are BFS-ordered in
-        # pass inputs, so this is the first-discovered member)
-        representative: dict = {}
-        for state in range(lts.state_count):
-            scc = scc_of[state]
-            if scc not in representative or state < representative[scc]:
-                representative[scc] = state
-
-        # the collapsed component needs the *union* of member transitions
-        # (members differ; any of them is silently reachable from any other),
-        # gathered in ascending member order so output order is stable
-        collapsed = LTS(lts.table)
-        state_of: dict = {}
         members: dict = {}
         for state in range(lts.state_count):
             members.setdefault(scc_of[state], []).append(state)
-        for scc, group in members.items():
-            state_of[scc] = collapsed.add_state(lts.terms[representative[scc]])
-        collapsed.initial = state_of[scc_of[lts.initial]]
-        provenance: List[StateId] = [0] * collapsed.state_count
+        state_of = {scc: new for new, scc in enumerate(members)}
+
+        # the collapsed component needs the *union* of member transitions
+        # (members differ; any of them is silently reachable from any other),
+        # gathered in ascending member order so output order is stable; its
+        # smallest member represents it (ids are BFS-ordered in pass inputs,
+        # so this is the first-discovered member)
+        provenance: List[StateId] = []
+        edges: List[List[Tuple[int, StateId]]] = []
         for scc, group in members.items():
             source = state_of[scc]
-            provenance[source] = representative[scc]
+            provenance.append(group[0])
             seen = set()
+            out: List[Tuple[int, StateId]] = []
             for state in group:
                 events, targets, lo, hi = lts.successors_span(state)
                 for i in range(lo, hi):
@@ -90,7 +82,14 @@ class TauLoopPass(LtsPass):
                     if edge in seen:
                         continue
                     seen.add(edge)
-                    collapsed.add_transition_id(source, edge[0], edge[1])
+                    out.append(edge)
+            edges.append(out)
+        collapsed = LTS.from_edges(
+            lts.table,
+            state_of[scc_of[lts.initial]],
+            edges,
+            [lts.terms[rep] for rep in provenance],
+        )
 
         renumbered, new_to_mid = bfs_renumber(collapsed)
         return renumbered, tuple(provenance[mid] for mid in new_to_mid)

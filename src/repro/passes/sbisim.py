@@ -114,15 +114,6 @@ def bisimulation_classes(lts: LTS) -> List[FrozenSet[StateId]]:
     return classes
 
 
-def block_index(classes: List[FrozenSet[StateId]], count: int) -> List[int]:
-    """Invert a class list into a state -> class-index array."""
-    index = [0] * count
-    for position, block in enumerate(classes):
-        for state in block:
-            index[state] = position
-    return index
-
-
 def minimise(lts: LTS) -> LTS:
     """Quotient the LTS by strong bisimulation.
 

@@ -860,7 +860,10 @@ def check_spine(value) -> None:
     materialises the product), the other through the SOS compiler.  The CSR
     arrays, the events behind every id (the two tables must end up
     identical), the term behind every state, and the budgets at which
-    :class:`StateSpaceLimitExceeded` is raised must all coincide.  With
+    :class:`StateSpaceLimitExceeded` is raised must all coincide.  The
+    budgets are swept in ascending order, one pipeline each over one
+    shared cache, so every refusal comes from the explorer and not from a
+    cached automaton.  With
     *foreign* set, a third pipeline compresses the components first into a
     shared cache, so both sides compose leaves from a foreign id space.
     """
@@ -874,9 +877,10 @@ def check_spine(value) -> None:
     reference_term = sos_side.plan.prepare(term, model).term
     if ProductLTS.for_term(prepared, product_side.table).sos:
         raise Discard
-    limit = product_side.max_states
-    materialised = product_side.compile(prepared, limit)
-    reference = compile_lts(reference_term, sos_side.env, limit, sos_side.table)
+    materialised = product_side.compile(prepared)
+    reference = compile_lts(
+        reference_term, sos_side.env, sos_side.max_states, sos_side.table
+    )
     if materialised.csr_arrays() != reference.csr_arrays():
         raise OracleViolation(
             "materialising {!r} (model {}) built a different automaton than "
@@ -909,11 +913,12 @@ def check_spine(value) -> None:
                 )
             )
     states = reference.state_count
+    sweep = CompilationCache()
     for budget in sorted({0, 1, states - 1, states}):
         product_fits = _fits(
-            lambda: VerificationPipeline(table=product_side.table).compile(
-                prepared, budget
-            )
+            lambda: VerificationPipeline(
+                table=product_side.table, cache=sweep, max_states=budget
+            ).compile(prepared)
         )
         sos_fits = _fits(
             lambda: compile_lts(reference_term, sos_side.env, budget, sos_side.table)

@@ -286,7 +286,5 @@ def _build(
         env, cache=cache, max_states=max_states, passes=passes, obs=tracer
     )
     with tracer.span("plan"):
-        prepared = pipeline.plan.prepare(spec, "T", max_states)
-    return BuiltSpec(
-        prepared.pass_stats, pipeline.normalised(prepared.term, max_states)
-    )
+        prepared = pipeline.plan.prepare(spec, "T")
+    return BuiltSpec(prepared.pass_stats, pipeline.normalised(prepared.term))

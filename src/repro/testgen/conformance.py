@@ -80,15 +80,21 @@ def run_test(
 ) -> TestVerdict:
     """Execute one test against a fresh ECU instance.
 
-    Stimuli are injected one at a time (each followed by a scheduler flush,
-    so responses interleave deterministically); the observed exchange is
-    rebuilt as a trace and checked for membership in the specification.
-    *ecu_source* is CAPL text or an already parsed :class:`Program`.
+    The ECU starts first: its ``on start`` handlers run, and what they
+    transmit opens the observed trace.  Stimuli are then injected one at a
+    time (each followed by a scheduler flush, so responses interleave
+    deterministically); the observed exchange is rebuilt as a trace and
+    checked for membership in the specification.  *ecu_source* is CAPL
+    text or an already parsed :class:`Program`.
     """
     scheduler = Scheduler()
     bus = CanBus(scheduler)
     node = CaplNode("ECU", bus, ecu_source, dict(message_specs))
-    observed: List[Event] = []
+    node.on_start()
+    scheduler.run()
+    observed: List[Event] = [
+        Event(out_channel, (entry.frame.name,)) for entry in bus.log.entries
+    ]
     for request in _stimuli_of(test, in_channel):
         spec = message_specs[request]
         before = len(bus.log)

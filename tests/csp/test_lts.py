@@ -4,6 +4,7 @@ import pytest
 
 from repro.csp import (
     Alphabet,
+    CompactLTS,
     Environment,
     ExternalChoice,
     GenParallel,
@@ -20,6 +21,7 @@ from repro.csp import (
     ref,
     sequence,
 )
+from repro.csp.kernel import tau_cycle_states
 
 
 class TestCompile:
@@ -106,6 +108,45 @@ class TestQueries:
         a, b = event("a"), event("b")
         lts = compile_lts(ExternalChoice(Prefix(a, STOP), Prefix(b, STOP)))
         assert lts.events_after(frozenset([lts.initial])) == frozenset({a, b})
+
+
+class TestImmutable:
+    """An automaton is complete when built: nothing changes it afterwards."""
+
+    def _divergent(self):
+        a, b = event("a"), event("b")
+        env = Environment().bind("Q", Prefix(a, Prefix(b, ref("Q"))))
+        return compile_lts(Hiding(ref("Q"), Alphabet.of(a, b)), env)
+
+    def test_there_is_no_mutator(self):
+        lts = self._divergent()
+        for name in ("add_state", "add_transition", "add_transition_id", "_thaw"):
+            assert not hasattr(lts, name)
+        assert "_pending" not in CompactLTS.__slots__
+
+    def test_a_second_read_returns_the_kept_object(self):
+        lts = self._divergent()
+        alphabet = lts.alphabet()
+        assert lts.alphabet() is alphabet
+        divergent = tau_cycle_states(lts)
+        assert divergent == frozenset({0, 1})
+        assert tau_cycle_states(lts) is divergent
+
+    def test_from_edges_packs_per_state_lists_in_order(self):
+        a, b = event("a"), event("b")
+        env = Environment().bind(
+            "P", ExternalChoice(Prefix(a, ref("P")), Prefix(b, SKIP))
+        )
+        lts = compile_lts(ref("P"), env)
+        rebuilt = CompactLTS.from_edges(
+            lts.table,
+            lts.initial,
+            [lts.successors_ids(state) for state in lts.iter_states()],
+            lts.terms,
+        )
+        assert rebuilt.csr_arrays() == lts.csr_arrays()
+        assert rebuilt.terms is lts.terms
+        assert CompactLTS.from_edges(None, 0, [[], []]).terms == [None, None]
 
 
 class TestReachableTraces:

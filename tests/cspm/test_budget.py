@@ -38,6 +38,10 @@ HOSTILE = {
         "channel c : {{0..{half}}}\nchannel d : {{0..{half}}}\n"
         "P = c?x -> P\nassert P :[deadlock free]\n"
     ).format(half=DECLARATION_BUDGET // 2),
+    "ranges-in-union": (
+        "channel c\nP = ||| i : union({0..1000000}, {1000001..2000000}) @ STOP\n"
+        "assert P :[deadlock free]\n"
+    ),
 }
 
 EXPECTED = {
@@ -49,6 +53,8 @@ EXPECTED = {
     "budget of {}".format(
         DECLARATION_BUDGET // 2 + 1, DECLARATION_BUDGET + 2, DECLARATION_BUDGET
     ),
+    "ranges-in-union": "set union({{0..1000000}}, {{1000001..2000000}}) has "
+    "2000001 values, more than the budget of {}".format(DECLARATION_BUDGET),
 }
 
 
@@ -81,6 +87,12 @@ def test_a_declaration_at_the_budget_loads(monkeypatch):
     assert len(model.events()) == 12
     with pytest.raises(CspmEvaluationError, match=r"\{0\.\.12\} has 13 values"):
         load("channel c : {0..12}")
+    load("P = ||| i : union({0..5}, {6..11}) @ STOP")
+    with pytest.raises(
+        CspmEvaluationError,
+        match=r"^set union\(\{0\.\.5\}, \{6\.\.12\}\) has 13 values",
+    ):
+        load("P = ||| i : union({0..5}, {6..12}) @ STOP")
     with pytest.raises(
         CspmEvaluationError,
         match=r"^channel e declares 1 events \(13 in all\), more than the budget of 12$",

@@ -11,10 +11,12 @@ from repro.csp import (
     ProcessRef,
     SKIP,
     STOP,
+    StateSpaceLimitExceeded,
     event,
 )
 from repro.cspm import CspmEvaluationError, load
 from repro.cspm.prelude import SP02_FLAWED_SCRIPT, SP02_SCRIPT
+from repro.engine import VerificationPipeline
 
 
 class TestTypesAndChannels:
@@ -232,6 +234,21 @@ class TestAssertions:
                      "assert P :[deadlock free]")
         (result,) = model.check_assertions()
         assert result.passed
+
+    def test_a_pipeline_passed_in_keeps_its_own_budget(self):
+        # P runs through seven states, more than the pipeline's budget of 3
+        model = load(
+            "channel c : {0..5}\n"
+            "P = c.0 -> c.1 -> c.2 -> c.3 -> c.4 -> c.5 -> STOP\n"
+            "assert P :[divergence free]"
+        )
+        (result,) = model.check_assertions()
+        assert result.passed and result.states_explored == 7
+        pipeline = VerificationPipeline(model.env, max_states=3)
+        with pytest.raises(StateSpaceLimitExceeded, match="limit of 3 states"):
+            model.check_assertions(pipeline=pipeline)
+        with pytest.raises(StateSpaceLimitExceeded, match="limit of 3 states"):
+            model.check_assertion(model.assertions[0], 200_000, pipeline)
 
 
 class TestAlphabetisedParallel:

@@ -108,11 +108,13 @@ def test_cache_misses_when_a_reachable_binding_differs():
 
 
 def test_cached_lts_respects_smaller_budgets():
-    pipeline = VerificationPipeline(Environment())
+    cache = CompilationCache()
     chain = Prefix(Event("c", (0,)), Prefix(Event("c", (1,)), Prefix(Event("c", (2,)), Stop())))
-    pipeline.compile(chain)
+    VerificationPipeline(Environment(), cache=cache).compile(chain)
+    small = VerificationPipeline(Environment(), cache=cache, max_states=2)
     with pytest.raises(StateSpaceLimitExceeded):
-        pipeline.compile(chain, max_states=2)
+        small.compile(chain)
+    assert cache.lts_misses == 1
 
 
 # -- lazy vs eager equivalence -------------------------------------------------------
@@ -183,16 +185,16 @@ def test_on_the_fly_stops_before_full_state_space():
 # -- failed compiles -----------------------------------------------------------------
 
 
-def _generated(monkeypatch, pipeline):
-    """The processes whose compile reaches the state-space generator."""
+def _generated(monkeypatch, *pipelines):
+    """The processes whose compile reaches a pipeline's state-space generator."""
     reached = []
-    generate = pipeline._generate
+    for pipeline in pipelines:
 
-    def counting(process, limit):
-        reached.append(process)
-        return generate(process, limit)
+        def counting(process, generate=pipeline._generate):
+            reached.append(process)
+            return generate(process)
 
-    monkeypatch.setattr(pipeline, "_generate", counting)
+        monkeypatch.setattr(pipeline, "_generate", counting)
     return reached
 
 
@@ -204,25 +206,29 @@ def _chain(length, name="c"):
 
 
 def test_a_failed_compile_is_remembered_per_budget(monkeypatch):
-    pipeline = VerificationPipeline(Environment())
-    reached = _generated(monkeypatch, pipeline)
+    cache = CompilationCache()
+    small, again, large = (
+        VerificationPipeline(Environment(), cache=cache, max_states=budget)
+        for budget in (3, 3, 10)
+    )
+    reached = _generated(monkeypatch, small, again, large)
     chain = _chain(5)
     errors = []
-    for _ in range(2):
+    for pipeline in (small, again):
         with pytest.raises(StateSpaceLimitExceeded) as caught:
-            pipeline.compile(chain, max_states=3)
+            pipeline.compile(chain)
         errors.append(caught.value)
     assert len(reached) == 1
     # a fresh exception each time, of the same type and text
     assert errors[1] is not errors[0]
     assert type(errors[1]) is type(errors[0])
     assert str(errors[1]) == str(errors[0])
-    assert not any("fail" in key for key in pipeline.stats())
+    assert not any("fail" in key for key in small.stats())
     # another budget is another compile, and clear() forgets the failure
-    assert pipeline.compile(chain, max_states=10).state_count == 6
-    pipeline.cache.clear()
+    assert large.compile(chain).state_count == 6
+    cache.clear()
     with pytest.raises(StateSpaceLimitExceeded):
-        pipeline.compile(chain, max_states=3)
+        small.compile(chain)
     assert len(reached) == 3
 
 

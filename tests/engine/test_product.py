@@ -228,10 +228,13 @@ class TestLazyParity:
             env = make_env()
             (pipeline, term), (eager, eager_term) = _twins(env, name, budget)
             states = compile_lts(eager_term, env, budget).state_count
+            cache = CompilationCache()
             for limit in sorted({0, 1, states - 1, states}):
-                lazy = VerificationPipeline(env, table=pipeline.table)
+                lazy = VerificationPipeline(
+                    env, table=pipeline.table, cache=cache, max_states=limit
+                )
                 try:
-                    _as_csr(lazy.lazy(term, limit))
+                    _as_csr(lazy.lazy(term))
                     lazy_fits = True
                 except StateSpaceLimitExceeded:
                     lazy_fits = False
@@ -352,10 +355,13 @@ class TestMaterialise:
     def test_state_budget_trips_identically(self):
         (pipeline, term), (sos, sos_term) = _twins(_composed_env(), "SYS", model="FD")
         states = compile_lts(sos_term, sos.env, 100, sos.table).state_count
+        cache = CompilationCache()
         for budget in (0, 1, states - 1, states):
-            fresh = VerificationPipeline(pipeline.env, table=pipeline.table)
+            fresh = VerificationPipeline(
+                pipeline.env, table=pipeline.table, cache=cache, max_states=budget
+            )
             try:
-                fresh.compile(term, budget)
+                fresh.compile(term)
                 product_fits = True
             except StateSpaceLimitExceeded:
                 product_fits = False

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.translator.extractor as extractor_module
-from repro.csp import event
+from repro.csp import AlphabetTable, event
 from repro.csp.kernel import CompactLTS
 from repro.csp.lts import compile_lts
 from repro.learn import (
@@ -42,11 +42,10 @@ on message reqA {
 
 
 def _chain(length):
-    lts = CompactLTS()
-    states = [lts.add_state() for _ in range(length + 1)]
-    for here, there in zip(states, states[1:]):
-        lts.add_transition(here, A, there)
-    return lts
+    table = AlphabetTable()
+    eid = table.intern(A)
+    edges = [[(eid, state + 1)] for state in range(length)] + [[]]
+    return CompactLTS.from_edges(table, 0, edges)
 
 
 def _reference_of(source, node="ECU"):

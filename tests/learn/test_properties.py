@@ -12,7 +12,7 @@ Inputs come from the shared seeded generators (replay any failure with
   reference (L* converges to the minimal machine).
 """
 
-from repro.csp import event
+from repro.csp import AlphabetTable, event
 from repro.csp.kernel import CompactLTS
 from repro.csp.lts import compile_lts
 from repro.fdr.refine import check_trace_refinement
@@ -29,14 +29,16 @@ def random_safety_machines(min_states=3, max_states=8):
 
     def draw(rng):
         count = rng.randint(min_states, max_states)
-        lts = CompactLTS()
-        for _ in range(count):
-            lts.add_state()
-        for state in range(count):
-            for symbol in SYMBOLS:
-                if rng.random() < 0.6:
-                    lts.add_transition(state, symbol, rng.randrange(count))
-        return lts
+        table = AlphabetTable()
+        edges = [
+            [
+                (table.intern(symbol), rng.randrange(count))
+                for symbol in SYMBOLS
+                if rng.random() < 0.6
+            ]
+            for _ in range(count)
+        ]
+        return CompactLTS.from_edges(table, 0, edges)
 
     return Gen(draw)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.capl.interpreter import MessageSpec
-from repro.csp import event
+from repro.csp import AlphabetTable, event
 from repro.csp.kernel import CompactLTS
 from repro.learn import CaplSimulatorSUL, LearnError, LtsSUL, derive_message_specs
 
@@ -107,11 +107,9 @@ def test_handled_message_without_spec_is_reported():
 
 
 def test_lts_sul_membership_is_walk():
-    lts = CompactLTS()
     a = event("send", "reqA")
-    s0 = lts.add_state()
-    s1 = lts.add_state()
-    lts.add_transition(s0, a, s1)
+    table = AlphabetTable()
+    lts = CompactLTS.from_edges(table, 0, [[(table.intern(a), 1)], []])
     sul = LtsSUL(lts, (a,))
     assert sul.membership(())
     assert sul.membership((a,))

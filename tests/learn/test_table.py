@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.csp import event
+from repro.csp import AlphabetTable, event
 from repro.csp.kernel import CompactLTS
 from repro.learn import LtsSUL, MembershipCache, ObservationTable
 
@@ -11,11 +11,10 @@ A, B = event("send", "reqA"), event("send", "reqB")
 
 def _chain_lts(length):
     """A single path s0 -A-> s1 -A-> ... of the given length."""
-    lts = CompactLTS()
-    states = [lts.add_state() for _ in range(length + 1)]
-    for here, there in zip(states, states[1:]):
-        lts.add_transition(here, A, there)
-    return lts
+    table = AlphabetTable()
+    eid = table.intern(A)
+    edges = [[(eid, state + 1)] for state in range(length)] + [[]]
+    return CompactLTS.from_edges(table, 0, edges)
 
 
 def test_cache_counts_queries_separately_from_runs():

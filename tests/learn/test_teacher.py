@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.csp import event
+from repro.csp import AlphabetTable, event
 from repro.csp.kernel import CompactLTS
 from repro.learn import (
     BoundedTeacher,
@@ -19,11 +19,10 @@ A, B = event("send", "reqA"), event("send", "reqB")
 
 
 def _chain(length, symbol=A):
-    lts = CompactLTS()
-    states = [lts.add_state() for _ in range(length + 1)]
-    for here, there in zip(states, states[1:]):
-        lts.add_transition(here, symbol, there)
-    return lts
+    table = AlphabetTable()
+    eid = table.intern(symbol)
+    edges = [[(eid, state + 1)] for state in range(length)] + [[]]
+    return CompactLTS.from_edges(table, 0, edges)
 
 
 def _first_hypothesis(lts, alphabet):

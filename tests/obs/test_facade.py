@@ -96,10 +96,13 @@ class TestVerifyRequirement:
         with pytest.raises(KeyError):
             api.verify_requirement("R99")
 
-    def test_matches_legacy_wrapper(self):
-        from repro.ota.requirements import check_r02
+    def test_matches_check_requirement(self):
+        from repro.ota.requirements import check_requirement
 
-        assert api.verify_requirement("R02").summary() == check_r02().summary()
+        assert (
+            api.verify_requirement("R02").summary()
+            == check_requirement("R02").summary()
+        )
 
 
 class TestExtractModel:

@@ -86,13 +86,7 @@ def _tau_chain_lts():
     """0 --tau--> 1 --a--> 2, plus an unreachable state 3."""
     table = AlphabetTable()
     a_id = table.intern(A)
-    lts = LTS(table)
-    for _ in range(4):
-        lts.add_state()
-    lts.initial = 0
-    lts.add_transition_id(0, TAU_ID, 1)
-    lts.add_transition_id(1, a_id, 2)
-    lts.add_transition_id(3, a_id, 0)
+    lts = LTS.from_edges(table, 0, [[(TAU_ID, 1)], [(a_id, 2)], [], [(a_id, 0)]])
     return lts, a_id
 
 

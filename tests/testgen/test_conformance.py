@@ -1,10 +1,17 @@
 """Conformance testing: model-derived suites against CAPL implementations."""
 
+import pathlib
+
 from repro.capl import Parser
+from repro.csp import event
+from repro.learn import derive_message_specs
 from repro.ota import build_session_system
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.messages import CAN_MESSAGE_SPECS
 from repro.testgen import coverage_of, run_suite, run_test, transition_cover
+from repro.translator import ModelExtractor
+
+STARTUP = pathlib.Path(__file__).parents[1] / "learn" / "corpus" / "startup.can"
 
 
 def session_suite():
@@ -92,3 +99,23 @@ class TestSingleTest:
         test = (Event("send", ("reqSw",)), Event("rec", ("rptSw",)))
         verdict = run_test(chatty, test, CAN_MESSAGE_SPECS, spec_lts)
         assert not verdict.passed
+
+
+class TestStartup:
+    def test_on_start_transmissions_open_the_observed_trace(self):
+        # the ECU outputs rspX from its on start block, before any stimulus
+        source = STARTUP.read_text(encoding="utf-8")
+        model = ModelExtractor().extract(source, "ECU").load()
+        spec = model.process("ECU")
+        tests = transition_cover(spec, model.env)
+        report = run_suite(
+            source, tests, spec, derive_message_specs(source), model.env
+        )
+        assert report.passed, report.summary()
+        (verdict,) = report.verdicts
+        expected = (
+            event("rec", "rspX"),
+            event("send", "reqA"),
+            event("rec", "rspY"),
+        )
+        assert verdict.test == verdict.observed == expected
