@@ -80,7 +80,10 @@ _NO_REFS: FrozenSet[str] = frozenset()
 class Process(metaclass=_InternedMeta):
     """Base class for all process terms."""
 
-    __slots__ = ("_hash", "_fingerprint", "_refs", "__weakref__")
+    #: ``_fingerprint``, ``_refs`` and ``_fragment`` are computed once per
+    #: term, on first use; ``_fragment`` is the term's canonical JSON text,
+    #: set by the wire codec (:func:`repro.exec.spec.term_fragment`)
+    __slots__ = ("_hash", "_fingerprint", "_refs", "_fragment", "__weakref__")
 
     # -- combinator sugar ---------------------------------------------------
 

@@ -323,6 +323,14 @@ class CompilationPlan:
         pass_names = tuple(p.name for p in passes)
         obs = pipeline.obs
         automaton = pipeline.cache.get_compressed(key, pass_names)
+        if (
+            automaton is not None
+            and automaton.source.state_count > pipeline.max_states
+        ):
+            # compiled under a larger budget by a pipeline sharing the
+            # cache: this pipeline could not have compiled it, so the
+            # component degrades as an over-budget compile does
+            return term
         if automaton is None:
             try:
                 source = pipeline.compile(term)

@@ -32,10 +32,19 @@ They now all call here.  Two identity layers:
     for correctness (readers still compare the stored text, so a
     colliding or hand-edited row degrades to a miss, never to data).
 
-Both derive from one canonical text per spec, :func:`spec_material`.  A
-caller encodes a spec once and hands the text on: the server hashes it
-into the dedup key, ships it to a worker as the spec itself, and the
-result cache stores it as the key material it compares on read.
+Both derive from one canonical text per spec: the label-stripped,
+sorted-key, compact JSON of its document.  A
+:class:`~repro.exec.spec.CheckSpec` assembles that text itself
+(:meth:`~repro.exec.spec.CheckSpec.material`) from JSON fragments cached
+on its hash-consed terms, so each term is encoded once per process
+however many specs share it -- a fleet checks every log against one
+spec.  :func:`spec_material` gives the same bytes for a document, and is
+kept for the documents that arrive from outside: HTTP and stdio requests
+and ``cspcheck``'s memo documents.  A caller computes the text once and
+hands it on: the server hashes it into the dedup key, ships it to a
+worker as the spec itself, and the result cache stores it as the key
+material it compares on read.  Every canonical text goes through one
+encoder, :data:`canonical_json`.
 
 The LTS digest (:func:`lts_key_digest`) keeps its historical shape --
 ``repr`` of ``(format version, compilation cache key, passes)`` -- so
@@ -60,6 +69,10 @@ ENGINE_SEMANTICS_VERSION = 1
 #: verdict, keyed by the canonical spec text)
 RESULT_FORMAT_VERSION = 2
 
+#: compact, sorted-key JSON: the one encoder behind every canonical text
+#: (``json.dumps`` with these arguments builds a new encoder per call)
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 #: bump when the ``.ltsb`` entry layout changes; readers ignore other
 #: versions (moved here from :mod:`repro.engine.diskcache`, which
 #: re-exports it -- the key material and the layout version live together)
@@ -75,12 +88,14 @@ def strip_label(spec_doc: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def spec_material(spec_doc: Dict[str, Any]) -> str:
-    """The one canonical text of a spec: label-stripped, sorted-key JSON.
+    """The canonical text of a spec document: label-stripped, sorted-key JSON.
 
     Everything else in this section derives from this text, so callers
-    compute it once per request and pass it on.
+    compute it once per request and pass it on.  A
+    :class:`~repro.exec.spec.CheckSpec` builds the same bytes without a
+    document (:meth:`~repro.exec.spec.CheckSpec.material`).
     """
-    return json.dumps(strip_label(spec_doc), sort_keys=True, separators=(",", ":"))
+    return canonical_json(strip_label(spec_doc))
 
 
 def material_key(material: str) -> str:

@@ -13,7 +13,9 @@ in *any* mode -- inline :mod:`repro.api`, ``cspbatch``, a warm or cold
 The store is one file, ``results.sqlite3`` in the store directory, with
 one row per verdict: its digest, the format and engine versions it was
 written under, its key material (the spec's canonical text, see
-:func:`~repro.exec.keys.spec_material`) and the result document.  A read
+:mod:`repro.exec.keys`) and the result document.  Callers key every read
+and write with that text, which they already hold: the store never
+encodes a spec.  A read
 compares the stored key as a string and parses only the small result
 document.  The database runs in WAL mode, so the daemon, its workers and
 any number of batch runs read while one of them writes; each verdict is
@@ -59,13 +61,13 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from .keys import (
     ENGINE_SEMANTICS_VERSION,
     RESULT_FORMAT_VERSION,
+    canonical_json,
     result_key_digest,
-    spec_material,
 )
 from .spec import FAIL, JobResult, PASS
 
@@ -95,9 +97,9 @@ _INSERT = "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?, ?)"
 _CACHEABLE_VERDICTS = (PASS, FAIL)
 
 
-def cacheable(spec_doc: Dict[str, Any], verdict: str) -> bool:
-    """May this outcome be persisted and replayed to later requesters?"""
-    return verdict in _CACHEABLE_VERDICTS and spec_doc.get("kind") != "selftest"
+def cacheable(kind: str, verdict: str) -> bool:
+    """May a *verdict* of a spec of *kind* be persisted and replayed?"""
+    return verdict in _CACHEABLE_VERDICTS and kind != "selftest"
 
 
 def _connect(path: str) -> sqlite3.Connection:
@@ -217,21 +219,19 @@ class ResultCache:
 
     def get(
         self,
-        spec_doc: Dict[str, Any],
+        material: str,
         index: int = 0,
         *,
-        material: Optional[str] = None,
+        check_id: Optional[str] = None,
     ) -> Optional[JobResult]:
-        """The memoised result for *spec_doc*, relabelled for this requester.
+        """The memoised result for the spec whose canonical text is *material*.
 
-        *material* is the spec's canonical text when the caller already
-        holds it.  Any defect in the row -- version skew, stored-key
+        The hit is relabelled with this requester's *index* and
+        *check_id*.  Any defect in the row -- version skew, stored-key
         mismatch, non-cacheable verdict, unparsable or incomplete result --
         counts as a miss, and the row is deleted so it cannot fail every
         future read.
         """
-        if material is None:
-            material = spec_material(spec_doc)
         digest = result_key_digest(material)
         with self._lock:
             rows = self._run(
@@ -261,7 +261,7 @@ class ResultCache:
                     raise ValueError("non-cacheable stored verdict")
                 result = JobResult(
                     index,
-                    spec_doc.get("id"),
+                    check_id,
                     verdict,
                     name=stored.get("name"),
                     counterexample=stored.get("counterexample"),
@@ -279,26 +279,18 @@ class ResultCache:
 
     # -- writes --------------------------------------------------------------
 
-    def put(
-        self,
-        spec_doc: Dict[str, Any],
-        result: JobResult,
-        *,
-        material: Optional[str] = None,
-    ) -> bool:
-        """Persist *result* under *spec_doc*'s key; False if not persisted.
+    def put(self, material: str, result: JobResult, *, kind: str) -> bool:
+        """Persist *result* under the canonical text *material*; False if not.
 
-        Only deterministic verdicts of real checks are stored (see
-        :func:`cacheable`).  The row holds the canonical result document
-        minus its ``id`` (relabelled per requester on read).  Failures are
-        swallowed: the cache is an accelerator, never a correctness
-        dependency.
+        *kind* is the spec's kind: only deterministic verdicts of real
+        checks are stored (see :func:`cacheable`).  The row holds the
+        canonical result document minus its ``id`` (relabelled per
+        requester on read).  Failures are swallowed: the cache is an
+        accelerator, never a correctness dependency.
         """
-        if not cacheable(spec_doc, result.verdict):
+        if not cacheable(kind, result.verdict):
             self.skipped += 1
             return False
-        if material is None:
-            material = spec_material(spec_doc)
         stored = result.canonical()
         del stored["id"]
         row = (
@@ -306,7 +298,7 @@ class ResultCache:
             RESULT_FORMAT_VERSION,
             ENGINE_SEMANTICS_VERSION,
             material,
-            json.dumps(stored, sort_keys=True, separators=(",", ":")),
+            canonical_json(stored),
         )
         with self._lock:
             if self._run(_INSERT, row) is None:

@@ -31,9 +31,8 @@ from ..engine.diskcache import DiskCache
 from ..engine.pipeline import VerificationPipeline
 from ..obs.metrics import Metrics
 from ..obs.trace import Tracer
-from .keys import spec_material
 from .resultcache import ResultCache
-from .spec import CheckSpec, ERROR, FAIL, JobResult, PASS
+from .spec import CheckSpec, ERROR, FAIL, JobResult, PASS, UNENCODABLE
 
 
 def execute_spec(
@@ -172,20 +171,25 @@ def execute_cached(
     immediately (relabelled to this requester's id/index, ``duration_ms``
     near zero and ``worker_pid`` this process -- both outside the canonical
     surface), and a fresh execution is promoted write-through so the next
-    identical request in any mode hits.  The spec is encoded once: the
-    probe and the write-through share its canonical text.  (The server's
-    workers do not come through here: the server probed at submit, so
-    they only write through, see
+    identical request in any mode hits.  The probe and the write-through
+    share the spec's canonical text, :meth:`CheckSpec.material`, and no
+    spec document is built.  A spec the codec cannot encode (a term
+    outside it, or nested deeper than the encoder recurses) has no key:
+    it runs unmemoised and answers what :func:`execute_spec` answers.
+    (The server's workers do not come through here: the server probed at
+    submit, so they only write through, see
     :func:`~repro.exec.workers.execute_material`.)
     """
-    if result_cache is None:
-        return execute_spec(
-            spec, index, cache_dir=cache_dir, profile=profile
-        )
     started = time.perf_counter()
-    doc = spec.to_doc()
-    material = spec_material(doc)
-    hit = result_cache.get(doc, index, material=material)
+    material = None
+    if result_cache is not None:
+        try:
+            material = spec.material()
+        except UNENCODABLE:
+            pass  # no canonical text, so no key: run it unmemoised
+    if material is None:
+        return execute_spec(spec, index, cache_dir=cache_dir, profile=profile)
+    hit = result_cache.get(material, index, check_id=spec.check_id)
     if hit is not None:
         if metrics is not None:
             metrics.counter("result_cache.hits").inc()
@@ -196,7 +200,7 @@ def execute_cached(
         metrics.counter("result_cache.misses").inc()
         metrics.counter("exec.executions").inc()
     result = execute_spec(spec, index, cache_dir=cache_dir, profile=profile)
-    if result_cache.put(doc, result, material=material) and metrics is not None:
+    if result_cache.put(material, result, kind=spec.kind) and metrics is not None:
         metrics.counter("result_cache.writes").inc()
     return result
 

@@ -47,6 +47,7 @@ execution -- the conformance corpus and the batch oracle compare those.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -71,6 +72,7 @@ from ..csp.process import (
     Stop,
 )
 from ..fdr.refine import CheckResult
+from .keys import canonical_json
 
 #: manifest / wire format version
 BATCH_FORMAT_VERSION = 1
@@ -97,6 +99,13 @@ class CorpusEncodingError(ValueError):
     The fuzz corpus codec (:mod:`repro.quickcheck.serialise`) raises it for
     the values it adds on top of this one.
     """
+
+
+#: what computing a spec's canonical text raises when the spec is outside
+#: the codec: a term it has no encoding for (:class:`CorpusEncodingError`,
+#: a ``ValueError``), a field value JSON has none for (``TypeError``), or a
+#: term nested deeper than the encoder recurses
+UNENCODABLE = (ValueError, TypeError, RecursionError)
 
 
 # -- the term codec: events and alphabets --------------------------------------
@@ -192,6 +201,55 @@ def encode_process(term: Process) -> Dict[str, Any]:
     raise CorpusEncodingError(
         "cannot encode process term of type {}".format(type(term).__name__)
     )
+
+
+def term_fragment(term: Process) -> str:
+    """The canonical JSON text of ``encode_process(term)``, cached on the term.
+
+    Terms are hash-consed, so every spec that mentions an equal term
+    shares this one text: a fleet's spec is encoded once per process, not
+    once per log.
+    """
+    try:
+        return term._fragment
+    except AttributeError:
+        pass
+    fragment = canonical_json(encode_process(term))
+    object.__setattr__(term, "_fragment", fragment)
+    return fragment
+
+
+#: the canonical texts of recently encoded trace events, each without its
+#: closing brace (a trace entry adds its ``"line"`` there).  Keyed on the
+#: channel and the ``repr`` of the fields, not on the event: events compare
+#: fields with ``==``, so ``c.true`` equals ``c.1``, yet the two encode
+#: differently
+_EVENT_HEADS: Dict[Tuple[str, str], str] = {}
+
+#: the most entries :data:`_EVENT_HEADS` holds before it starts over
+_EVENT_HEAD_CAP = 4096
+
+
+def _trace_fragment(
+    trace: Sequence[Event], lines: Optional[Sequence[Optional[int]]]
+) -> str:
+    """The canonical JSON array of a trace check's entries."""
+    entries = []
+    for event, line in zip(trace, lines or itertools.repeat(None)):
+        key = (event.channel, repr(event.fields))
+        head = _EVENT_HEADS.get(key)
+        if head is None:
+            if len(_EVENT_HEADS) >= _EVENT_HEAD_CAP:
+                _EVENT_HEADS.clear()
+            head = _EVENT_HEADS[key] = canonical_json(encode_event(event))[:-1]
+        # "line" sorts after "channel" and "fields", so it goes last
+        if line is None:
+            entries.append(head + "}")
+        elif type(line) is int:
+            entries.append(head + ',"line":' + str(line) + "}")
+        else:
+            entries.append(head + ',"line":' + canonical_json(line) + "}")
+    return "[" + ",".join(entries) + "]"
 
 
 def decode_process(doc: Dict[str, Any]) -> Process:
@@ -403,43 +461,52 @@ class CheckSpec:
 
     # -- JSON ----------------------------------------------------------------
 
+    def material(self) -> str:
+        """This spec's canonical text: the label-stripped, sorted-key JSON.
+
+        The bytes of ``spec_material(spec.to_doc())``, assembled without a
+        document: the term texts come from :func:`term_fragment`, the
+        trace entries from a bounded per-event memo, and the top-level
+        keys are joined in sorted order.  Nothing is cached on the spec.
+        Raises one of :data:`UNENCODABLE` for a spec outside the codec.
+        """
+        kind = self.kind
+        parts = [("kind", canonical_json(kind))]
+        if kind == "refinement":
+            parts.append(("model", canonical_json(self.model)))
+            parts.append(("spec", term_fragment(self.spec)))
+            parts.append(("impl", term_fragment(self.impl)))
+        elif kind == "property":
+            parts.append(("property", canonical_json(self.property_name)))
+            parts.append(("term", term_fragment(self.term)))
+        elif kind == "trace":
+            parts.append(("spec", term_fragment(self.spec)))
+            trace = _trace_fragment(self.trace or (), self.trace_lines)
+            parts.append(("trace", trace))
+        elif kind == "requirement":
+            parts.append(("req", canonical_json(self.req_id)))
+        else:
+            parts.append(("op", canonical_json(self.op)))
+        if self.bindings:
+            env = ",".join(
+                canonical_json(bound_name) + ":" + term_fragment(body)
+                for bound_name, body in sorted(self.bindings.items())
+            )
+            parts.append(("env", "{" + env + "}"))
+        if self.passes != "default":
+            parts.append(("passes", canonical_json(self.passes)))
+        if self.max_states is not None:
+            parts.append(("max_states", canonical_json(self.max_states)))
+        if self.name is not None:
+            parts.append(("name", canonical_json(self.name)))
+        parts.sort()
+        return "{" + ",".join('"' + key + '":' + text for key, text in parts) + "}"
+
     def to_doc(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {"kind": self.kind}
+        """The wire document: the parsed :meth:`material` plus the ``id``."""
+        doc = json.loads(self.material())
         if self.check_id is not None:
             doc["id"] = self.check_id
-        if self.kind == "refinement":
-            doc["model"] = self.model
-            doc["spec"] = encode_process(self.spec)
-            doc["impl"] = encode_process(self.impl)
-        elif self.kind == "property":
-            doc["property"] = self.property_name
-            doc["term"] = encode_process(self.term)
-        elif self.kind == "trace":
-            doc["spec"] = encode_process(self.spec)
-            entries = []
-            for position, event in enumerate(self.trace or ()):
-                entry = encode_event(event)
-                if self.trace_lines is not None:
-                    line = self.trace_lines[position]
-                    if line is not None:
-                        entry["line"] = line
-                entries.append(entry)
-            doc["trace"] = entries
-        elif self.kind == "requirement":
-            doc["req"] = self.req_id
-        else:
-            doc["op"] = self.op
-        if self.bindings:
-            doc["env"] = {
-                bound_name: encode_process(body)
-                for bound_name, body in sorted(self.bindings.items())
-            }
-        if self.passes != "default":
-            doc["passes"] = self.passes
-        if self.max_states is not None:
-            doc["max_states"] = self.max_states
-        if self.name is not None:
-            doc["name"] = self.name
         return doc
 
     @classmethod

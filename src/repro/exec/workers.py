@@ -14,9 +14,9 @@ or overruns its deadline is killed and respawned by the server.
 
 It is a top-level function (not a closure) so it works under the
 ``spawn`` start method as well as ``fork``, and it receives each spec as
-the canonical JSON text of a ``cspbatch`` manifest entry
-(:func:`~repro.exec.keys.spec_material`) -- so workers never unpickle
-code, and a deeply nested spec crosses the pipe as one flat string.
+the canonical JSON text of a ``cspbatch`` manifest entry (see
+:mod:`repro.exec.keys`) -- so workers never unpickle code, and a deeply
+nested spec crosses the pipe as one flat string.
 
 Two steps make a forked worker independent of the process that forked
 it.  ``SIGTERM`` goes back to its default action: a worker forked after
@@ -83,13 +83,12 @@ def execute_material(
     server stamps each requester's own labels on it.
     """
     try:
-        spec_doc = json.loads(material)
-        spec = CheckSpec.from_doc(spec_doc)
+        spec = CheckSpec.from_doc(json.loads(material))
     except (ManifestError, RecursionError) as error:
         return failure_result(ERROR, "undecodable spec: {}".format(error))
     result = execute_spec(spec, 0, cache_dir=cache_dir, profile=profile)
     if result_cache is not None:
-        result_cache.put(spec_doc, result, material=material)
+        result_cache.put(material, result, kind=spec.kind)
     return result
 
 

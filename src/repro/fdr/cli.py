@@ -42,6 +42,7 @@ from ..csp.lts import StateSpaceLimitExceeded
 from ..cspm.evaluator import CspmEvaluationError, load_file
 from ..cspm.lexer import CspmSyntaxError
 from ..engine.pipeline import VerificationPipeline, check_label
+from ..exec.keys import spec_material
 from ..exec.runtime import open_result_cache
 from ..exec.spec import CheckSpec, JobResult, reachable_bindings
 from .refine import CheckResult
@@ -218,13 +219,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result_cache = open_result_cache(result_cache_dir_from_args(args))
         results = []
         for decl in model.assertions:
-            doc = None
+            doc = material = None
             if result_cache is not None:
                 doc = _assertion_doc(
                     model, decl, int(args.max_states), args.compress
                 )
             if doc is not None:
-                stored = result_cache.get(doc)
+                material = spec_material(doc)
+                stored = result_cache.get(material)
                 if stored is not None:
                     results.append(_result_of_stored(stored))
                     continue
@@ -245,7 +247,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 continue
             results.append(result)
             if doc is not None:
-                result_cache.put(doc, JobResult.of_check_result(0, None, result))
+                result_cache.put(
+                    material,
+                    JobResult.of_check_result(0, None, result),
+                    kind=doc["kind"],
+                )
     failed = 0
     for result in results:
         if not result.passed:

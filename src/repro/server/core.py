@@ -12,9 +12,9 @@ import cost twice.  Everything a worker is asked to do is still a
 :func:`~repro.exec.runtime.execute_spec` -- the sequential reference
 semantics -- so a pooled or daemon-served verdict is byte-identical
 (canonically) to an inline ``cspbatch`` run of the same spec.  The
-document crosses the pipe as its canonical JSON text
-(:func:`~repro.exec.keys.spec_material`), never as a pickled tree, so no
-nesting depth the decoder accepted can break the hand-off.
+document crosses the pipe as its canonical JSON text (see
+:mod:`repro.exec.keys`), never as a pickled tree, so no nesting depth the
+decoder accepted can break the hand-off.
 
 Scheduling properties, in order of importance:
 
@@ -77,7 +77,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..exec.keys import material_key, spec_material
 from ..exec.runtime import open_result_cache
-from ..exec.spec import CANCELLED, CheckSpec, ERROR, JobResult, ManifestError, TIMEOUT
+from ..exec.spec import CANCELLED, CheckSpec, ERROR, JobResult, TIMEOUT, UNENCODABLE
 from ..exec.workers import failure_result, persistent_worker_main
 from ..obs.metrics import Metrics
 from ..obs.profile import Profile, merge_profiles
@@ -363,7 +363,10 @@ class VerificationServer:
         """Admit one check; returns a ticket or raises :class:`Rejection`.
 
         *spec* is a wire document, or a :class:`CheckSpec` the caller
-        already holds (a pooled batch), which is then not decoded again.
+        already holds (a pooled batch), which is then neither decoded nor
+        turned into a document: its canonical text comes from
+        :meth:`CheckSpec.material`.  A spec that cannot be decoded or
+        encoded is a ``bad_request``.
         ``block=False`` is the fail-fast flavour every interactive request
         gets: a full queue or an exceeded quota rejects immediately (the
         client retries or fails closed).  ``block=True`` is for batch
@@ -371,35 +374,39 @@ class VerificationServer:
         instead -- the call waits for queue and quota capacity, and only a
         draining server still rejects.
         """
-        try:
-            if isinstance(spec, CheckSpec):
-                spec_doc = spec.to_doc()
-            else:
+        # one encoding per request: the size cap, the dedup key, the
+        # result-cache row and the worker's hand-off all use this text
+        if isinstance(spec, CheckSpec):
+            try:
+                material = spec.material()
+            except UNENCODABLE as error:
+                raise self._reject(BAD_REQUEST, "unencodable spec: {}".format(error))
+        else:
+            try:
                 spec_doc, spec = spec, CheckSpec.from_doc(spec)
-            # one encoding per request: the size cap, the dedup key, the
-            # result-cache row and the worker's hand-off all use this text
-            material = spec_material(spec_doc)
-            size = len(material.encode("utf-8"))
-            if self.max_request_bytes is not None and size > self.max_request_bytes:
-                raise self._reject(
-                    OVERSIZE,
-                    "spec of {} bytes exceeds the {} byte cap".format(
-                        size, self.max_request_bytes
-                    ),
-                )
-            key = material_key(material)
-            # probe the persisted-verdict tier before the lock (disk I/O): a
-            # memoised check answers without a queue slot, a worker, or a
-            # charge against the tenant's quota
-            memoised = (
-                None
-                if self.result_cache is None
-                else self.result_cache.get(spec_doc, index, material=material)
+                material = spec_material(spec_doc)
+            except UNENCODABLE as error:
+                # ManifestError is a ValueError.  RecursionError: near the
+                # recursion limit a spec can decode yet be too deep to
+                # re-encode a few frames further down
+                raise self._reject(BAD_REQUEST, "undecodable spec: {}".format(error))
+        size = len(material.encode("utf-8"))
+        if self.max_request_bytes is not None and size > self.max_request_bytes:
+            raise self._reject(
+                OVERSIZE,
+                "spec of {} bytes exceeds the {} byte cap".format(
+                    size, self.max_request_bytes
+                ),
             )
-        except (ManifestError, RecursionError) as error:
-            # RecursionError: near the recursion limit a spec can decode yet
-            # be too deep to re-encode a few frames further down
-            raise self._reject(BAD_REQUEST, "undecodable spec: {}".format(error))
+        key = material_key(material)
+        # probe the persisted-verdict tier before the lock (disk I/O): a
+        # memoised check answers without a queue slot, a worker, or a
+        # charge against the tenant's quota
+        memoised = (
+            None
+            if self.result_cache is None
+            else self.result_cache.get(material, index, check_id=spec.check_id)
+        )
         effective = timeout if timeout is not None else self.default_timeout
         if self.max_timeout is not None:
             effective = (
@@ -407,7 +414,7 @@ class VerificationServer:
                 if effective is None
                 else min(effective, self.max_timeout)
             )
-        ticket = Ticket(request_id, spec_doc.get("id"), spec.name, index, tenant)
+        ticket = Ticket(request_id, spec.check_id, spec.name, index, tenant)
         wake = False
         with self._cond:
             if memoised is not None:

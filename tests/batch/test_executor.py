@@ -222,6 +222,70 @@ class TestRunBatchPooled:
         assert report.profile.total_ms == pytest.approx(sum(member_totals))
 
 
+def unencodable_specs():
+    """Two specs with no canonical text, and an ordinary one after them.
+
+    The first refines over the plan-compiled spine of a composition, whose
+    ``CompiledProcess`` leaves the term codec cannot encode; the second is a
+    prefix chain nested deeper than the encoder recurses.
+    """
+    from repro.csp import Alphabet, Environment, GenParallel
+    from repro.engine import VerificationPipeline
+
+    env = Environment()
+    env.bind("P", Prefix(A, Prefix(B, ProcessRef("P"))))
+    env.bind("Q", Prefix(A, Prefix(B, ProcessRef("Q"))))
+    env.bind("SYS", GenParallel(ProcessRef("P"), ProcessRef("Q"), Alphabet([A, B])))
+    compiled = VerificationPipeline(env).plan.prepare(ProcessRef("SYS"), "T").term
+    chain = Stop()
+    for _ in range(3000):
+        chain = Prefix(A, chain)
+    return [
+        CheckSpec.refinement(compiled, compiled, "T", check_id="compiled"),
+        CheckSpec.property_check(chain, "deadlock free", check_id="too-deep"),
+        CheckSpec.property_check(
+            Prefix(A, Stop()), "deadlock free", check_id="ordinary"
+        ),
+    ]
+
+
+class TestUnencodableSpecs:
+    """A spec without a canonical text answers inside ``run_batch``, alone."""
+
+    def test_inline_answers_what_execute_spec_answers(self):
+        specs = unencodable_specs()
+        verdicts = [(r.check_id, r.verdict) for r in run_batch(specs, jobs=0).results]
+        assert verdicts == [
+            ("compiled", "PASS"),
+            ("too-deep", "ERROR"),
+            ("ordinary", "FAIL"),
+        ]
+
+    def test_memoised_inline_runs_them_unmemoised(self, tmp_path):
+        specs = unencodable_specs()
+        inline = run_batch(specs, jobs=0)
+        memoised = run_batch(specs, jobs=0, result_cache_dir=str(tmp_path / "rc"))
+        assert canonical(memoised) == canonical(inline)
+        # only the ordinary spec has a key to store its verdict under
+        assert memoised.result_cache_stats["result_writes"] == 1
+
+    @pytest.mark.parametrize("memoised", [False, True], ids=["plain", "memoised"])
+    def test_the_pool_refuses_them_and_runs_the_rest(self, tmp_path, memoised):
+        specs = unencodable_specs()
+        result_cache_dir = str(tmp_path / "rc") if memoised else None
+        report = run_batch(specs, jobs=1, timeout=60, result_cache_dir=result_cache_dir)
+        compiled, too_deep, ordinary = report.results
+        for refused in (compiled, too_deep):
+            assert refused.verdict == "ERROR"
+            assert refused.error.startswith("unencodable spec: ")
+        assert "CompiledProcess" in compiled.error
+        assert "recursion" in too_deep.error
+        assert (
+            ordinary.canonical_line()
+            == run_batch(specs[2:], jobs=0).results[0].canonical_line()
+        )
+
+
 @pytest.fixture(scope="module")
 def cheap_mix(tmp_path_factory):
     """210 sub-millisecond checks: fleet trace specs plus the conformance corpus."""

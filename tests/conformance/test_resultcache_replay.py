@@ -30,7 +30,7 @@ def _eligible(specs, expectations):
     return sum(
         1
         for spec, expected in zip(specs, expectations)
-        if cacheable(spec.to_doc(), expected["verdict"])
+        if cacheable(spec.kind, expected["verdict"])
     )
 
 

@@ -270,6 +270,38 @@ def test_a_component_over_budget_is_explored_once_across_assertions(monkeypatch)
     assert all(result.states_explored > 0 for result in results)
 
 
+def test_a_cached_component_honours_the_pipeline_budget():
+    # a default-budget pipeline compresses LONG (11 states) into the shared
+    # cache; a budget-5 pipeline over that cache must still leave LONG in
+    # SOS form, as a budget-5 pipeline over a fresh cache does
+    a = Event("c", ("a",))
+    long = Stop()
+    for _ in range(10):
+        long = Prefix(a, long)
+    env = Environment()
+    env.bind("LONG", long)
+    env.bind("SHORT", Prefix(Event("a", (0,)), Prefix(Event("a", (1,)), Stop())))
+    env.bind(
+        "SYS",
+        GenParallel(ProcessRef("LONG"), ProcessRef("SHORT"), Alphabet([a])),
+    )
+    cache = CompilationCache()
+    VerificationPipeline(env, cache=cache).refinement(
+        ProcessRef("SHORT"), ProcessRef("SYS"), "T"
+    )
+    fresh = VerificationPipeline(env, max_states=5)
+    shared = VerificationPipeline(env, cache=cache, max_states=5)
+    results = [
+        pipeline.refinement(ProcessRef("SHORT"), ProcessRef("SYS"), "T")
+        for pipeline in (fresh, shared)
+    ]
+    assert [len(result.pass_stats) for result in results] == [4, 4]
+    assert [(result.passed, result.states_explored) for result in results] == [
+        (True, 3),
+        (True, 3),
+    ]
+
+
 # -- what [FD= shares with the other checks ------------------------------------------
 
 

@@ -46,8 +46,8 @@ def cache(tmp_path):
     store.close()
 
 
-def _digest(doc):
-    return result_key_digest(spec_material(doc))
+def _put(cache, material, result):
+    return cache.put(material, result, kind="refinement")
 
 
 def _sql(cache, statement, *params):
@@ -56,36 +56,36 @@ def _sql(cache, statement, *params):
         return db.execute(statement, params).fetchall()
 
 
-def _row(cache, doc):
-    """The stored (format, engine, key, result) columns of *doc*, or None."""
+def _row(cache, material):
+    """The stored (format, engine, key, result) columns of a spec, or None."""
     rows = _sql(
         cache,
         "SELECT format, engine, key, result FROM results WHERE digest = ?",
-        _digest(doc),
+        result_key_digest(material),
     )
     return rows[0] if rows else None
 
 
-def _set(cache, doc, column, value):
+def _set(cache, material, column, value):
     _sql(
         cache,
         "UPDATE results SET {} = ? WHERE digest = ?".format(column),
         value,
-        _digest(doc),
+        result_key_digest(material),
     )
 
 
-def _edit_result(cache, doc, edit):
-    stored = json.loads(_row(cache, doc)[3])
+def _edit_result(cache, material, edit):
+    stored = json.loads(_row(cache, material)[3])
     edit(stored)
-    _set(cache, doc, "result", json.dumps(stored))
+    _set(cache, material, "result", json.dumps(stored))
 
 
 def test_round_trip_is_canonically_identical(cache):
-    doc = _spec().to_doc()
+    material = _spec().material()
     original = _pass_result()
-    assert cache.put(doc, original)
-    replayed = cache.get(doc)
+    assert _put(cache, material, original)
+    replayed = cache.get(material)
     assert replayed is not None
     assert replayed.canonical() == original.canonical()
     assert cache.stats()["result_entries"] == 1
@@ -93,23 +93,23 @@ def test_round_trip_is_canonically_identical(cache):
 
 
 def test_missing_entry_is_a_counted_miss(cache):
-    assert cache.get(_spec().to_doc()) is None
+    assert cache.get(_spec().material()) is None
     assert (cache.hits, cache.misses) == (0, 1)
 
 
 def test_hit_relabels_to_the_requester(cache):
     term = Prefix(Event("a"), STOP)
-    writer_doc = CheckSpec.refinement(term, term, "T", check_id="writer").to_doc()
-    reader_doc = CheckSpec.refinement(term, term, "T", check_id="reader").to_doc()
-    cache.put(writer_doc, _pass_result(index=3, check_id="writer"))
-    replayed = cache.get(reader_doc, index=9)
+    writer = CheckSpec.refinement(term, term, "T", check_id="writer")
+    reader = CheckSpec.refinement(term, term, "T", check_id="reader")
+    _put(cache, writer.material(), _pass_result(index=3, check_id="writer"))
+    replayed = cache.get(reader.material(), index=9, check_id=reader.check_id)
     assert replayed is not None
     assert replayed.index == 9
     assert replayed.check_id == "reader"
 
 
 def test_fail_verdicts_with_counterexamples_round_trip(cache):
-    doc = _spec().to_doc()
+    material = _spec().material()
     original = JobResult(
         0,
         None,
@@ -123,147 +123,147 @@ def test_fail_verdicts_with_counterexamples_round_trip(cache):
         states_explored=5,
         transitions_explored=4,
     )
-    assert cache.put(doc, original)
-    replayed = cache.get(doc)
+    assert _put(cache, material, original)
+    replayed = cache.get(material)
     assert replayed.canonical() == original.canonical()
 
 
 @pytest.mark.parametrize("verdict", ["ERROR", "TIMEOUT", "CANCELLED"])
 def test_nondeterministic_verdicts_are_never_stored(cache, verdict):
-    doc = _spec().to_doc()
+    material = _spec().material()
     refused = JobResult(0, None, verdict, error="environmental")
-    assert not cacheable(doc, verdict)
-    assert not cache.put(doc, refused)
+    assert not cacheable("refinement", verdict)
+    assert not _put(cache, material, refused)
     assert cache.skipped == 1
     assert len(cache) == 0
 
 
 def test_selftest_specs_are_never_stored(cache):
-    doc = CheckSpec.selftest("pass").to_doc()
-    assert not cacheable(doc, "PASS")
-    assert not cache.put(doc, _pass_result())
+    material = CheckSpec.selftest("pass").material()
+    assert not cacheable("selftest", "PASS")
+    assert not cache.put(material, _pass_result(), kind="selftest")
     assert cache.skipped == 1
 
 
 def test_format_version_skew_is_swept_as_stale(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    _set(cache, doc, "format", _row(cache, doc)[0] + 1)
-    assert cache.get(doc) is None
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    _set(cache, material, "format", _row(cache, material)[0] + 1)
+    assert cache.get(material) is None
     assert cache.stale == 1
     assert cache.quarantined == 0
-    assert _row(cache, doc) is None, "a stale row is deleted, not retried"
+    assert _row(cache, material) is None, "a stale row is deleted, not retried"
     assert cache.stats()["result_stale"] == 1
 
 
 def test_engine_version_skew_is_swept_as_stale(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    _set(cache, doc, "engine", 999)
-    assert cache.get(doc) is None
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    _set(cache, material, "engine", 999)
+    assert cache.get(material) is None
     assert cache.stale == 1
-    assert _row(cache, doc) is None
+    assert _row(cache, material) is None
 
 
 def test_version_bump_changes_the_digest_itself(cache, monkeypatch):
     # the primary invalidation is by construction: a bumped version makes a
     # *different digest*, so old rows are simply unreachable
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    old_digest = _digest(doc)
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    old_digest = result_key_digest(material)
     import repro.exec.keys as keys
 
     monkeypatch.setattr(keys, "ENGINE_SEMANTICS_VERSION", 2)
-    assert _digest(doc) != old_digest
-    assert cache.get(doc) is None
+    assert result_key_digest(material) != old_digest
+    assert cache.get(material) is None
     assert _sql(
         cache, "SELECT COUNT(*) FROM results WHERE digest = ?", old_digest
     ) == [(1,)], "old-generation rows are untouched"
 
 
 def test_truncated_entry_quarantines(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    _set(cache, doc, "result", _row(cache, doc)[3][:10])
-    assert cache.get(doc) is None
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    _set(cache, material, "result", _row(cache, material)[3][:10])
+    assert cache.get(material) is None
     assert cache.quarantined == 1
-    assert _row(cache, doc) is None
+    assert _row(cache, material) is None
     assert cache.stats()["result_quarantined"] == 1
 
 
 def test_garbage_entry_quarantines(cache):
-    doc = _spec().to_doc()
+    material = _spec().material()
     assert len(cache) == 0  # creates the empty store
     _sql(
         cache,
         "INSERT INTO results VALUES (?, ?, ?, ?, ?)",
-        _digest(doc),
+        result_key_digest(material),
         RESULT_FORMAT_VERSION,
         ENGINE_SEMANTICS_VERSION,
-        spec_material(doc),
+        material,
         "not json at all {{{",
     )
-    assert cache.get(doc) is None
+    assert cache.get(material) is None
     assert cache.quarantined == 1
-    assert _row(cache, doc) is None
+    assert _row(cache, material) is None
 
 
 def test_stored_key_mismatch_quarantines(cache):
     # a collision or a copied-over row: the digest matches but the stored
     # text does not -- refuse it rather than answer the wrong check
     term = Prefix(Event("a"), STOP)
-    doc = CheckSpec.refinement(term, term, "T", name="one").to_doc()
-    other = CheckSpec.refinement(term, term, "T", name="two").to_doc()
-    cache.put(other, JobResult(0, None, "PASS", name="two"))
-    _set(cache, other, "digest", _digest(doc))
-    assert cache.get(doc) is None
+    material = CheckSpec.refinement(term, term, "T", name="one").material()
+    other = CheckSpec.refinement(term, term, "T", name="two").material()
+    _put(cache, other, JobResult(0, None, "PASS", name="two"))
+    _set(cache, other, "digest", result_key_digest(material))
+    assert cache.get(material) is None
     assert cache.quarantined == 1
-    assert _row(cache, doc) is None
+    assert _row(cache, material) is None
 
 
 def test_stored_uncacheable_verdict_quarantines(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    _edit_result(cache, doc, lambda stored: stored.update(verdict="ERROR"))
-    assert cache.get(doc) is None
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    _edit_result(cache, material, lambda stored: stored.update(verdict="ERROR"))
+    assert cache.get(material) is None
     assert cache.quarantined == 1
 
 
 def test_missing_result_fields_quarantine(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    _edit_result(cache, doc, lambda stored: stored.pop("states_explored"))
-    assert cache.get(doc) is None
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    _edit_result(cache, material, lambda stored: stored.pop("states_explored"))
+    assert cache.get(material) is None
     assert cache.quarantined == 1
 
 
 def test_quarantine_does_not_poison_future_writes(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    _set(cache, doc, "result", "garbage")
-    assert cache.get(doc) is None
-    assert cache.put(doc, _pass_result())
-    assert cache.get(doc) is not None
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    _set(cache, material, "result", "garbage")
+    assert cache.get(material) is None
+    assert _put(cache, material, _pass_result())
+    assert cache.get(material) is not None
     assert cache.hits == 1
 
 
 def test_entries_have_no_id_on_disk(cache):
-    doc = CheckSpec.refinement(
+    material = CheckSpec.refinement(
         Prefix(Event("a"), STOP), Prefix(Event("a"), STOP), "T", check_id="x"
-    ).to_doc()
-    cache.put(doc, _pass_result(check_id="x"))
-    assert "id" not in json.loads(_row(cache, doc)[3])
+    ).material()
+    _put(cache, material, _pass_result(check_id="x"))
+    assert "id" not in json.loads(_row(cache, material)[3])
 
 
 def test_a_row_stores_the_canonical_text_as_its_key(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    stored_format, stored_engine, key, _result = _row(cache, doc)
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    stored_format, stored_engine, key, _result = _row(cache, material)
     assert (stored_format, stored_engine) == (
         RESULT_FORMAT_VERSION,
         ENGINE_SEMANTICS_VERSION,
     )
-    assert key == spec_material(doc)
+    assert key == material == spec_material(_spec().to_doc())
 
 
 def test_a_non_database_store_file_is_moved_aside(tmp_path):
@@ -271,32 +271,32 @@ def test_a_non_database_store_file_is_moved_aside(tmp_path):
     directory.mkdir()
     (directory / STORE_NAME).write_bytes(b"not a database " * 64)
     cache = ResultCache(str(directory))
-    doc = _spec().to_doc()
-    assert cache.get(doc) is None
+    material = _spec().material()
+    assert cache.get(material) is None
     assert cache.quarantined == 1
-    assert cache.put(doc, _pass_result())
-    assert cache.get(doc) is not None
+    assert _put(cache, material, _pass_result())
+    assert cache.get(material) is not None
     cache.close()
     aside = directory / (STORE_NAME + ".quarantined")
     assert aside.read_bytes() == b"not a database " * 64
 
 
 def test_a_forked_child_writes_through_its_own_connection(cache):
-    parent_doc = _spec("parent").to_doc()
-    child_doc = _spec("child").to_doc()
-    assert cache.put(parent_doc, _pass_result())  # opens the parent's connection
+    parent_material = _spec("parent").material()
+    child_material = _spec("child").material()
+    assert _put(cache, parent_material, _pass_result())  # opens the parent's connection
     parent_connection = cache._conn
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports through its exit code
-        ok = cache.put(child_doc, _pass_result()) and cache.get(parent_doc)
+        ok = _put(cache, child_material, _pass_result()) and cache.get(parent_material)
         ok = ok and cache._conn is not parent_connection
         cache.close()
         os._exit(0 if ok else 1)
     _pid, status = os.waitpid(pid, 0)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
     # the child neither used nor closed the parent's connection
-    assert cache.get(child_doc) is not None
-    assert cache.put(parent_doc, _pass_result())
+    assert cache.get(child_material) is not None
+    assert _put(cache, parent_material, _pass_result())
     assert len(cache) == 2
 
 
@@ -327,44 +327,44 @@ def test_close_closes_this_process_connection(cache):
 
 
 def test_clear_from_another_instance_reaches_open_connections(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
-    assert cache.get(doc) is not None
+    material = _spec().material()
+    _put(cache, material, _pass_result())
+    assert cache.get(material) is not None
     ResultCache(cache.directory).clear()
-    assert cache.get(doc) is None
+    assert cache.get(material) is None
     assert len(cache) == 0
 
 
 def test_a_locked_store_leaves_the_verdict_unwritten(cache, monkeypatch):
     import repro.exec.resultcache as resultcache
 
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
+    material = _spec().material()
+    _put(cache, material, _pass_result())
     monkeypatch.setattr(resultcache, "_BUSY_TIMEOUT_S", 0.0)
     writer = ResultCache(cache.directory)
     with closing(sqlite3.connect(cache.path, isolation_level=None)) as db:
         db.execute("BEGIN EXCLUSIVE")
-        assert not writer.put(_spec("other").to_doc(), _pass_result())
+        assert not _put(writer, _spec("other").material(), _pass_result())
         assert writer.writes == 0
         # WAL readers never wait on the writer
-        assert writer.get(doc) is not None
+        assert writer.get(material) is not None
         db.execute("ROLLBACK")
-    assert writer.put(_spec("other").to_doc(), _pass_result())
+    assert _put(writer, _spec("other").material(), _pass_result())
     writer.close()
 
 
 def test_a_failing_store_is_a_miss_never_an_error(cache):
-    doc = _spec().to_doc()
-    cache.put(doc, _pass_result())
+    material = _spec().material()
+    _put(cache, material, _pass_result())
     _sql(cache, "DROP TABLE results")
-    assert cache.get(doc) is None
-    assert not cache.put(doc, _pass_result())
+    assert cache.get(material) is None
+    assert not _put(cache, material, _pass_result())
     assert len(cache) == 0
     assert cache.misses == 1
 
 
 def test_clear_empties_the_store(cache):
-    cache.put(_spec().to_doc(), _pass_result())
+    _put(cache, _spec().material(), _pass_result())
     assert len(cache) == 1
     cache.clear()
     assert len(cache) == 0
@@ -387,9 +387,9 @@ def _hammer(directory, worker, rounds):
     cache = ResultCache(directory)
     written = 0
     for step in range(rounds):
-        doc = _spec("w{}-{}".format(worker, step)).to_doc()
-        written += cache.put(doc, _pass_result())
-        cache.get(_spec("w{}-{}".format((worker + 1) % 4, step)).to_doc())
+        material = _spec("w{}-{}".format(worker, step)).material()
+        written += _put(cache, material, _pass_result())
+        cache.get(_spec("w{}-{}".format((worker + 1) % 4, step)).material())
     cache.close()
     if written != rounds:
         raise SystemExit(1)
@@ -415,9 +415,10 @@ def test_concurrent_writers_lose_no_verdict(tmp_path):
 
     def thread_writer(worker):
         for step in range(rounds):
-            doc = _spec("t{}-{}".format(worker, step)).to_doc()
-            if not shared.put(doc, _pass_result()) or shared.get(doc) is None:
-                failures.append(doc["name"])
+            material = _spec("t{}-{}".format(worker, step)).material()
+            written = _put(shared, material, _pass_result())
+            if not written or shared.get(material) is None:
+                failures.append(step)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -1,13 +1,10 @@
 """The execution core (:mod:`repro.exec.runtime`): memoisation must be
 invisible in the canonical bytes, visible only in the counters."""
 
-import json
-
 import pytest
 
 from repro.cli_common import result_cache_dir_from_args
 from repro.csp import Event, Prefix, STOP
-from repro.exec.keys import spec_material, strip_label
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import (
     execute_cached,
@@ -108,12 +105,11 @@ def test_metrics_counters_track_the_flow(cache):
 
 def test_caller_supplied_doc_is_honoured(cache):
     # the worker's write-through keys the verdict on the text it received,
-    # so the submitter's own document finds it
+    # so the submitter's own spec finds it
     spec = _refinement()
-    doc = spec.to_doc()
-    written = execute_material(spec_material(doc), result_cache=cache)
+    written = execute_material(spec.material(), result_cache=cache)
     assert (cache.hits, cache.misses, cache.writes) == (0, 0, 1)
-    hit = cache.get(doc)
+    hit = cache.get(spec.material())
     assert hit is not None
     assert (
         hit.canonical_line()
@@ -122,42 +118,42 @@ def test_caller_supplied_doc_is_honoured(cache):
     )
 
 
-def _count_spec_encodings(monkeypatch, spec):
-    """Record every ``json.dumps`` of *spec*'s label-stripped document."""
-    canonical = strip_label(spec.to_doc())
-    encodings = []
-    dumps = json.dumps
+def _record_encodings(monkeypatch):
+    """Record every ``CheckSpec.material()`` and ``to_doc()`` call, in order."""
+    calls = []
+    for method in ("material", "to_doc"):
+        original = getattr(CheckSpec, method)
 
-    def counting(obj, *args, **kwargs):
-        if obj == canonical:
-            encodings.append(obj)
-        return dumps(obj, *args, **kwargs)
+        def recording(self, _original=original, _method=method):
+            calls.append(_method)
+            return _original(self)
 
-    monkeypatch.setattr(json, "dumps", counting)
-    return encodings
+        monkeypatch.setattr(CheckSpec, method, recording)
+    return calls
 
 
 def test_a_cold_execution_encodes_the_spec_once(cache, monkeypatch):
     # the probe, the digest, the stored key and the write-through all
-    # share one canonical text
+    # share one canonical text, and no spec document is built
     spec = _refinement("once")
-    encodings = _count_spec_encodings(monkeypatch, spec)
+    calls = _record_encodings(monkeypatch)
     execute_cached(spec, result_cache=cache)
     assert cache.writes == 1
-    assert len(encodings) == 1
+    assert calls == ["material"]
+    execute_cached(spec, result_cache=cache)
+    assert cache.hits == 1
+    assert calls == ["material", "material"]
 
 
 def test_a_supplied_text_is_not_encoded_again(cache, monkeypatch):
     # the worker path: the text it received is the spec's canonical text,
     # and it writes through without probing (the server probed at submit)
-    spec = _refinement("worker")
-    doc = strip_label(spec.to_doc())
-    material = spec_material(doc)
-    encodings = _count_spec_encodings(monkeypatch, spec)
+    material = _refinement("worker").material()
+    calls = _record_encodings(monkeypatch)
     execute_material(material, result_cache=cache)
     assert (cache.hits, cache.misses, cache.writes) == (0, 0, 1)
-    assert encodings == []
-    assert cache.get(doc, material=material) is not None
+    assert calls == []
+    assert cache.get(material) is not None
 
 
 def test_open_result_cache_maps_none_to_none(tmp_path):
