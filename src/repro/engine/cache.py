@@ -70,8 +70,9 @@ class CompilationCache:
     may be shared across pipelines, environments, and checks.  A cached LTS
     is complete -- compilation either finished or raised -- so it satisfies
     any state budget at least as large as its own state count; a lookup under
-    a smaller budget re-raises :class:`StateSpaceLimitExceeded` exactly as a
-    fresh compile would.
+    a smaller budget (of the LTS, its normalised form or a component
+    compressed from it) re-raises :class:`StateSpaceLimitExceeded` exactly
+    as a fresh compile would.
 
     An optional :class:`~repro.engine.diskcache.DiskCache` layers beneath
     the in-memory maps: LTS lookups that miss in memory consult the disk
@@ -190,11 +191,17 @@ class CompilationCache:
     def put_normalised(self, key: CacheKey, spec: NormalisedSpec) -> None:
         self._normalised[key] = spec
 
-    def get_compressed(self, key: CacheKey, passes: Tuple[str, ...]) -> object:
+    def get_compressed(
+        self, key: CacheKey, passes: Tuple[str, ...], max_states: int
+    ) -> object:
         cached = self._compressed.get((key, passes))
         if cached is None:
             self.compressed_misses += 1
         else:
+            # compressed from a source compiled under some budget; let the
+            # same check as get_lts run against this caller's budget
+            if cached.source.state_count > max_states:
+                raise StateSpaceLimitExceeded(max_states)
             self.compressed_hits += 1
         if self.obs.enabled:
             self._record("compressed", cached is not None)

@@ -322,22 +322,17 @@ class CompilationPlan:
         key = structural_key(term, pipeline.env)
         pass_names = tuple(p.name for p in passes)
         obs = pipeline.obs
-        automaton = pipeline.cache.get_compressed(key, pass_names)
-        if (
-            automaton is not None
-            and automaton.source.state_count > pipeline.max_states
-        ):
-            # compiled under a larger budget by a pipeline sharing the
-            # cache: this pipeline could not have compiled it, so the
-            # component degrades as an over-budget compile does
+        try:
+            automaton = pipeline.cache.get_compressed(
+                key, pass_names, pipeline.max_states
+            )
+            if automaton is None:
+                source = pipeline.compile(term)
+        except _COMPONENT_FAILURES:
+            # the component alone is too big (composition may restrict
+            # it) or not compilable: keep the SOS leaf, degrade gracefully
             return term
         if automaton is None:
-            try:
-                source = pipeline.compile(term)
-            except _COMPONENT_FAILURES:
-                # the component alone is too big (composition may restrict
-                # it) or not compilable: keep the SOS leaf, degrade gracefully
-                return term
             compressed, provenance, pass_stats = apply_passes(
                 source, passes, obs
             )

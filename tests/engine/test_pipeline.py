@@ -289,6 +289,7 @@ def test_a_cached_component_honours_the_pipeline_budget():
     VerificationPipeline(env, cache=cache).refinement(
         ProcessRef("SHORT"), ProcessRef("SYS"), "T"
     )
+    hits = cache.compressed_hits
     fresh = VerificationPipeline(env, max_states=5)
     shared = VerificationPipeline(env, cache=cache, max_states=5)
     results = [
@@ -300,6 +301,8 @@ def test_a_cached_component_honours_the_pipeline_budget():
         (True, 3),
         (True, 3),
     ]
+    # SHORT's component is adopted; LONG's is refused and counts no hit
+    assert cache.compressed_hits == hits + 1
 
 
 # -- what [FD= shares with the other checks ------------------------------------------

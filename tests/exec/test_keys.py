@@ -174,6 +174,27 @@ def test_a_term_is_encoded_once_per_process(monkeypatch):
     assert texts == [spec_material(spec.to_doc()) for spec in specs]
 
 
+def test_the_event_memo_starts_over_when_full(monkeypatch):
+    # a signal-mode mapping can log more distinct events than the memo
+    # holds: it never grows past its cap, and every entry keeps its bytes
+    # across the clears (five distinct events, twice, through a cap of 3)
+    monkeypatch.setattr(spec_module, "_EVENT_HEADS", {})
+    monkeypatch.setattr(spec_module, "_EVENT_HEAD_CAP", 3)
+    trace = [Event("rec", ("rptSw", value, value == 1)) for value in range(5)] * 2
+    lines = [3 * index if index % 4 else None for index in range(len(trace))]
+    entries = []
+    for event, line in zip(trace, lines):
+        entry = spec_module.encode_event(event)
+        if line is not None:
+            entry["line"] = line
+        entries.append(entry)
+    expected = spec_material({"kind": "trace", "spec": {"op": "stop"}, "trace": entries})
+    spec = CheckSpec.trace_check(STOP, trace, trace_lines=lines)
+    for _ in range(2):
+        assert spec.material() == expected
+        assert 0 < len(spec_module._EVENT_HEADS) <= 3
+
+
 #: ``spec.material()`` for every spec, newline-joined, hashed: the pinned
 #: values are the digests of the texts ``spec_material(spec.to_doc())``
 #: gave before specs assembled their own text, so every deployed result
