@@ -1,18 +1,18 @@
-"""Simulation trace logging -- and the bridge from bus traces to CSP traces.
+"""Simulation trace logging.
 
 Every frame transfer is logged as a :class:`TraceEntry`.  The log renders in
-a CANoe-trace-window style and, importantly for validation, converts into a
-sequence of CSP events (``send.msgName`` / ``rec.msgName``) so simulation
-runs can be replayed against the extracted CSP models -- closing the loop of
-the paper's Fig. 1 workflow.
+a CANoe-trace-window style and writes tracelog JSONL (:meth:`TraceLog.to_jsonl`),
+the interchange format :mod:`repro.rv.ingest` reads; frames become CSP events
+through :class:`repro.rv.mapping.EventMapping`, so simulation runs can be
+replayed against the extracted CSP models -- closing the loop of the paper's
+Fig. 1 workflow.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
-from ..csp.events import Event
 from .frame import CanFrame
 
 
@@ -101,26 +101,3 @@ class TraceLog:
         """Write :meth:`to_jsonl` to *path*."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_jsonl())
-
-    def to_csp_events(
-        self,
-        event_for: Optional[Callable[[TraceEntry], Optional[Event]]] = None,
-    ) -> Tuple[Event, ...]:
-        """Convert the log into a CSP trace.
-
-        By default each transfer becomes the event ``<sender_channel>.<name>``
-        where the channel is the *sender's* transmit channel name, matching
-        the translator's convention (VMG transmits on ``send``, the ECU
-        replies on ``rec``).  Pass *event_for* to customise; returning None
-        skips an entry.
-        """
-        events: List[Event] = []
-        for entry in self.entries:
-            if event_for is not None:
-                event = event_for(entry)
-                if event is not None:
-                    events.append(event)
-                continue
-            name = entry.frame.name or "0x{:X}".format(entry.frame.can_id)
-            events.append(Event(entry.sender, (name,)))
-        return tuple(events)

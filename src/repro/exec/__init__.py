@@ -13,8 +13,10 @@ share one scheduler, :class:`~repro.server.core.VerificationServer`):
   :class:`~repro.exec.spec.JobResult` it comes back as, the verdicts and
   the ``{"format": 1, "checks": [...]}`` manifest document.
 * :mod:`repro.exec.keys` computes every structural identity in the system
-  -- the server's id-stripped dedup key, the LTS disk-cache digest and the
+  -- the server's dedup key, the LTS disk-cache digest and the
   result-cache digest all come from one module, versioned together.
+  Every spec key is :meth:`~repro.exec.spec.CheckSpec.material` of the
+  decoded check, whatever the spelling of the document it came from.
 * :mod:`repro.exec.resultcache` persists a completed check's canonical
   :class:`~repro.exec.spec.JobResult` bytes content-addressed by that
   key, one sqlite row per verdict, so a later identical request in *any*

@@ -3,25 +3,32 @@
 Three caches identify work structurally, and before this module each
 computed its key with its own copy of the code:
 
-* the server's **in-flight dedup table** hashed the id-stripped spec
-  document in :mod:`repro.server.protocol`;
-* the **LTS disk cache** digested ``(format_version, structural key,
+* the server's **in-flight dedup table** coalesces identical requests;
+* the **LTS disk cache** digests ``(format_version, structural key,
   passes)`` in :mod:`repro.engine.diskcache`;
-* the new **result cache** needs a key that is exactly the dedup table's
-  -- a completed check answers precisely the requests that would have
+* the **result cache** needs a key that is exactly the dedup table's --
+  a completed check answers precisely the requests that would have
   coalesced with it in flight -- plus the version material that bounds
   how long a stored verdict stays trustworthy.
 
-They now all call here.  Two identity layers:
+They now all call here.  A spec's identity starts from its canonical
+text, which has one producer: :meth:`~repro.exec.spec.CheckSpec.material`,
+the label-stripped, sorted-key, compact JSON of the decoded check,
+assembled from JSON fragments cached on its hash-consed terms (each term
+is encoded once per process however many specs share it -- a fleet
+checks every log against one spec).  A document that arrives from
+outside -- an HTTP or stdio request, a ``POST /batch`` manifest -- is
+decoded once with :meth:`~repro.exec.spec.CheckSpec.from_doc` and keyed
+by that same method, so every key is ``material()`` of the decoded
+check, whatever the document's spelling: an omitted ``model`` and
+``"T"``, a written-out default ``passes`` or null ``max_states``, an
+unknown field all key alike, inline, pooled and served.  The client's
+``id`` label never participates; the ``name`` does, since it flows into
+result labels.  Two identity layers derive from that text:
 
-:func:`structural_key`
-    SHA-256 of the canonical JSON encoding of a spec document with its
-    client-chosen ``id`` label stripped.  Two requests that mean the same
-    check -- regardless of who submitted them or what they called it --
-    hash identically.  The ``name`` field *does* participate: it flows
-    into result labels, so only requests that would produce byte-identical
-    canonical results share a key.  The pass configuration and state
-    budget live inside the spec document, so they participate too.
+:func:`material_key`
+    SHA-256 of the canonical text: the structural key the server
+    coalesces in-flight requests on.
 
 :func:`result_key_digest`
     The content address of a persisted verdict: the structural key wrapped
@@ -32,19 +39,10 @@ They now all call here.  Two identity layers:
     for correctness (readers still compare the stored text, so a
     colliding or hand-edited row degrades to a miss, never to data).
 
-Both derive from one canonical text per spec: the label-stripped,
-sorted-key, compact JSON of its document.  A
-:class:`~repro.exec.spec.CheckSpec` assembles that text itself
-(:meth:`~repro.exec.spec.CheckSpec.material`) from JSON fragments cached
-on its hash-consed terms, so each term is encoded once per process
-however many specs share it -- a fleet checks every log against one
-spec.  :func:`spec_material` gives the same bytes for a document, and is
-kept for the documents that arrive from outside: HTTP and stdio requests
-and ``cspcheck``'s memo documents.  A caller computes the text once and
-hands it on: the server hashes it into the dedup key, ships it to a
-worker as the spec itself, and the result cache stores it as the key
-material it compares on read.  Every canonical text goes through one
-encoder, :data:`canonical_json`.
+A caller computes the text once and hands it on: the server hashes it
+into the dedup key, ships it to a worker as the spec itself, and the
+result cache stores it as the key material it compares on read.  Every
+canonical text goes through one encoder, :data:`canonical_json`.
 
 The LTS digest (:func:`lts_key_digest`) keeps its historical shape --
 ``repr`` of ``(format version, compilation cache key, passes)`` -- so
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 #: bump when the meaning of a verdict changes: refinement semantics, search
 #: order (states-explored counts), counterexample selection or description
@@ -79,38 +77,12 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 DISKCACHE_FORMAT_VERSION = 2
 
 
-# -- the spec-document identity (server dedup + result cache) -----------------
-
-
-def strip_label(spec_doc: Dict[str, Any]) -> Dict[str, Any]:
-    """The spec document minus its ``id`` -- the identity dedup ignores."""
-    return {key: value for key, value in spec_doc.items() if key != "id"}
-
-
-def spec_material(spec_doc: Dict[str, Any]) -> str:
-    """The canonical text of a spec document: label-stripped, sorted-key JSON.
-
-    Everything else in this section derives from this text, so callers
-    compute it once per request and pass it on.  A
-    :class:`~repro.exec.spec.CheckSpec` builds the same bytes without a
-    document (:meth:`~repro.exec.spec.CheckSpec.material`).
-    """
-    return canonical_json(strip_label(spec_doc))
+# -- the spec identity (server dedup + result cache) --------------------------
 
 
 def material_key(material: str) -> str:
     """SHA-256 of a spec's canonical text: the structural key."""
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-def structural_key(spec_doc: Dict[str, Any]) -> str:
-    """SHA-256 of the label-stripped canonical encoding of one spec.
-
-    Identical checks from any number of clients map to the same key: the
-    server coalesces in-flight requests on it, and the result cache
-    answers completed ones from it.
-    """
-    return material_key(spec_material(spec_doc))
 
 
 def result_key_digest(material: str) -> str:

@@ -23,6 +23,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
@@ -42,7 +43,7 @@ from ..csp.lts import StateSpaceLimitExceeded
 from ..cspm.evaluator import CspmEvaluationError, load_file
 from ..cspm.lexer import CspmSyntaxError
 from ..engine.pipeline import VerificationPipeline, check_label
-from ..exec.keys import spec_material
+from ..exec.keys import canonical_json
 from ..exec.runtime import open_result_cache
 from ..exec.spec import CheckSpec, JobResult, reachable_bindings
 from .refine import CheckResult
@@ -97,17 +98,18 @@ class _StoredCounterexample:
         return self._description
 
 
-def _assertion_doc(model, decl, max_states: int, passes: str):
-    """The content-address of one ``assert`` line, or None if unkeyable.
+def _assertion_key(model, decl, max_states: int, passes: str):
+    """The canonical text one ``assert`` line is memoised under, and its kind.
 
-    The document is the batch-manifest encoding of the assertion -- both
-    process sides (with every reachable named binding), the semantic model
-    or property, the pass configuration and the state budget -- so the key
-    covers everything that can influence the canonical outcome.  A negated
-    assertion adds a ``negated`` marker: its *flipped* verdict is what gets
-    stored, and the plain flavour of the same check must not answer it.
-    Assertions outside the corpus codec (or the manifest schema) return
-    None and simply run fresh every time.
+    The text is :meth:`CheckSpec.material` of the assertion's batch
+    encoding -- both process sides (with every reachable named binding),
+    the semantic model or property, the pass configuration and the state
+    budget -- so the key covers everything that can influence the
+    canonical outcome.  A negated assertion adds a ``negated`` marker: its
+    *flipped* verdict is what gets stored, and the plain flavour of the
+    same check must not answer it.  Assertions outside the corpus codec
+    (or the manifest schema) give ``(None, None)`` and simply run fresh
+    every time.
     """
     try:
         left = model.eval_process(decl.left, {})
@@ -129,14 +131,16 @@ def _assertion_doc(model, decl, max_states: int, passes: str):
                 passes=passes,
                 max_states=max_states,
             )
-        doc = spec.to_doc()
+        material = spec.material()
     except Exception:
         # includes CorpusEncodingError/ManifestError; an evaluation error
         # re-raises on the fresh path, where it is actually reported
-        return None
+        return None, None
     if decl.negated:
-        doc["negated"] = True
-    return doc
+        marked = json.loads(material)
+        marked["negated"] = True
+        material = canonical_json(marked)
+    return material, spec.kind
 
 
 class _ExceededBudget:
@@ -219,13 +223,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result_cache = open_result_cache(result_cache_dir_from_args(args))
         results = []
         for decl in model.assertions:
-            doc = material = None
+            material = kind = None
             if result_cache is not None:
-                doc = _assertion_doc(
+                material, kind = _assertion_key(
                     model, decl, int(args.max_states), args.compress
                 )
-            if doc is not None:
-                material = spec_material(doc)
+            if material is not None:
                 stored = result_cache.get(material)
                 if stored is not None:
                     results.append(_result_of_stored(stored))
@@ -246,11 +249,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 results.append(_ExceededBudget(label, error))
                 continue
             results.append(result)
-            if doc is not None:
+            if material is not None:
                 result_cache.put(
-                    material,
-                    JobResult.of_check_result(0, None, result),
-                    kind=doc["kind"],
+                    material, JobResult.of_check_result(0, None, result), kind=kind
                 )
     failed = 0
     for result in results:

@@ -23,15 +23,17 @@ Scheduling properties, in order of importance:
   respawned, the request alone resolves ``ERROR``/``TIMEOUT``, and the
   daemon keeps serving.
 * **Dedup and memoisation.**  In-flight requests are keyed by
-  :func:`~repro.exec.keys.structural_key`; an identical check arriving
-  while one is queued or running attaches to it and shares the single
-  execution, with each requester's response relabelled to its own
-  ``id``/``index``.  Coalesced requests consume no queue slot.  With a
-  result-cache directory configured, the in-flight table becomes the first
-  tier of a two-tier cache: completed ``PASS``/``FAIL`` verdicts persist
-  in a :class:`~repro.exec.resultcache.ResultCache` (written through by
-  the workers, which never probe it: the probe happens here, at submit),
-  and a later identical request -- this run or any future one, daemon or
+  :func:`~repro.exec.keys.material_key` of the decoded check's
+  :meth:`~repro.exec.spec.CheckSpec.material`, whatever the document's
+  spelling; an identical check arriving while one is queued or running
+  attaches to it and shares the single execution, with each requester's
+  response relabelled to its own ``id``/``index``.  Coalesced requests
+  consume no queue slot.  With a result-cache directory configured, the
+  in-flight table becomes the first tier of a two-tier cache: completed
+  ``PASS``/``FAIL`` verdicts persist in a
+  :class:`~repro.exec.resultcache.ResultCache` (written through by the
+  workers, which never probe it: the probe happens here, at submit), and
+  a later identical request -- this run or any future one, daemon or
   batch -- answers at submit time without a queue slot, a worker, or a
   quota charge.
 * **Chunked dispatch.**  An idle worker gets a *chunk* of queued
@@ -75,9 +77,17 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Union
 
-from ..exec.keys import material_key, spec_material
+from ..exec.keys import material_key
 from ..exec.runtime import open_result_cache
-from ..exec.spec import CANCELLED, CheckSpec, ERROR, JobResult, TIMEOUT, UNENCODABLE
+from ..exec.spec import (
+    CANCELLED,
+    CheckSpec,
+    ERROR,
+    JobResult,
+    ManifestError,
+    TIMEOUT,
+    UNENCODABLE,
+)
 from ..exec.workers import failure_result, persistent_worker_main
 from ..obs.metrics import Metrics
 from ..obs.profile import Profile, merge_profiles
@@ -362,11 +372,13 @@ class VerificationServer:
     ) -> Ticket:
         """Admit one check; returns a ticket or raises :class:`Rejection`.
 
-        *spec* is a wire document, or a :class:`CheckSpec` the caller
-        already holds (a pooled batch), which is then neither decoded nor
-        turned into a document: its canonical text comes from
-        :meth:`CheckSpec.material`.  A spec that cannot be decoded or
-        encoded is a ``bad_request``.
+        *spec* is a :class:`CheckSpec`, or a wire document, which is
+        decoded here once with :meth:`CheckSpec.from_doc`.  Either way the
+        check is keyed by :meth:`CheckSpec.material`, so every spelling of
+        one check -- ``model`` omitted or ``"T"``, a default written out,
+        an unknown field -- dedups and memoises alike.  A document that
+        cannot be decoded, or a spec that cannot be encoded, is a
+        ``bad_request``.
         ``block=False`` is the fail-fast flavour every interactive request
         gets: a full queue or an exceeded quota rejects immediately (the
         client retries or fails closed).  ``block=True`` is for batch
@@ -374,22 +386,19 @@ class VerificationServer:
         instead -- the call waits for queue and quota capacity, and only a
         draining server still rejects.
         """
+        if not isinstance(spec, CheckSpec):
+            try:
+                spec = CheckSpec.from_doc(spec)
+            except ManifestError as error:
+                raise self._reject(BAD_REQUEST, "undecodable spec: {}".format(error))
         # one encoding per request: the size cap, the dedup key, the
         # result-cache row and the worker's hand-off all use this text
-        if isinstance(spec, CheckSpec):
-            try:
-                material = spec.material()
-            except UNENCODABLE as error:
-                raise self._reject(BAD_REQUEST, "unencodable spec: {}".format(error))
-        else:
-            try:
-                spec_doc, spec = spec, CheckSpec.from_doc(spec)
-                material = spec_material(spec_doc)
-            except UNENCODABLE as error:
-                # ManifestError is a ValueError.  RecursionError: near the
-                # recursion limit a spec can decode yet be too deep to
-                # re-encode a few frames further down
-                raise self._reject(BAD_REQUEST, "undecodable spec: {}".format(error))
+        try:
+            material = spec.material()
+        except UNENCODABLE as error:
+            # RecursionError: near the recursion limit a spec can decode
+            # yet be too deep to encode a few frames further down
+            raise self._reject(BAD_REQUEST, "unencodable spec: {}".format(error))
         size = len(material.encode("utf-8"))
         if self.max_request_bytes is not None and size > self.max_request_bytes:
             raise self._reject(
@@ -485,6 +494,18 @@ class VerificationServer:
             with self._cond:
                 self.metrics.counter("server.rejected.{}".format(code)).inc()
         return Rejection(code, message)
+
+    def refuse(self, error: Exception) -> Rejection:
+        """Count a rejection a frontend answers before :meth:`submit`.
+
+        *error* is the :class:`Rejection` a frontend raised (an oversize
+        request) or a malformed-request error (a ``bad_request``).
+        :meth:`submit` counts its own rejections, so each one answered is
+        counted once as ``server.rejected.<code>``.
+        """
+        if isinstance(error, Rejection):
+            return self._reject(error.code, error.message)
+        return self._reject(BAD_REQUEST, str(error))
 
     def count(self, name: str) -> None:
         """Add one to the counter *name*, for events a frontend observes.

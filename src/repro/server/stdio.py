@@ -23,7 +23,6 @@ from .protocol import (
     DEFAULT_TENANT,
     ProtocolError,
     Rejection,
-    BAD_REQUEST,
     ok_response,
     parse_request_line,
     rejection_response,
@@ -76,7 +75,11 @@ def serve_stdio(
         served += 1
         request_id = None
         try:
-            request = parse_request_line(line, server.max_request_bytes)
+            try:
+                request = parse_request_line(line, server.max_request_bytes)
+            except (Rejection, ProtocolError) as error:
+                # refused before admission (submit counts its own)
+                raise server.refuse(error)
             request_id = request.get("id")
             op = request["op"]
             if op == "ping":
@@ -98,12 +101,6 @@ def serve_stdio(
                 slots.append(ticket)
         except Rejection as rejection:
             slots.append(rejection_response(request_id, rejection))
-        except ProtocolError as error:
-            slots.append(
-                rejection_response(
-                    request_id, Rejection(BAD_REQUEST, str(error))
-                )
-            )
         flush_ready(block=False)
 
     server.close(drain=True, timeout=drain_timeout)

@@ -88,6 +88,13 @@ class TestCheckSpecRoundTrip:
         with pytest.raises(ManifestError, match="JSON object"):
             CheckSpec.from_doc(["kind", "refinement"])
 
+    @pytest.mark.parametrize("env", [[1], "P"], ids=["list", "string"])
+    def test_non_object_env_rejected(self, env):
+        # the daemon decodes every request with from_doc: anything else it
+        # raised would escape as a traceback instead of a bad_request
+        with pytest.raises(ManifestError, match="'env' must be an object"):
+            CheckSpec.from_doc({"kind": "selftest", "op": "pass", "env": env})
+
     def test_nesting_bomb_entry_rejected(self, nested_term_doc):
         doc = {"kind": "property", "property": "deadlock free", "term": nested_term_doc(3000)}
         with pytest.raises(ManifestError, match="undecodable"):

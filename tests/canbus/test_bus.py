@@ -185,24 +185,6 @@ class TestTraceLog:
         bus.run()
         assert bus.log.names() == ["0x123"]
 
-    def test_to_csp_events_default_mapping(self):
-        bus, _ = make_bus()
-        alice = Recorder("A", bus)
-        Recorder("B", bus)
-        alice.output(CanFrame(0x101, name="reqSw"))
-        bus.run()
-        (event,) = bus.log.to_csp_events()
-        assert str(event) == "A.reqSw"
-
-    def test_to_csp_events_custom_mapping(self):
-        bus, _ = make_bus()
-        alice = Recorder("A", bus)
-        Recorder("B", bus)
-        alice.output(CanFrame(0x101, name="reqSw"))
-        bus.run()
-        events = bus.log.to_csp_events(event_for=lambda entry: None)
-        assert events == ()
-
 
 class TestArbitrationProperty:
     def test_priority_order_property(self):

@@ -14,7 +14,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.batch import JobResult
+from repro.batch import CheckSpec, JobResult
 from repro.server import VerificationServer, serve_stdio
 from repro.server.client import ServerClient
 from repro.server.http import HttpFrontend
@@ -64,6 +64,29 @@ def test_http_check_replay_at_concurrency_4_is_byte_identical():
                     )
         # each of the 4 concurrent callers holds at most one connection
         assert server.stats()["metrics"]["server.http_connections"] <= 4
+    for result, expected in zip(results, expectations):
+        assert canonical_bytes(result) == expected_bytes(expected)
+
+
+def test_http_batch_decodes_each_spec_once(monkeypatch):
+    # the daemon submits the specs parse_manifest decoded; nothing on the
+    # way to the queue decodes a document again
+    specs, expectations = _corpus()
+    docs = [spec.to_doc() for spec in specs]
+    decoded = []
+    from_doc = CheckSpec.from_doc.__func__
+
+    def counting(cls, doc):
+        decoded.append(doc.get("id"))
+        return from_doc(cls, doc)
+
+    with VerificationServer(workers=2) as server:
+        # the workers were forked before the patch: only this process counts
+        monkeypatch.setattr(CheckSpec, "from_doc", classmethod(counting))
+        with HttpFrontend(server) as frontend:
+            with ServerClient(frontend.url) as client:
+                results = client.run_manifest(docs)
+    assert decoded == [doc.get("id") for doc in docs]
     for result, expected in zip(results, expectations):
         assert canonical_bytes(result) == expected_bytes(expected)
 

@@ -1,5 +1,8 @@
 """The unified structural-key layer (:mod:`repro.exec.keys`).
 
+Every spec key is ``CheckSpec.material()`` of the decoded check; a
+document's spelling never reaches it.
+
 Half of these are *stability fixtures*: checked-in digest values that pin
 the key scheme itself.  Anything that changes them -- a codec tweak, a new
 spec-document field, touching a version constant -- silently severs every
@@ -8,6 +11,7 @@ review as a fixture diff, not as a mystery cold run.
 """
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -22,12 +26,10 @@ from repro.exec.keys import (
     DISKCACHE_FORMAT_VERSION,
     ENGINE_SEMANTICS_VERSION,
     RESULT_FORMAT_VERSION,
+    canonical_json,
     lts_key_digest,
     material_key,
     result_key_digest,
-    spec_material,
-    strip_label,
-    structural_key,
 )
 from repro.exec.spec import CheckSpec
 
@@ -85,22 +87,23 @@ def test_versions_are_the_pinned_generation():
 
 
 def test_structural_key_fixtures_are_stable():
+    # the key a document gets once it arrives: decoded, then material()
     for label, spec in _fixture_specs().items():
-        assert structural_key(spec.to_doc()) == STRUCTURAL_FIXTURES[label]
+        decoded = CheckSpec.from_doc(spec.to_doc())
+        assert material_key(decoded.material()) == STRUCTURAL_FIXTURES[label]
 
 
 def test_result_key_fixtures_are_stable():
     for label, spec in _fixture_specs().items():
-        material = spec_material(spec.to_doc())
-        assert result_key_digest(material) == RESULT_FIXTURES[label]
+        assert result_key_digest(spec.material()) == RESULT_FIXTURES[label]
 
 
 def test_assembled_texts_match_the_fixtures():
     # CheckSpec.material() builds the text without a document; it must be
-    # the very bytes spec_material gives for the document
+    # canonical JSON: sorted keys, compact separators
     for label, spec in _fixture_specs().items():
         material = spec.material()
-        assert material == spec_material(spec.to_doc())
+        assert material == canonical_json(json.loads(material))
         assert material_key(material) == STRUCTURAL_FIXTURES[label]
         assert result_key_digest(material) == RESULT_FIXTURES[label]
 
@@ -108,9 +111,9 @@ def test_assembled_texts_match_the_fixtures():
 def test_to_doc_is_the_parsed_text_plus_the_label():
     for spec in _fixture_specs().values():
         doc = spec.to_doc()
-        assert doc.get("id") == spec.check_id
-        assert spec_material(doc) == spec.material()
-        assert CheckSpec.from_doc(doc).material() == spec.material()
+        assert doc.pop("id", None) == spec.check_id
+        assert doc == json.loads(spec.material())
+        assert CheckSpec.from_doc(spec.to_doc()).material() == spec.material()
 
 
 @pytest.mark.parametrize(
@@ -141,7 +144,6 @@ def test_equal_events_that_encode_differently_keep_their_bytes(fields, expected)
     spec = CheckSpec.trace_check(STOP, trace)
     material = '{"kind":"trace","spec":{"op":"stop"},"trace":' + expected + "}"
     assert spec.material() == material
-    assert spec_material(spec.to_doc()) == material
 
 
 def test_a_term_is_encoded_once_per_process(monkeypatch):
@@ -171,7 +173,7 @@ def test_a_term_is_encoded_once_per_process(monkeypatch):
     assert encoded > 0
     texts += [spec.material() for spec in specs[1:]]
     assert len(calls) == encoded
-    assert texts == [spec_material(spec.to_doc()) for spec in specs]
+    assert texts == [canonical_json(json.loads(text)) for text in texts]
 
 
 def test_the_event_memo_starts_over_when_full(monkeypatch):
@@ -188,7 +190,7 @@ def test_the_event_memo_starts_over_when_full(monkeypatch):
         if line is not None:
             entry["line"] = line
         entries.append(entry)
-    expected = spec_material({"kind": "trace", "spec": {"op": "stop"}, "trace": entries})
+    expected = canonical_json({"kind": "trace", "spec": {"op": "stop"}, "trace": entries})
     spec = CheckSpec.trace_check(STOP, trace, trace_lines=lines)
     for _ in range(2):
         assert spec.material() == expected
@@ -196,22 +198,23 @@ def test_the_event_memo_starts_over_when_full(monkeypatch):
 
 
 #: ``spec.material()`` for every spec, newline-joined, hashed: the pinned
-#: values are the digests of the texts ``spec_material(spec.to_doc())``
-#: gave before specs assembled their own text, so every deployed result
-#: store keeps its keys
+#: values are the digests of the texts that keyed the documents as they
+#: were spelled before every key became ``material()``, so every deployed
+#: result store keeps its keys; a document a client sends keys as the spec
+#: it came from
 _CORPUS_DIGESTS = """
 import hashlib
 import sys
 
 from repro.batch import load_manifest
-from repro.exec.keys import spec_material
+from repro.exec.spec import CheckSpec
 from repro.rv.cli import load_rv_manifest, specs_from_manifest
 from repro.rv.fleetgen import write_fleet
 
 
 def digest(specs):
     texts = [spec.material() for spec in specs]
-    assert texts == [spec_material(spec.to_doc()) for spec in specs]
+    assert texts == [CheckSpec.from_doc(spec.to_doc()).material() for spec in specs]
     return hashlib.sha256("\\n".join(texts).encode("utf-8")).hexdigest()
 
 
@@ -269,35 +272,30 @@ def test_lts_key_keeps_the_historical_shape():
 
 def test_id_label_does_not_participate():
     term = Prefix(Event("a"), STOP)
-    anon = CheckSpec.refinement(term, term, "T").to_doc()
-    labelled = CheckSpec.refinement(term, term, "T", check_id="mine").to_doc()
-    assert "id" not in strip_label(labelled)
-    assert structural_key(anon) == structural_key(labelled)
-    assert spec_material(anon) == spec_material(labelled)
+    anon = CheckSpec.refinement(term, term, "T")
+    labelled = CheckSpec.refinement(term, term, "T", check_id="mine")
+    assert "id" not in json.loads(labelled.material())
+    assert labelled.material() == anon.material()
+    assert CheckSpec.from_doc(labelled.to_doc()).material() == anon.material()
 
 
 def test_name_does_participate():
     # the name flows into the canonical result, so sharing an entry across
     # names would relabel one requester's output with another's title
     term = Prefix(Event("a"), STOP)
-    named = CheckSpec.refinement(term, term, "T", name="one").to_doc()
-    renamed = CheckSpec.refinement(term, term, "T", name="two").to_doc()
-    assert structural_key(named) != structural_key(renamed)
+    named = CheckSpec.refinement(term, term, "T", name="one")
+    renamed = CheckSpec.refinement(term, term, "T", name="two")
+    assert material_key(named.material()) != material_key(renamed.material())
 
 
 def test_pass_config_and_budget_participate():
     term = Prefix(Event("a"), STOP)
-    base = CheckSpec.property_check(term, "deadlock free").to_doc()
-    other_passes = CheckSpec.property_check(
-        term, "deadlock free", passes="none"
-    ).to_doc()
-    other_budget = CheckSpec.property_check(
-        term, "deadlock free", max_states=7
-    ).to_doc()
+    base = CheckSpec.property_check(term, "deadlock free")
+    other_passes = CheckSpec.property_check(term, "deadlock free", passes="none")
+    other_budget = CheckSpec.property_check(term, "deadlock free", max_states=7)
     keys = {
-        result_key_digest(spec_material(base)),
-        result_key_digest(spec_material(other_passes)),
-        result_key_digest(spec_material(other_budget)),
+        result_key_digest(spec.material())
+        for spec in (base, other_passes, other_budget)
     }
     assert len(keys) == 3
 
@@ -306,11 +304,10 @@ def test_result_material_wraps_versions_around_the_spec():
     # the stored key material is the canonical text itself (the versions
     # are their own columns); the digest wraps the versions around the
     # structural key of that one text
-    doc = _fixture_specs()["ref"].to_doc()
-    material = spec_material(doc)
-    assert material_key(material) == structural_key(doc)
+    material = _fixture_specs()["ref"].material()
+    assert material_key(material) == STRUCTURAL_FIXTURES["ref"]
     versioned = "{}:{}:{}".format(
-        RESULT_FORMAT_VERSION, ENGINE_SEMANTICS_VERSION, structural_key(doc)
+        RESULT_FORMAT_VERSION, ENGINE_SEMANTICS_VERSION, STRUCTURAL_FIXTURES["ref"]
     )
     assert (
         result_key_digest(material)

@@ -1,5 +1,10 @@
 """Tests for the cspcheck command-line checker."""
 
+import hashlib
+import json
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.csp.lts import TermNestingExceeded
@@ -112,6 +117,41 @@ class TestCspcheck:
         ]
         assert "Traceback" not in captured.err
         assert len(ResultCache(str(store))) == 1  # only the decided verdict
+
+    def test_memo_keys_are_pinned(self, tmp_path, capsys):
+        # every key is the material() of the assertion's check (plus a
+        # marker for a negated one); the digests are those of the keys
+        # stores written by earlier releases hold, so they keep answering
+        path = tmp_path / "three.csp"
+        path.write_text(
+            "channel a, b\n"
+            "P = a -> b -> P\n"
+            "Q = a -> STOP\n"
+            "assert P [T= Q\n"
+            "assert not Q [T= P\n"
+            "assert P :[deadlock free]\n"
+        )
+        store = tmp_path / "verdicts"
+        argv = [str(path), "--result-cache", str(store), "--stats"]
+        assert cspcheck_main(argv) == 0
+        cold = capsys.readouterr()
+        assert cspcheck_main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "stat result_hits: 3\n" in warm.err
+        assert "stat result_misses: 0\n" in warm.err
+        with closing(sqlite3.connect(str(store / "results.sqlite3"))) as db:
+            keys = [key for (key,) in db.execute("SELECT key FROM results")]
+        digests = {
+            "negated" if json.loads(key).get("negated") else json.loads(key)["kind"]:
+            hashlib.sha256(key.encode("utf-8")).hexdigest()
+            for key in keys
+        }
+        assert digests == {
+            "refinement": "253555dae25c6a2a8f45bd455ed0da4dedcc01ceabdfe6f061f442569d7a7b9c",
+            "negated": "740fa693a0ffa79587d930ffcf2e2b56e3fc8784763137f7429537bce4810a15",
+            "property": "71cd5eedaf6175878ff8a4eae281372fc45cdc5c26c59e30f06cfd79d149578f",
+        }
 
     @pytest.mark.parametrize("mode", [[], ["--eager"]], ids=["lazy", "eager"])
     def test_recursion_through_hiding_is_an_error_on_each_line(

@@ -83,7 +83,7 @@ class TestFaultsCauseViolations:
 class TestTracelogRoundTrip:
     def test_every_frame_parses_back_to_the_same_event_sequence(self):
         # the satellite round-trip: simulator TraceLog -> JSONL -> ingest
-        # -> mapping must reproduce to_csp_events' channel convention
+        # -> mapping must reproduce the send/rec channel convention
         database = ota_database()
         mapping = EventMapping.from_doc(database, OTA_MAPPING_DOC)
         for seed in range(6):
