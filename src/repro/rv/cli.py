@@ -59,7 +59,6 @@ from ..cli_common import (
 )
 from ..exec.spec import (
     CheckSpec,
-    CorpusEncodingError,
     ManifestError,
     decode_process,
 )
@@ -202,7 +201,7 @@ def _resolve_spec(doc: Dict[str, Any]) -> Tuple[Any, Dict[str, Any]]:
         bindings = {
             name: decode_process(body) for name, body in env_docs.items()
         }
-    except (CorpusEncodingError, KeyError, TypeError, RecursionError) as error:
+    except (ValueError, KeyError, TypeError, RecursionError) as error:
         # the same failures CheckSpec.from_doc turns into a ManifestError
         raise ManifestError(
             "undecodable rv manifest spec: {}".format(error)

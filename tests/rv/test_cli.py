@@ -165,6 +165,22 @@ class TestBadInputs:
         assert error.value.code == EXIT_USAGE
         assert "bad manifest" in capsys.readouterr().err
 
+    def test_term_a_constructor_refuses_is_a_bad_manifest(self, tmp_path, capsys):
+        # ProcessRef("") raises a plain ValueError while the term decodes
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "dbc": "builtin:ota",
+                    "logs": [],
+                    "spec": {"op": "ref", "name": ""},
+                }
+            )
+        )
+        line = self.usage_error(capsys, [str(path)])
+        assert line.startswith("csprv: bad manifest: undecodable rv manifest spec: ")
+
     def usage_error(self, capsys, argv):
         """The one stderr line of a run that must exit 2."""
         with pytest.raises(SystemExit) as error:
